@@ -17,6 +17,7 @@ from .algebra import (
     direct_sum,
     is_ideal,
     kernel_of_lambda,
+    matrix_lie_algebra,
     quotient_algebra,
     squares_ideal,
 )
@@ -49,11 +50,9 @@ from .courant import (
     lie_derivative_one_form,
     lie_derivative_one_form_coord,
     pairing,
-    rho,
     sigma_double,
     t_function,
     vf_bracket,
-    worker_count,
 )
 from .envelope import (
     DEFAULT_S_VALUES,
@@ -77,7 +76,6 @@ from .linalg import (
     inverse,
     is_nilpotent,
     kernel_basis,
-    mat_exp,
     mat_exp_exact,
     mat_exp_float,
     parse_rational,

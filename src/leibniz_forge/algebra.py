@@ -10,7 +10,6 @@ equality of spans is equality of representations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +20,7 @@ from .linalg import (
     Vec,
     as_q,
     basis_vec,
+    commutator,
     is_zero_vec,
     rref,
     vadd,
@@ -28,6 +28,7 @@ from .linalg import (
     vsub,
     vzero,
 )
+from .tensor import SparseTensor, first_failure, skew_failure
 
 
 class NotAnIdealError(ValueError):
@@ -81,60 +82,30 @@ class StructureAlgebra:
     def product_basis(self, i: int, j: int) -> Vec:
         return self.c[i][j]
 
+    @cached_property
+    def sparse(self) -> SparseTensor:
+        """Nonzero structure constants (i, j) -> {k: c}, built on first use."""
+        return SparseTensor(self.c, 2)
+
     def product(self, x: Vec, y: Vec) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        out = [Q(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.c[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cell = row[j]
-                f = xi * yj
-                for k, ck in enumerate(cell):
-                    if ck != 0:
-                        out[k] += f * ck
-        return tuple(out)
+        return self.sparse.contract(x, y)
 
     def lmul_basis(self, i: int, v: Vec) -> Vec:
         """e_i . v"""
-        out = [Q(0)] * self.dim
-        for l, vl in enumerate(v):
-            if vl == 0:
-                continue
-            for k, ck in enumerate(self.c[i][l]):
-                if ck != 0:
-                    out[k] += vl * ck
-        return tuple(out)
+        return self.sparse.contract(i, v)
 
     def rmul_basis(self, v: Vec, j: int) -> Vec:
         """v . e_j"""
-        out = [Q(0)] * self.dim
-        for l, vl in enumerate(v):
-            if vl == 0:
-                continue
-            for k, ck in enumerate(self.c[l][j]):
-                if ck != 0:
-                    out[k] += vl * ck
-        return tuple(out)
+        return self.sparse.contract(v, j)
+
+    lmul_basis_vec = rmul_basis
 
     def left_mul(self, x: Vec) -> Matrix:
         """Matrix of lambda(x): y -> x . y in the algebra basis."""
         cols = [self.lmul_basis_vec(x, j) for j in range(self.dim)]
         return Matrix.from_cols(cols)
-
-    def lmul_basis_vec(self, x: Vec, j: int) -> Vec:
-        out = [Q(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for k, ck in enumerate(self.c[i][j]):
-                if ck != 0:
-                    out[k] += xi * ck
-        return tuple(out)
 
     def right_mul(self, x: Vec) -> Matrix:
         """Matrix of y -> y . x."""
@@ -148,32 +119,25 @@ class StructureAlgebra:
 
         Returns the lexicographically first failing (i, j, k) with both sides.
         """
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.lmul_basis(i, self.c[j][k])
-                    rhs = vadd(self.rmul_basis(self.c[i][j], k),
-                               self.lmul_basis(j, self.c[i][k]))
-                    if lhs != rhs:
-                        return False, (i, j, k, lhs, rhs)
-        return True, None
+        c = self.sparse
+        at = first_failure(self.dim, "ijk", [(1, c, "i*", c, "jk"), (-1, c, "*k", c, "ij"),
+                                             (-1, c, "j*", c, "ik")])
+        if at is None:
+            return True, None
+        i, j, k = at
+        lhs = self.lmul_basis(i, self.c[j][k])
+        rhs = vadd(self.rmul_basis(self.c[i][j], k), self.lmul_basis(j, self.c[i][k]))
+        return False, (i, j, k, lhs, rhs)
 
     @cached_property
     def is_skew(self) -> bool:
-        return all(self.c[i][j] == tuple(-x for x in self.c[j][i])
-                   for i in range(self.dim) for j in range(i, self.dim))
+        return skew_failure(self.sparse) is None
 
     def check_jacobi(self) -> bool:
         """Cyclic Jacobi sum on all basis triples (no skewness assumed)."""
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    s = vadd(vadd(self.rmul_basis(self.c[i][j], k),
-                                  self.rmul_basis(self.c[j][k], i)),
-                             self.rmul_basis(self.c[k][i], j))
-                    if not is_zero_vec(s):
-                        return False
-        return True
+        c = self.sparse
+        return first_failure(self.dim, "ijk", [(1, c, "*k", c, "ij"), (1, c, "*i", c, "jk"),
+                                               (1, c, "*j", c, "ki")]) is None
 
     def check_lie(self) -> bool:
         return self.is_skew and self.check_jacobi()
@@ -356,20 +320,11 @@ def is_ideal(a: StructureAlgebra, s: Subspace) -> bool:
 
 def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     """Algebra on the concatenated bases with vanishing cross products."""
-    dim = a.dim + b.dim
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            cell = {k: x for k, x in enumerate(a.c[i][j]) if x != 0}
-            if cell:
-                products[(i, j)] = cell
-    for i in range(b.dim):
-        for j in range(b.dim):
-            cell = {a.dim + k: x for k, x in enumerate(b.c[i][j]) if x != 0}
-            if cell:
-                products[(a.dim + i, a.dim + j)] = cell
+    products = dict(a.sparse.entries)
+    for (i, j), cell in b.sparse.entries.items():
+        products[(a.dim + i, a.dim + j)] = {a.dim + k: x for k, x in cell.items()}
     names = tuple(f"a{i+1}" for i in range(a.dim)) + tuple(f"b{i+1}" for i in range(b.dim))
-    return StructureAlgebra.from_products(dim, products, names,
+    return StructureAlgebra.from_products(a.dim + b.dim, products, names,
                                           f"{a.name}+{b.name}" if a.name and b.name else "")
 
 
@@ -396,3 +351,19 @@ def quotient_algebra(a: StructureAlgebra, m: Subspace) -> tuple[StructureAlgebra
     names = tuple(a.basis_names[j] for j in comp)
     quotient = StructureAlgebra(qdim, c, names, f"{a.name}/M" if a.name else "")
     return quotient, qmat
+
+
+def matrix_lie_algebra(n: int, mats: Sequence[Matrix], prefix: str, name: str = ""
+                       ) -> tuple[StructureAlgebra, tuple[Matrix, ...], Subspace]:
+    """Lie algebra spanned by n x n matrices under the commutator.
+
+    Returns the algebra on the canonical basis of the span, with basis names
+    prefix1, prefix2, ..., that basis as matrices, and the span of the
+    flattened matrices, whose coords(m.flat) are a member's coordinates.
+    Raises ValueError when a commutator leaves the span.
+    """
+    span = Subspace.span(n * n, [m.flat for m in mats])
+    basis = tuple(Matrix.from_flat(r, n) for r in span.basis)
+    c = tuple(tuple(span.coords(commutator(p, q).flat) for q in basis) for p in basis)
+    names = tuple(f"{prefix}{a+1}" for a in range(span.dim))
+    return StructureAlgebra(span.dim, c, names, name), basis, span

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -679,6 +680,16 @@ def _positive_type(raw: str) -> int:
     return value
 
 
+def _tolerance_type(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"finite positive tolerance required, got {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text",
@@ -733,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="comma-separated rational coordinates")
     p.add_argument("--float", dest="float_mode", action="store_true",
                    help="evaluate numerically instead of exactly")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance_type, default=1e-9,
                    help="float-mode tolerance (default 1e-9)")
     p.set_defaults(handler=_cmd_loop_eval)
     p = loop_sub.add_parser("verify", parents=[common],
@@ -744,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_type, default=100)
     p.add_argument("--float", dest="float_mode", action="store_true",
                    help="check numerically within --tol")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance_type, default=1e-9,
                    help="float-mode tolerance (default 1e-9)")
     p.set_defaults(handler=_cmd_loop_verify)
 

@@ -16,23 +16,12 @@ the factor 2. All checks here use the halved forms exactly.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .linalg import Q, Scalar, as_q
 from .poly import Poly
-
-
-def worker_count() -> int:
-    """Worker bound from LEIBNIZ_FORGE_THREADS; malformed values fall back to 1."""
-    raw = os.environ.get("LEIBNIZ_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # -- graded pieces ------------------------------------------------------------
@@ -275,10 +264,6 @@ def d_section(f: Poly) -> Section:
     return Section(VectorField.zero(f.nvars), d_function(f))
 
 
-def rho(x: Section) -> VectorField:
-    return x.vf
-
-
 def courant_bracket(x: Section, y: Section) -> Section:
     half = Q(1, 2)
     form = (lie_derivative_one_form(x.vf, y.form)
@@ -322,13 +307,6 @@ class CheckResult:
     witness: str | None = None
 
 
-def _run_indexed(cases: Sequence, evaluate: Callable, workers: int) -> list:
-    if workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, cases))
-    return [evaluate(c) for c in cases]
-
-
 def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
                 funcs: Sequence[tuple[Poly, Poly]]) -> list[CheckResult]:
     """The five structure axioms, checked exactly on every supplied case.
@@ -339,7 +317,6 @@ def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
     axiom4  D lands in the anchor kernel and is isotropic
     axiom5  pairing is invariant for the Dorfman product
     """
-    workers = worker_count()
     results: list[CheckResult] = []
 
     def ax1(case):
@@ -378,7 +355,7 @@ def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
             ("axiom3", [(i, (t, fg)) for i, (t, fg) in enumerate(zip(triples, _cycle(funcs, len(triples))))], ax3),
             ("axiom4", list(enumerate(funcs)), ax4),
             ("axiom5", list(enumerate(triples)), ax5)):
-        outcomes = _run_indexed(cases, fn, workers)
+        outcomes = [fn(case) for case in cases]
         bad = next((i for i, ok in outcomes if not ok), None)
         results.append(CheckResult(name, bad is None,
                                    None if bad is None else f"case {bad}"))

@@ -24,6 +24,7 @@ from .algebra import (
     StructureAlgebra,
     Subspace,
     kernel_of_lambda,
+    matrix_lie_algebra,
     quotient_algebra,
     squares_ideal,
 )
@@ -37,11 +38,11 @@ from .linalg import (
     is_zero_vec,
     kernel_basis,
     rref,
-    vadd,
     vscale,
     vsub,
 )
 from .products import ModuleAction, hemisemidirect, semidirect_lie
+from .tensor import SparseTensor, first_failure
 
 
 class EnvelopeError(ValueError):
@@ -84,31 +85,21 @@ def validate_envelope(e: StructureAlgebra, h: StructureAlgebra,
         raise EnvelopeError("h is not a Lie algebra")
 
     n, hd = e.dim, h.dim
-    for a in range(hd):
-        m = action.mats[a]
-        for i in range(n):
-            for j in range(n):
-                lhs = m.apply(e.c[i][j])
-                rhs = vadd(e.product(m.col(i), basis_vec(n, j)),
-                           e.product(basis_vec(n, i), m.col(j)))
-                if lhs != rhs:
-                    raise EnvelopeError(
-                        f"action matrix {a} is not a derivation at basis pair ({i}, {j})")
-
-    for a in range(hd):
-        m = action.mats[a]
-        for i in range(n):
-            lhs = f.apply(m.col(i))
-            rhs = h.product(basis_vec(hd, a), f.col(i))
-            if lhs != rhs:
-                raise EnvelopeError(f"f is not equivariant at (h basis {a}, E basis {i})")
-
-    for i in range(n):
-        fx = action.of(f.col(i))
-        for j in range(n):
-            if fx.col(j) != e.c[i][j]:
-                raise EnvelopeError(
-                    f"acting by f(e_{i+1}) does not reproduce left multiplication at ({i}, {j})")
+    c, rho = e.sparse, action.sparse  # rho: (a, k) -> action.mats[a] e_k
+    fs = SparseTensor(tuple(f.col(i) for i in range(n)), 1)  # i -> f(e_i)
+    at = first_failure(hd, "aij", [(1, rho, "a*", c, "ij"), (-1, c, "*j", rho, "ai"),
+                                   (-1, c, "i*", rho, "aj")])
+    if at is not None:
+        raise EnvelopeError(
+            f"action matrix {at[0]} is not a derivation at basis pair ({at[1]}, {at[2]})")
+    at = first_failure(hd, "ai", [(1, fs, "*", rho, "ai"), (-1, h.sparse, "a*", fs, "i")])
+    if at is not None:
+        raise EnvelopeError(f"f is not equivariant at (h basis {at[0]}, E basis {at[1]})")
+    at = first_failure(n, "ij", [(1, rho, "*j", fs, "i"), (-1, c, "ij")])
+    if at is not None:
+        i, j = at
+        raise EnvelopeError(
+            f"acting by f(e_{i+1}) does not reproduce left multiplication at ({i}, {j})")
 
     # consequences of the axioms, asserted as a cross-check
     for i in range(n):
@@ -146,20 +137,9 @@ def lambda_envelope(e: StructureAlgebra) -> EnvelopeTriple:
     if not ok:
         raise EnvelopeError(f"not a Leibniz algebra: first failing triple {witness[:3]}")
     n = e.dim
-    lam_flat = [tuple(x for row in e.left_mul(basis_vec(n, i)).entries for x in row)
-                for i in range(n)]
-    span = Subspace.span(n * n, lam_flat)
-    mats = tuple(Matrix.from_rows([list(r[k * n:(k + 1) * n]) for k in range(n)])
-                 for r in span.basis)
-    hd = span.dim
-    c = tuple(tuple(span.coords(tuple(x for row in
-                                      (mats[a] @ mats[b] - mats[b] @ mats[a]).entries
-                                      for x in row))
-                    for b in range(hd))
-              for a in range(hd))
-    h = StructureAlgebra(hd, c, tuple(f"L{a+1}" for a in range(hd)),
-                         f"lam({e.name})" if e.name else "")
-    f = Matrix.from_cols([span.coords(v) for v in lam_flat])
+    lams = [e.left_mul(basis_vec(n, i)) for i in range(n)]
+    h, mats, span = matrix_lie_algebra(n, lams, "L", f"lam({e.name})" if e.name else "")
+    f = Matrix.from_cols([span.coords(m.flat) for m in lams])
     return validate_envelope(e, h, ModuleAction(h, mats), f)
 
 

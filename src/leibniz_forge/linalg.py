@@ -119,6 +119,11 @@ class Matrix:
         return Matrix(tuple(tuple(mats[j][i] for j in range(len(mats))) for i in range(n)))
 
     @staticmethod
+    def from_flat(v: Sequence[Scalar], n: int) -> "Matrix":
+        """The n x n matrix with row-major entries v."""
+        return Matrix(tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)))
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(tuple(basis_vec(n, i) for i in range(n)))
 
@@ -133,6 +138,11 @@ class Matrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
+
+    @property
+    def flat(self) -> Vec:
+        """Entries in row-major order."""
+        return tuple(x for r in self.entries for x in r)
 
     def row(self, i: int) -> Vec:
         return self.entries[i]
@@ -393,11 +403,3 @@ def mat_exp_float(m: Matrix | FloatMatrix, tol: float = 1e-12) -> FloatMatrix:
         out = out @ out
     return out
 
-
-def mat_exp(m: Matrix, mode: str = "exact", tol: float = 1e-12) -> Matrix | FloatMatrix:
-    """Matrix exponential. Exact mode demands nilpotency; float mode approximates."""
-    if mode == "exact":
-        return mat_exp_exact(m)
-    if mode == "float":
-        return mat_exp_float(m, tol=tol)
-    raise ValueError(f"unknown mode {mode!r}")

@@ -21,7 +21,6 @@ from .linalg import (
     NotNilpotentError,
     Q,
     Scalar,
-    Vec,
     as_q,
     basis_vec,
     is_nilpotent,
@@ -53,14 +52,6 @@ class LoopGate:
         return self.basis_nilpotent and self.sampled_nilpotent and self.envelope_nilpotent
 
 
-def _flatten(m: Matrix) -> Vec:
-    return tuple(x for r in m.entries for x in r)
-
-
-def _unflatten(v: Vec, n: int) -> Matrix:
-    return Matrix(tuple(v[i * n:(i + 1) * n] for i in range(n)))
-
-
 def _envelope_nilpotent(a: StructureAlgebra) -> bool:
     """Is the associative algebra generated by all lambda(e_i) nilpotent?
 
@@ -70,15 +61,15 @@ def _envelope_nilpotent(a: StructureAlgebra) -> bool:
     """
     n = a.dim
     gens = [a.left_mul(basis_vec(n, i)) for i in range(n)]
-    chain = Subspace.span(n * n, [_flatten(g) for g in gens])
+    chain = Subspace.span(n * n, [g.flat for g in gens])
     for _ in range(n * n + 1):
         if chain.dim == 0:
             return True
         nxt_vecs = []
         for w in chain.basis:
-            wm = _unflatten(w, n)
+            wm = Matrix.from_flat(w, n)
             for g in gens:
-                nxt_vecs.append(_flatten(wm @ g))
+                nxt_vecs.append((wm @ g).flat)
         nxt = Subspace.span(n * n, nxt_vecs)
         if nxt == chain:
             return False
@@ -129,16 +120,8 @@ def _to_floats(v: Sequence) -> FloatVec:
 
 
 def _left_mul_float(a: StructureAlgebra, x: Sequence[float]) -> FloatMatrix:
-    n = a.dim
-    rows = [[0.0] * n for _ in range(n)]
-    for i, xi in enumerate(x):
-        if xi == 0.0:
-            continue
-        for j in range(n):
-            for k, ck in enumerate(a.c[i][j]):
-                if ck != 0:
-                    rows[k][j] += xi * float(ck)
-    return FloatMatrix.from_rows(rows)
+    cols = [a.sparse.contract(x, j) for j in range(a.dim)]
+    return FloatMatrix.from_rows(list(zip(*cols)))
 
 
 def _exp_s_lambda(ctx: LoopContext, x: Sequence, factor: Fraction) -> Matrix | FloatMatrix:

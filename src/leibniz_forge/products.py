@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
 
 from .algebra import StructureAlgebra
-from .linalg import Matrix, Q, Vec, basis_vec, commutator, is_zero_vec, vadd, vscale, vsub, vzero
+from .linalg import Matrix, Q, Scalar, Vec, commutator, vadd, vscale, vzero
+from .tensor import SparseTensor, skew_failure
 
 
 class InvalidActionError(ValueError):
@@ -62,6 +63,12 @@ class ModuleAction:
     def v_dim(self) -> int:
         return self.space_dim or 0
 
+    @cached_property
+    def sparse(self) -> SparseTensor:
+        """Nonzero action coefficients (a, k) -> {m: mats[a][m][k]}, built on first use."""
+        return SparseTensor(tuple(tuple(m.col(k) for k in range(self.v_dim))
+                                  for m in self.mats), 2)
+
     def of(self, hvec: Vec) -> Matrix:
         """Action matrix of an arbitrary h vector."""
         out = Matrix.zeros(self.v_dim, self.v_dim)
@@ -78,50 +85,35 @@ def _component_names(h: StructureAlgebra, v_dim: int) -> tuple[str, ...]:
     return h.basis_names + vnames
 
 
-def _pair_products(act: ModuleAction, v_coeff_left: Fraction,
-                   v_coeff_right: Fraction) -> dict:
-    """Structure constants shared by the three products; h block first."""
-    h = act.h
-    hd, vd = h.dim, act.v_dim
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(hd):
-        for j in range(hd):
-            cell = h.c[i][j]
-            entry = {k: cell[k] for k in range(hd) if cell[k] != 0}
-            if entry:
-                products[(i, j)] = entry
-    for i in range(hd):
-        m = act.mats[i]
-        for b in range(vd):
-            col = m.col(b)
-            if v_coeff_left != 0:
-                entry = {hd + k: v_coeff_left * col[k] for k in range(vd) if col[k] != 0}
-                if entry:
-                    products[(i, hd + b)] = entry
-            if v_coeff_right != 0:
-                entry = {hd + k: v_coeff_right * col[k] for k in range(vd) if col[k] != 0}
-                if entry:
-                    products[(hd + b, i)] = entry
+def action_products(act: ModuleAction, left: Scalar, right: Scalar) -> dict:
+    """Structure constants on h x V, h block first: the bracket of h, then
+    e_a . v = left rho(e_a) v and v . e_a = right rho(e_a) v."""
+    hd = act.h.dim
+    products = {key: dict(cell) for key, cell in act.h.sparse.entries.items()}
+    for (a, k), cell in act.sparse.entries.items():
+        for key, coeff in (((a, hd + k), left), ((hd + k, a), right)):
+            if coeff != 0:
+                products[key] = {hd + m: coeff * x for m, x in cell.items()}
     return products
 
 
 def semidirect_lie(h: StructureAlgebra, act: ModuleAction, name: str = "") -> StructureAlgebra:
     """h acting on an abelian copy of V; always a Lie algebra."""
-    products = _pair_products(act, Q(1), Q(-1))
+    products = action_products(act, Q(1), Q(-1))
     return StructureAlgebra.from_products(h.dim + act.v_dim, products,
                                           _component_names(h, act.v_dim), name)
 
 
 def hemisemidirect(h: StructureAlgebra, act: ModuleAction, name: str = "") -> StructureAlgebra:
     """(a, x) . (b, y) = ([a, b], a y); Leibniz for every action."""
-    products = _pair_products(act, Q(1), Q(0))
+    products = action_products(act, Q(1), Q(0))
     return StructureAlgebra.from_products(h.dim + act.v_dim, products,
                                           _component_names(h, act.v_dim), name)
 
 
 def demisemidirect(h: StructureAlgebra, act: ModuleAction, name: str = "") -> StructureAlgebra:
     """Skew product ([a, b], (a y - b x)/2); generally fails Jacobi."""
-    products = _pair_products(act, Q(1, 2), Q(-1, 2))
+    products = action_products(act, Q(1, 2), Q(-1, 2))
     return StructureAlgebra.from_products(h.dim + act.v_dim, products,
                                           _component_names(h, act.v_dim), name)
 
@@ -196,77 +188,25 @@ class GraphCriterionReport:
 def graph_criterion(a: StructureAlgebra) -> GraphCriterionReport:
     """Closure tests for the graph {(lambda(x), x)} inside gl(E) x E.
 
-    A pair (X, u) lies on the graph iff X = lambda(u), so closure of products
-    of graph basis elements reduces to matrix identities:
+    A pair (X, u) lies on the graph iff X = lambda(u). Column k of
+    [lambda(e_i), lambda(e_j)] - lambda(e_i . e_j) is the Leibniz defect
+    e_i.(e_j.e_k) - (e_i.e_j).e_k - e_j.(e_i.e_k), so every condition is an
+    identity on the structure constants:
 
-      * hemisemidirect product lands on the graph iff lambda is a homomorphism
-        into commutators, i.e. iff the product is Leibniz;
-      * the graph is a Lie subalgebra of the demisemidirect product with the
-        circle product vanishing on it iff the product is Lie.
+      * the hemisemidirect product of graph elements lands on the graph iff
+        the product is Leibniz; the first failing pair (i, j) is that of the
+        first failing Leibniz triple;
+      * the circle product vanishes on the graph iff the product is skew; the
+        witness is the first (i, j) with e_i.e_j + e_j.e_i != 0;
+      * for a skew product the demisemidirect bracket of graph elements is
+        (lambda(x) lambda(y) - lambda(y) lambda(x), x.y), which lies on the
+        graph iff the product is Leibniz. Then x -> (lambda(x), x) carries
+        the product onto the graph bracket, whose Jacobi identity is that of
+        a skew Leibniz product and holds. So the graph is a Lie subalgebra of
+        the demisemidirect product with vanishing circle product iff the
+        product is Lie.
     """
-    n = a.dim
-    lam = [a.left_mul(basis_vec(n, i)) for i in range(n)]
-
-    closed = True
-    closure_witness = None
-    for i in range(n):
-        for j in range(n):
-            if commutator(lam[i], lam[j]) != a.left_mul(a.c[i][j]):
-                closed = False
-                closure_witness = (i, j)
-                break
-        if not closed:
-            break
-
-    circle_ok = True
-    circle_witness = None
-    for i in range(n):
-        for j in range(i, n):
-            if not is_zero_vec(a.symmetrized_part(basis_vec(n, i), basis_vec(n, j))):
-                circle_ok = False
-                circle_witness = (i, j)
-                break
-        if not circle_ok:
-            break
-
-    demi_closed = True
-    for i in range(n):
-        for j in range(n):
-            if commutator(lam[i], lam[j]) != a.left_mul(a.skew_product(basis_vec(n, i),
-                                                                       basis_vec(n, j))):
-                demi_closed = False
-                break
-        if not demi_closed:
-            break
-
-    lie_sub = demi_closed and circle_ok
-    if lie_sub:
-        lie_sub = _graph_jacobi(a, lam)
-
-    return GraphCriterionReport(closed, lie_sub, circle_ok, closure_witness, circle_witness)
-
-
-def _demi_pair(x: tuple[Matrix, Vec], y: tuple[Matrix, Vec]) -> tuple[Matrix, Vec]:
-    half = Q(1, 2)
-    return (commutator(x[0], y[0]),
-            vscale(half, vsub(x[0].apply(y[1]), y[0].apply(x[1]))))
-
-
-def _graph_jacobi(a: StructureAlgebra, lam: Sequence[Matrix]) -> bool:
-    """Jacobi for the demisemidirect bracket on graph basis triples."""
-    n = a.dim
-    pts = [(lam[i], basis_vec(n, i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            dij = _demi_pair(pts[i], pts[j])
-            for k in range(n):
-                djk = _demi_pair(pts[j], pts[k])
-                dki = _demi_pair(pts[k], pts[i])
-                total = _demi_pair(dij, pts[k])
-                t2 = _demi_pair(djk, pts[i])
-                t3 = _demi_pair(dki, pts[j])
-                mat = total[0] + t2[0] + t3[0]
-                v = vadd(vadd(total[1], t2[1]), t3[1])
-                if not mat.is_zero() or not is_zero_vec(v):
-                    return False
-    return True
+    closed, witness = a.check_leibniz()
+    circle = skew_failure(a.sparse)
+    return GraphCriterionReport(closed, closed and circle is None, circle is None,
+                                None if closed else witness[:2], circle)

@@ -11,14 +11,14 @@ induces one on m by projecting the bracket and composing through h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .algebra import StructureAlgebra, Subspace
+from .algebra import StructureAlgebra, Subspace, matrix_lie_algebra
 from .linalg import (
     Matrix,
     Q,
     Vec,
+    as_q,
     basis_vec,
     inverse,
     is_zero_vec,
@@ -26,7 +26,8 @@ from .linalg import (
     vneg,
     vzero,
 )
-from .products import ModuleAction
+from .products import ModuleAction, action_products
+from .tensor import SparseTensor, first_failure, skew_failure
 
 BinTensor = tuple[tuple[Vec, ...], ...]
 TernTensor = tuple[tuple[tuple[Vec, ...], ...], ...]
@@ -48,8 +49,8 @@ class LieYamaguti:
     @staticmethod
     def from_tensors(b: Sequence, t: Sequence) -> "LieYamaguti":
         dim = len(b)
-        bt = tuple(tuple(tuple(Fraction(x) for x in cell) for cell in row) for row in b)
-        tt = tuple(tuple(tuple(tuple(Fraction(x) for x in cell) for cell in row)
+        bt = tuple(tuple(tuple(as_q(x) for x in cell) for cell in row) for row in b)
+        tt = tuple(tuple(tuple(tuple(as_q(x) for x in cell) for cell in row)
                          for row in plane) for plane in t)
         if any(len(row) != dim for row in bt) or any(len(cell) != dim for row in bt for cell in row):
             raise ValueError("binary tensor is not dim^3")
@@ -59,148 +60,50 @@ class LieYamaguti:
             raise ValueError("ternary tensor is not dim^4")
         return LieYamaguti(dim, bt, tt)
 
+    def sparse(self) -> tuple[SparseTensor, SparseTensor]:
+        """Nonzero (i, j) -> {k: c} of b and (i, j, k) -> {l: c} of t.
+
+        Built per call and not cached: callers keep many structures alive
+        (one per perturbation, say) and each validates once, so a cached
+        view would only hold memory.
+        """
+        return SparseTensor(self.b, 2), SparseTensor(self.t, 3)
+
     def binary(self, x: Vec, y: Vec) -> Vec:
-        out = [Q(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                f = xi * yj
-                for k, ck in enumerate(self.b[i][j]):
-                    if ck != 0:
-                        out[k] += f * ck
-        return tuple(out)
+        return SparseTensor(self.b, 2).contract(x, y)
 
     def ternary(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        out = [Q(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                f = xi * yj
-                for k, zk in enumerate(z):
-                    if zk == 0:
-                        continue
-                    g = f * zk
-                    for l, cl in enumerate(self.t[i][j][k]):
-                        if cl != 0:
-                            out[l] += g * cl
-        return tuple(out)
-
-
-def _comb(rows: Sequence[Vec], coeffs: Vec, n: int) -> Vec:
-    out = [Q(0)] * n
-    for l, cl in enumerate(coeffs):
-        if cl == 0:
-            continue
-        for k, x in enumerate(rows[l]):
-            if x != 0:
-                out[k] += cl * x
-    return tuple(out)
+        return SparseTensor(self.t, 3).contract(x, y, z)
 
 
 def validate_ly(ly: LieYamaguti) -> LYReport:
-    """Check LY1-LY6 on full basis tuple ranges, lexicographic first failure."""
-    n, b, t = ly.dim, ly.b, ly.t
+    """Check LY1-LY6 on full basis tuple ranges, lexicographic first failure.
 
-    for i in range(n):
-        for j in range(n):
-            if b[i][j] != vneg(b[j][i]):
-                return LYReport(False, "LY1", (i, j))
+    With b the binary and t the ternary tensor, on basis elements:
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if t[i][j][k] != vneg(t[j][i][k]):
-                    return LYReport(False, "LY2", (i, j, k))
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = [Q(0)] * n
-                for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = b[x][y]
-                    for l, cl in enumerate(inner):
-                        if cl == 0:
-                            continue
-                        for m, xm in enumerate(b[l][z]):
-                            if xm != 0:
-                                acc[m] += cl * xm
-                    for m, xm in enumerate(t[x][y][z]):
-                        if xm != 0:
-                            acc[m] += xm
-                if any(v != 0 for v in acc):
-                    return LYReport(False, "LY3", (i, j, k))
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for u in range(n):
-                    acc = [Q(0)] * n
-                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = b[x][y]
-                        for l, cl in enumerate(inner):
-                            if cl == 0:
-                                continue
-                            for m, xm in enumerate(t[l][z][u]):
-                                if xm != 0:
-                                    acc[m] += cl * xm
-                    if any(v != 0 for v in acc):
-                        return LYReport(False, "LY4", (i, j, k, u))
-
-    for i in range(n):
-        for j in range(n):
-            for u in range(n):
-                for v in range(n):
-                    lhs = _comb(t[i][j], b[u][v], n)
-                    rhs = [Q(0)] * n
-                    for l, cl in enumerate(t[i][j][u]):
-                        if cl == 0:
-                            continue
-                        for m, xm in enumerate(b[l][v]):
-                            if xm != 0:
-                                rhs[m] += cl * xm
-                    for l, cl in enumerate(t[i][j][v]):
-                        if cl == 0:
-                            continue
-                        for m, xm in enumerate(b[u][l]):
-                            if xm != 0:
-                                rhs[m] += cl * xm
-                    if lhs != tuple(rhs):
-                        return LYReport(False, "LY5", (i, j, u, v))
-
-    for i in range(n):
-        for j in range(n):
-            for u in range(n):
-                for v in range(n):
-                    for w in range(n):
-                        lhs = _comb(t[i][j], t[u][v][w], n)
-                        rhs = [Q(0)] * n
-                        for l, cl in enumerate(t[i][j][u]):
-                            if cl == 0:
-                                continue
-                            for m, xm in enumerate(t[l][v][w]):
-                                if xm != 0:
-                                    rhs[m] += cl * xm
-                        for l, cl in enumerate(t[i][j][v]):
-                            if cl == 0:
-                                continue
-                            for m, xm in enumerate(t[u][l][w]):
-                                if xm != 0:
-                                    rhs[m] += cl * xm
-                        for l, cl in enumerate(t[i][j][w]):
-                            if cl == 0:
-                                continue
-                            for m, xm in enumerate(t[u][v][l]):
-                                if xm != 0:
-                                    rhs[m] += cl * xm
-                        if lhs != tuple(rhs):
-                            return LYReport(False, "LY6", (i, j, u, v, w))
-
+      LY1  b(i, j) + b(j, i) = 0
+      LY2  t(i, j, k) + t(j, i, k) = 0
+      LY3  sum over cyclic (x, y, z) of (i, j, k): b(b(x, y), z) + t(x, y, z) = 0
+      LY4  sum over cyclic (x, y, z) of (i, j, k): t(b(x, y), z, u) = 0
+      LY5  t(i, j, b(u, v)) = b(t(i, j, u), v) + b(u, t(i, j, v))
+      LY6  t(i, j, t(u, v, w)) = t(t(i, j, u), v, w) + t(u, t(i, j, v), w)
+                                 + t(u, v, t(i, j, w))
+    """
+    b, t = ly.sparse()
+    cyclic = ("ijk", "jki", "kij")
+    for name, variables, terms in (
+            ("LY1", "ij", [(1, b, "ij"), (1, b, "ji")]),
+            ("LY2", "ijk", [(1, t, "ijk"), (1, t, "jik")]),
+            ("LY3", "ijk", [term for x, y, z in cyclic
+                            for term in ((1, b, "*" + z, b, x + y), (1, t, x + y + z))]),
+            ("LY4", "ijku", [(1, t, "*" + z + "u", b, x + y) for x, y, z in cyclic]),
+            ("LY5", "ijuv", [(1, t, "ij*", b, "uv"), (-1, b, "*v", t, "iju"),
+                             (-1, b, "u*", t, "ijv")]),
+            ("LY6", "ijuvw", [(1, t, "ij*", t, "uvw"), (-1, t, "*vw", t, "iju"),
+                              (-1, t, "u*w", t, "ijv"), (-1, t, "uv*", t, "ijw")])):
+        at = first_failure(ly.dim, variables, terms)
+        if at is not None:
+            return LYReport(False, name, at)
     return LYReport(True)
 
 
@@ -293,8 +196,7 @@ def inner_derivations(ly: LieYamaguti) -> tuple[list[Matrix], Subspace]:
     """Generator matrices delta(e_i, e_j) for i < j, and their span in gl(m)."""
     n = ly.dim
     gens = [delta_matrix(ly, i, j) for i in range(n) for j in range(i + 1, n)]
-    flat = [tuple(x for row in m.entries for x in row) for m in gens]
-    return gens, Subspace.span(n * n, flat)
+    return gens, Subspace.span(n * n, [m.flat for m in gens])
 
 
 @dataclass(frozen=True)
@@ -313,10 +215,6 @@ class LYEnvelope:
         return self.g.dim - self.h.dim
 
 
-def _flatten(m: Matrix) -> Vec:
-    return tuple(x for row in m.entries for x in row)
-
-
 def ly_envelope(ly: LieYamaguti,
                 h: StructureAlgebra | None = None,
                 action: ModuleAction | None = None,
@@ -333,83 +231,27 @@ def ly_envelope(ly: LieYamaguti,
         raise ValueError("supply h, action and delta together or none of them")
 
     if h is None:
-        gens, span = inner_derivations(ly)
-        hd = span.dim
-        mats = tuple(Matrix.from_rows([list(r[k * n:(k + 1) * n]) for k in range(n)])
-                     for r in span.basis)
         try:
-            c = tuple(tuple(span.coords(_flatten(mats[a] @ mats[b] - mats[b] @ mats[a]))
-                            for b in range(hd))
-                      for a in range(hd))
+            h, mats, span = matrix_lie_algebra(n, inner_derivations(ly)[0], "d")
         except ValueError:
             raise ValueError("inner derivations do not close under commutators") from None
-        h = StructureAlgebra(hd, c, tuple(f"d{a+1}" for a in range(hd)))
         action = ModuleAction(h, mats, space_dim=n)
-        delta_t = tuple(tuple(span.coords(_flatten(delta_matrix(ly, i, j)))
-                              for j in range(n))
+        delta_t = tuple(tuple(span.coords(delta_matrix(ly, i, j).flat) for j in range(n))
                         for i in range(n))
+        d = SparseTensor(delta_t, 2)
     else:
-        delta_t = tuple(tuple(tuple(Fraction(x) for x in cell) for cell in row) for row in delta)
+        delta_t = tuple(tuple(tuple(as_q(x) for x in cell) for cell in row) for row in delta)
         if action.v_dim != n:
             raise ValueError("action matrices do not act on the LY space")
-        hd = h.dim
-        for i in range(n):
-            for j in range(n):
-                if delta_t[i][j] != vneg(delta_t[j][i]):
-                    raise ValueError(f"delta is not skew at ({i}, {j})")
-        for i in range(n):
-            for j in range(n):
-                mat = action.of(delta_t[i][j])
-                for k in range(n):
-                    if mat.col(k) != ly.t[i][j][k]:
-                        raise ValueError(
-                            f"delta1 fails at ({i}, {j}, {k}): delta does not act as the ternary")
-        for a in range(hd):
-            m = action.mats[a]
-            for i in range(n):
-                for j in range(n):
-                    lhs = h.product(basis_vec(hd, a), delta_t[i][j])
-                    rhs = vadd(_bilinear(delta_t, m.col(i), basis_vec(n, j), hd),
-                               _bilinear(delta_t, basis_vec(n, i), m.col(j), hd))
-                    if lhs != rhs:
-                        raise ValueError(f"delta2 fails at (h {a}, {i}, {j}): not equivariant")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = vzero(hd)
-                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                        acc = vadd(acc, _bilinear(delta_t, ly.b[x][y], basis_vec(n, z), hd))
-                    if not is_zero_vec(acc):
-                        raise ValueError(
-                            f"delta3 fails at ({i}, {j}, {k}): cyclic sum over the binary")
+        d = SparseTensor(delta_t, 2)
+        _check_delta(ly, h, action, d)
 
     hd = h.dim
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(hd):
-        for bb in range(hd):
-            cell = h.c[a][bb]
-            entry = {k: cell[k] for k in range(hd) if cell[k] != 0}
-            if entry:
-                products[(a, bb)] = entry
-    for a in range(hd):
-        m = action.mats[a]
-        for i in range(n):
-            col = m.col(i)
-            entry = {hd + k: col[k] for k in range(n) if col[k] != 0}
-            if entry:
-                products[(a, hd + i)] = entry
-                products[(hd + i, a)] = {k: -v for k, v in entry.items()}
-    for i in range(n):
-        for j in range(n):
-            entry: dict[int, Fraction] = {}
-            for a in range(hd):
-                if delta_t[i][j][a] != 0:
-                    entry[a] = delta_t[i][j][a]
-            for k in range(n):
-                if ly.b[i][j][k] != 0:
-                    entry[hd + k] = ly.b[i][j][k]
-            if entry:
-                products[(hd + i, hd + j)] = entry
+    products = action_products(action, 1, -1)
+    for (i, j), cell in d.entries.items():
+        products[(hd + i, hd + j)] = dict(cell)
+    for (i, j), cell in SparseTensor(ly.b, 2).entries.items():
+        products.setdefault((hd + i, hd + j), {}).update({hd + k: x for k, x in cell.items()})
     names = tuple(h.basis_names) + tuple(f"m{i+1}" for i in range(n))
     g = StructureAlgebra.from_products(hd + n, products, names)
     if not g.check_lie():
@@ -417,19 +259,26 @@ def ly_envelope(ly: LieYamaguti,
     return LYEnvelope(g, h, action, delta_t)
 
 
-def _bilinear(delta_t: Sequence[Sequence[Vec]], u: Vec, v: Vec, hd: int) -> Vec:
-    out = [Q(0)] * hd
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        for j, vj in enumerate(v):
-            if vj == 0:
-                continue
-            f = ui * vj
-            for a, x in enumerate(delta_t[i][j]):
-                if x != 0:
-                    out[a] += f * x
-    return tuple(out)
+def _check_delta(ly: LieYamaguti, h: StructureAlgebra, action: ModuleAction,
+                 d: SparseTensor) -> None:
+    """Delta(x, y) is skew, acts as {x, y, -}, is h-equivariant, and its
+    cyclic sum over the binary vanishes; raises at the first failing tuple."""
+    b, t = ly.sparse()
+    rho = action.sparse  # (a, k) -> rho(e_a) e_k
+    at = skew_failure(d)
+    if at is not None:
+        raise ValueError(f"delta is not skew at {at}")
+    at = first_failure(ly.dim, "ijk", [(1, rho, "*k", d, "ij"), (-1, t, "ijk")])
+    if at is not None:
+        raise ValueError(f"delta1 fails at {at}: delta does not act as the ternary")
+    at = first_failure(h.dim, "aij", [(1, h.sparse, "a*", d, "ij"), (-1, d, "*j", rho, "ai"),
+                                      (-1, d, "i*", rho, "aj")])
+    if at is not None:
+        raise ValueError(f"delta2 fails at (h {at[0]}, {at[1]}, {at[2]}): not equivariant")
+    at = first_failure(ly.dim, "ijk",
+                       [(1, d, "*" + z, b, x + y) for x, y, z in ("ijk", "jki", "kij")])
+    if at is not None:
+        raise ValueError(f"delta3 fails at {at}: cyclic sum over the binary")
 
 
 def torsion_curvature(ly: LieYamaguti) -> tuple[BinTensor, TernTensor]:

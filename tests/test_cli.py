@@ -283,6 +283,22 @@ class TestDispatch:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    @pytest.mark.parametrize("verb", ["eval", "verify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "tiny"])
+    def test_loop_tol_must_be_finite_and_positive(self, files, capsys, verb, tol):
+        path = files("a.json", LEIBNIZ2)
+        args = ["--x", "1,2", "--y", "3,5"] if verb == "eval" else []
+        with pytest.raises(SystemExit) as exc:
+            main(["loop", verb, "--algebra", path, "--float", f"--tol={tol}", *args])
+        assert exc.value.code == 2
+        assert "finite positive tolerance required" in capsys.readouterr().err
+
+    def test_loop_eval_accepts_small_tol(self, files, capsys):
+        path = files("a.json", LEIBNIZ2)
+        code, out = self.run(capsys, "loop", "eval", "--algebra", path, "--float",
+                             "--tol", "1e-9", "--x", "1,2", "--y", "3,5", "--format", "json")
+        assert code == 0 and "status" not in json.loads(out)
+
     def test_loop_verify_exact_mode_refused_for_so3(self, files, capsys):
         so3 = json.dumps({
             "name": "so3", "dim": 3, "basis": ["e1", "e2", "e3"],

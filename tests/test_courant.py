@@ -41,11 +41,9 @@ from leibniz_forge import (
     random_poly,
     random_section,
     random_vector_field,
-    rho,
     sigma_double,
     t_function,
     vf_bracket,
-    worker_count,
 )
 
 
@@ -184,7 +182,7 @@ class TestBracketOracles:
             x = random_section(rng, 2)
             f = random_poly(rng, 2)
             left = dorfman_product(x, d_section(f))
-            mid = d_section(rho(x).derive(f))
+            mid = d_section(x.vf.derive(f))
             right = d_section(pairing(x, d_section(f))).scale(2)
             assert (left - mid).is_zero()
             assert (left - right).is_zero()
@@ -206,23 +204,6 @@ class TestAxiomSuite:
         names = [r.name for r in dorfman_checks(samples.triples, samples.funcs)]
         assert names == ["dorfman_leibniz", "skew_symmetric_decomposition",
                          "d_image_ideal"]
-
-    def test_worker_count_parsing(self, monkeypatch):
-        monkeypatch.setenv("LEIBNIZ_FORGE_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("LEIBNIZ_FORGE_THREADS", "abc")
-        assert worker_count() == 1
-        monkeypatch.setenv("LEIBNIZ_FORGE_THREADS", "0")
-        assert worker_count() == 1
-        monkeypatch.delenv("LEIBNIZ_FORGE_THREADS")
-        assert worker_count() == 1
-
-    def test_parallel_results_match_serial(self, monkeypatch):
-        samples = courant_samples(seed=13, nvars=2, count=8)
-        serial = axiom_suite(samples.triples, samples.funcs)
-        monkeypatch.setenv("LEIBNIZ_FORGE_THREADS", "3")
-        parallel = axiom_suite(samples.triples, samples.funcs)
-        assert serial == parallel
 
 
 class TestGraphs:

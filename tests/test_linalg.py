@@ -16,7 +16,6 @@ from leibniz_forge import (
     inverse,
     is_nilpotent,
     kernel_basis,
-    mat_exp,
     mat_exp_exact,
     mat_exp_float,
     parse_rational,
@@ -134,13 +133,6 @@ class TestNilpotencyAndExp:
         r = mat_exp_float(Matrix.from_rows([[0, -1], [1, 0]]))
         assert abs(r.entries[0][0] - math.cos(1.0)) < 1e-12
         assert abs(r.entries[1][0] - math.sin(1.0)) < 1e-12
-
-    def test_dispatcher(self):
-        n = Matrix.from_rows([[0, 1], [0, 0]])
-        assert isinstance(mat_exp(n, "exact"), Matrix)
-        assert isinstance(mat_exp(n, "float"), FloatMatrix)
-        with pytest.raises(ValueError):
-            mat_exp(n, "symbolic")
 
 
 class TestCommutator:

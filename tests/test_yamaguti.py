@@ -94,6 +94,13 @@ class TestValidateNegatives:
         assert not rep.ok and rep.axiom == "LY3" and rep.at == (0, 1, 2)
 
 
+    def test_from_tensors_rejects_floats(self):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            LieYamaguti.from_tensors([[[0.1]]], [[[[0.5]]]])
+        ly = LieYamaguti.from_tensors([[["1/2"]]], [[[[3]]]])
+        assert ly.b == (((Q(1, 2),),),) and ly.t == ((((Q(3),),),),)
+
+
 class TestDecomposition:
     def test_sphere_triple_system(self, so3):
         # g = so(3), h = span{e3}, m = span{e1, e2}
@@ -164,6 +171,13 @@ class TestEnvelope:
         bad[1][0][0] -= 1
         with pytest.raises(ValueError, match="delta1"):
             ly_envelope(ly, h=env.h, action=env.action, delta=bad)
+
+    def test_explicit_delta_rejects_floats(self, corpus):
+        ly = ly_from_leibniz(corpus["omni_hemi2"])
+        env = ly_envelope(ly)
+        floats = [[[float(x) for x in cell] for cell in row] for row in env.delta]
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            ly_envelope(ly, h=env.h, action=env.action, delta=floats)
 
     def test_inner_derivation_span(self, so3):
         h = [basis_vec(3, 2)]
