@@ -48,7 +48,6 @@ from .courant import (
     interior_one_form,
     interior_two_form,
     lie_derivative_one_form,
-    lie_derivative_one_form_coord,
     pairing,
     sigma_double,
     t_function,

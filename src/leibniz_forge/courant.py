@@ -240,19 +240,6 @@ def lie_derivative_one_form(xi: VectorField, theta: OneForm) -> OneForm:
     return interior_two_form(xi, d_one_form(theta)) + d_function(interior_one_form(xi, theta))
 
 
-def lie_derivative_one_form_coord(xi: VectorField, theta: OneForm) -> OneForm:
-    """Coordinate formula (L_xi theta)_j = sum_i (xi_i d_i theta_j + theta_i d_j xi_i)."""
-    n = xi.nvars
-    comps = []
-    for j in range(n):
-        acc = Poly.zero(n)
-        for i in range(n):
-            acc = acc + xi.components[i] * theta.components[j].partial(i)
-            acc = acc + theta.components[i] * xi.components[i].partial(j)
-        comps.append(acc)
-    return OneForm(n, tuple(comps))
-
-
 # -- pairing, D, and the two brackets -----------------------------------------
 
 def pairing(x: Section, y: Section) -> Poly:

@@ -294,17 +294,29 @@ def is_nilpotent(m: Matrix) -> tuple[bool, int | None]:
     return True, n  # unreachable: m^n = 0 was just certified
 
 
-def mat_exp_exact(m: Matrix) -> Matrix:
-    """exp(m) as the finite Taylor sum; m must be nilpotent."""
-    nil, idx = is_nilpotent(m)
-    if not nil:
-        raise NotNilpotentError("not nilpotent; use float mode")
-    out = Matrix.identity(m.rows)
-    term = Matrix.identity(m.rows)
-    for k in range(1, idx or 0):
-        term = term @ m * Q(1, k)
-        out = out + term
+def exp_apply(m: Matrix, v: Vec) -> Vec:
+    """exp(m) v as the series v + m v + m^2 v / 2! + ..., up to its first zero term.
+
+    A nonzero m^n v (n = dim) proves that m is not nilpotent, since the Krylov
+    sequence of v then never dies, and raises NotNilpotentError.
+    """
+    out = term = tuple(v)
+    k = 0
+    while not is_zero_vec(term):
+        k += 1
+        if k > m.rows:
+            raise NotNilpotentError("not nilpotent; use float mode")
+        term = tuple(x / k for x in m.apply(term))
+        out = vadd(out, term)
     return out
+
+
+def mat_exp_exact(m: Matrix) -> Matrix:
+    """exp(m) column by column, exp(m) e_j = exp_apply(m, e_j); m must be nilpotent.
+
+    Some m^n e_j is nonzero iff m^n is, so this raises exactly when m is not nilpotent.
+    """
+    return Matrix.from_cols([exp_apply(m, basis_vec(m.rows, j)) for j in range(m.rows)])
 
 
 # -- float matrices -----------------------------------------------------------

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .algebra import StructureAlgebra, Subspace
 from .courant import CheckResult, VectorField, vf_bracket
@@ -23,10 +24,13 @@ from .linalg import (
     Scalar,
     as_q,
     basis_vec,
+    exp_apply,
     is_nilpotent,
     mat_exp_exact,
     mat_exp_float,
     vadd,
+    vneg,
+    vsub,
     vzero,
 )
 from .poly import Poly
@@ -112,64 +116,84 @@ def loop_context(algebra: StructureAlgebra, s: Scalar = Q(1, 2),
     return LoopContext(algebra, as_q(s), mode, tol)
 
 
-FloatVec = tuple[float, ...]
+# -- scalar backend: coerce, exp-apply and close ------------------------------
+
+def _coerce(mode: str, v: Sequence) -> tuple:
+    return tuple(as_q(c) for c in v) if mode == "exact" else tuple(float(c) for c in v)
 
 
-def _to_floats(v: Sequence) -> FloatVec:
-    return tuple(float(x) for x in v)
+def _exp_matrix(mode: str, tol: float, m: Matrix | FloatMatrix) -> Matrix | FloatMatrix:
+    return mat_exp_exact(m) if mode == "exact" else mat_exp_float(m, tol=min(tol, 1e-12))
 
 
-def _left_mul_float(a: StructureAlgebra, x: Sequence[float]) -> FloatMatrix:
-    cols = [a.sparse.contract(x, j) for j in range(a.dim)]
-    return FloatMatrix.from_rows(list(zip(*cols)))
+def _exp_apply(mode: str, tol: float, m: Matrix | FloatMatrix) -> Callable[[tuple], tuple]:
+    """v -> exp(m) v: the terminating series when exact, one float exponential otherwise."""
+    return partial(exp_apply, m) if mode == "exact" else _exp_matrix(mode, tol, m).apply
 
 
-def _exp_s_lambda(ctx: LoopContext, x: Sequence, factor: Fraction) -> Matrix | FloatMatrix:
+def _s_lambda(ctx: LoopContext, x: tuple, sign: int) -> Matrix | FloatMatrix:
+    """sign * s * lambda(x) in the arithmetic of the context, for coerced x."""
     if ctx.mode == "exact":
-        lam = ctx.algebra.left_mul(tuple(as_q(c) for c in x))
-        return mat_exp_exact(lam * (factor * ctx.s))
-    lam = _left_mul_float(ctx.algebra, _to_floats(x))
-    return mat_exp_float(lam * float(factor * ctx.s), tol=min(ctx.tol, 1e-12))
+        return ctx.algebra.left_mul(x) * (sign * ctx.s)
+    cols = [ctx.algebra.sparse.contract(x, j) for j in range(ctx.algebra.dim)]
+    return FloatMatrix.from_rows(list(zip(*cols))) * float(sign * ctx.s)
+
+
+class _Loop:
+    """Loop operations on coerced vectors; each exp(+-s lambda(x)) is built once per instance."""
+
+    def __init__(self, ctx: LoopContext) -> None:
+        self.ctx = ctx
+        self._exps: dict = {}
+
+    def exp(self, x: tuple, sign: int) -> Callable[[tuple], tuple]:
+        if (x, sign) not in self._exps:
+            m = _s_lambda(self.ctx, x, sign)
+            self._exps[x, sign] = _exp_apply(self.ctx.mode, self.ctx.tol, m)
+        return self._exps[x, sign]
+
+    def close(self, u: tuple, v: tuple) -> bool:
+        if self.ctx.mode == "exact":
+            return u == v
+        return max((abs(p - q) for p, q in zip(u, v)), default=0.0) <= self.ctx.tol
+
+    def product(self, x: tuple, y: tuple) -> tuple:
+        return vadd(x, self.exp(x, 1)(y))
+
+    def inverse(self, x: tuple) -> tuple:
+        return vneg(self.exp(x, -1)(x))
+
+    def divide(self, a: tuple, b: tuple) -> tuple:
+        return self.exp(a, -1)(vsub(b, a))
+
+    def inner(self, a: tuple, b: tuple, v: tuple) -> tuple:
+        """L(a,b) v = exp(-s lambda(a<>b)) exp(s lambda(a)) exp(s lambda(b)) v."""
+        return self.exp(self.product(a, b), -1)(self.exp(a, 1)(self.exp(b, 1)(v)))
 
 
 # -- loop operations ----------------------------------------------------------
 
 def loop_product(ctx: LoopContext, x: Sequence, y: Sequence):
     """x <> y = x + exp(s lambda(x)) y."""
-    if ctx.mode == "exact":
-        xq = tuple(as_q(c) for c in x)
-        yq = tuple(as_q(c) for c in y)
-        return vadd(xq, _exp_s_lambda(ctx, xq, Q(1)).apply(yq))
-    xf, yf = _to_floats(x), _to_floats(y)
-    ex = _exp_s_lambda(ctx, xf, Q(1))
-    return tuple(a + b for a, b in zip(xf, ex.apply(yf)))
+    return _Loop(ctx).product(_coerce(ctx.mode, x), _coerce(ctx.mode, y))
 
 
 def left_inverse(ctx: LoopContext, x: Sequence):
     """The unique x' with x <> x' = 0: x' = -exp(-s lambda(x)) x."""
-    if ctx.mode == "exact":
-        xq = tuple(as_q(c) for c in x)
-        return tuple(-c for c in _exp_s_lambda(ctx, xq, Q(-1)).apply(xq))
-    xf = _to_floats(x)
-    return tuple(-c for c in _exp_s_lambda(ctx, xf, Q(-1)).apply(xf))
+    return _Loop(ctx).inverse(_coerce(ctx.mode, x))
 
 
 def left_divide(ctx: LoopContext, a: Sequence, b: Sequence):
     """a \\ b, the solution of a <> z = b: exp(-s lambda(a)) (b - a)."""
-    if ctx.mode == "exact":
-        aq = tuple(as_q(c) for c in a)
-        bq = tuple(as_q(c) for c in b)
-        diff = tuple(p - q for p, q in zip(bq, aq))
-        return _exp_s_lambda(ctx, aq, Q(-1)).apply(diff)
-    af, bf = _to_floats(a), _to_floats(b)
-    diff = tuple(p - q for p, q in zip(bf, af))
-    return _exp_s_lambda(ctx, af, Q(-1)).apply(diff)
+    return _Loop(ctx).divide(_coerce(ctx.mode, a), _coerce(ctx.mode, b))
 
 
 def left_inner_mapping(ctx: LoopContext, a: Sequence, b: Sequence):
     """L(a,b) = exp(-s lambda(a<>b)) exp(s lambda(a)) exp(s lambda(b)) as a matrix."""
+    a, b = _coerce(ctx.mode, a), _coerce(ctx.mode, b)
     ab = loop_product(ctx, a, b)
-    return _exp_s_lambda(ctx, ab, Q(-1)) @ _exp_s_lambda(ctx, a, Q(1)) @ _exp_s_lambda(ctx, b, Q(1))
+    exp = partial(_exp_matrix, ctx.mode, ctx.tol)
+    return exp(_s_lambda(ctx, ab, -1)) @ exp(_s_lambda(ctx, a, 1)) @ exp(_s_lambda(ctx, b, 1))
 
 
 # -- property suite -----------------------------------------------------------
@@ -180,69 +204,53 @@ class LoopPropertyReport:
     checks: tuple[CheckResult, ...]
 
 
-def _close(ctx: LoopContext, u: Sequence, v: Sequence) -> bool:
-    if ctx.mode == "exact":
-        return tuple(u) == tuple(v)
-    return max((abs(float(p) - float(q)) for p, q in zip(u, v)), default=0.0) <= ctx.tol
-
-
 def loop_property_check(ctx: LoopContext, samples: int = 64,
                         seed: int = 0) -> LoopPropertyReport:
-    """Identity laws, division, LIP, and the inner-mapping laws on seeded samples."""
+    """Identity laws, division, LIP, and the inner-mapping laws on seeded samples.
+
+    A failing law reports its first failing sample and the vectors a, b, c, d
+    of that sample that it reads.
+    """
     n = ctx.algebra.dim
     rng = Pcg32(seed)
     quads = [tuple(random_vector(rng, n) for _ in range(4)) for _ in range(samples)]
-    zero = vzero(n)
+    zero = _coerce(ctx.mode, vzero(n))
 
-    def identity_law(q):
-        a = q[0]
-        return _close(ctx, loop_product(ctx, zero, a), a) and \
-            _close(ctx, loop_product(ctx, a, zero), a)
+    def identity_law(lp, a, *_):
+        return lp.close(lp.product(zero, a), a) and lp.close(lp.product(a, zero), a)
 
-    def division_law(q):
-        a, b = q[0], q[1]
-        return _close(ctx, loop_product(ctx, a, left_divide(ctx, a, b)), b) and \
-            _close(ctx, left_divide(ctx, a, loop_product(ctx, a, b)), b)
+    def division_law(lp, a, b, *_):
+        return lp.close(lp.product(a, lp.divide(a, b)), b) and \
+            lp.close(lp.divide(a, lp.product(a, b)), b)
 
-    def inverse_law(q):
-        a = q[0]
-        return _close(ctx, left_inverse(ctx, a), left_divide(ctx, a, zero)) and \
-            _close(ctx, loop_product(ctx, a, left_inverse(ctx, a)), zero)
+    def inverse_law(lp, a, *_):
+        return lp.close(lp.inverse(a), lp.divide(a, zero)) and \
+            lp.close(lp.product(a, lp.inverse(a)), zero)
 
-    def lip_law(q):
-        a, b = q[0], q[1]
-        return _close(ctx, loop_product(ctx, left_inverse(ctx, a),
-                                        loop_product(ctx, a, b)), b)
+    def lip_law(lp, a, b, *_):
+        return lp.close(lp.product(lp.inverse(a), lp.product(a, b)), b)
 
-    def inner_defining_law(q):
-        a, b, c = q[0], q[1], q[2]
-        lhs = loop_product(ctx, a, loop_product(ctx, b, c))
-        lc = left_inner_mapping(ctx, a, b).apply(
-            c if ctx.mode == "float" else tuple(as_q(x) for x in c))
-        rhs = loop_product(ctx, loop_product(ctx, a, b), lc)
-        return _close(ctx, lhs, rhs)
+    def inner_defining_law(lp, a, b, c, _):
+        return lp.close(lp.product(a, lp.product(b, c)),
+                        lp.product(lp.product(a, b), lp.inner(a, b, c)))
 
-    def inner_automorphism_law(q):
-        a, b, c, d = q
-        m = left_inner_mapping(ctx, a, b)
-        conv = (lambda v: _to_floats(v)) if ctx.mode == "float" else (lambda v: v)
-        lhs = m.apply(conv(loop_product(ctx, c, d)))
-        rhs = loop_product(ctx, m.apply(conv(c)), m.apply(conv(d)))
-        return _close(ctx, lhs, rhs)
+    def inner_automorphism_law(lp, a, b, c, d):
+        return lp.close(lp.inner(a, b, lp.product(c, d)),
+                        lp.product(lp.inner(a, b, c), lp.inner(a, b, d)))
 
     checks = []
-    all_ok = True
-    for name, law in (("identity", identity_law),
-                      ("left_division", division_law),
-                      ("left_inverse", inverse_law),
-                      ("left_inverse_property", lip_law),
-                      ("inner_mapping_defining", inner_defining_law),
-                      ("inner_mapping_automorphism", inner_automorphism_law)):
-        bad = next((i for i, q in enumerate(quads) if not law(q)), None)
-        ok = bad is None
-        all_ok = all_ok and ok
-        checks.append(CheckResult(name, ok, None if ok else f"sample {bad}"))
-    return LoopPropertyReport(all_ok, tuple(checks))
+    for name, law, reads in (("identity", identity_law, 1),
+                             ("left_division", division_law, 2),
+                             ("left_inverse", inverse_law, 1),
+                             ("left_inverse_property", lip_law, 2),
+                             ("inner_mapping_defining", inner_defining_law, 3),
+                             ("inner_mapping_automorphism", inner_automorphism_law, 4)):
+        bad = next((k for k, q in enumerate(quads)
+                    if not law(_Loop(ctx), *(_coerce(ctx.mode, v) for v in q))), None)
+        witness = None if bad is None else f"sample {bad}: " + ", ".join(
+            f"{v}=({', '.join(map(str, x))})" for v, x in zip("abcd", quads[bad][:reads]))
+        checks.append(CheckResult(name, bad is None, witness))
+    return LoopPropertyReport(all(c.ok for c in checks), tuple(checks))
 
 
 # -- closed form on a semidirect sum ------------------------------------------
@@ -256,20 +264,14 @@ def hemi_loop_closed_form(action: ModuleAction, s: Scalar,
     diagonal (ad xi on h, rho(xi) on V), so its exponential splits:
     (xi, x) <> (eta, y) = (xi + exp(s ad xi) eta, x + exp(s rho(xi)) y).
     """
-    sq = as_q(s)
-    ad = action.h.left_mul(tuple(as_q(c) for c in xi))
-    rho_xi = action.of(tuple(as_q(c) for c in xi))
-    if mode == "exact":
-        eh = mat_exp_exact(ad * sq)
-        ev = mat_exp_exact(rho_xi * sq)
-        return (vadd(tuple(as_q(c) for c in xi), eh.apply(tuple(as_q(c) for c in eta))),
-                vadd(tuple(as_q(c) for c in x), ev.apply(tuple(as_q(c) for c in y))))
-    if mode == "float":
-        eh = mat_exp_float(ad * sq, tol=min(tol, 1e-12))
-        ev = mat_exp_float(rho_xi * sq, tol=min(tol, 1e-12))
-        return (tuple(a + b for a, b in zip(_to_floats(xi), eh.apply(_to_floats(eta)))),
-                tuple(a + b for a, b in zip(_to_floats(x), ev.apply(_to_floats(y)))))
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    sq, xq = as_q(s), _coerce("exact", xi)
+
+    def block(m: Matrix, base: Sequence, v: Sequence) -> tuple:
+        return vadd(_coerce(mode, base), _exp_apply(mode, tol, m * sq)(_coerce(mode, v)))
+
+    return block(action.h.left_mul(xq), xi, eta), block(action.of(xq), x, y)
 
 
 # -- canonical connection on polynomial fields --------------------------------
@@ -292,12 +294,11 @@ def connection_eval(a: StructureAlgebra, s: Scalar,
         acc = Poly.zero(n)
         for j in range(n):
             acc = acc + y.components[k].partial(j) * x.components[j]
-        for i in range(n):
-            for j in range(n):
-                ck = a.c[i][j][k]
-                if ck != 0:
-                    acc = acc - x.components[i] * y.components[j] * (sq * ck)
         comps.append(acc)
+    for (i, j), cell in a.sparse.entries.items():
+        xy = x.components[i] * y.components[j]
+        for k, ck in cell.items():
+            comps[k] = comps[k] - xy * (sq * ck)
     return VectorField(n, tuple(comps))
 
 

@@ -35,7 +35,6 @@ from leibniz_forge import (
     interior_one_form,
     interior_two_form,
     lie_derivative_one_form,
-    lie_derivative_one_form_coord,
     pairing,
     random_one_form,
     random_poly,
@@ -45,6 +44,22 @@ from leibniz_forge import (
     t_function,
     vf_bracket,
 )
+
+
+def lie_derivative_one_form_coord(xi: VectorField, theta: OneForm) -> OneForm:
+    """Coordinate formula (L_xi theta)_j = sum_i (xi_i d_i theta_j + theta_i d_j xi_i).
+
+    Reference for the Cartan formula that the package uses.
+    """
+    n = xi.nvars
+    comps = []
+    for j in range(n):
+        acc = Poly.zero(n)
+        for i in range(n):
+            acc = acc + xi.components[i] * theta.components[j].partial(i)
+            acc = acc + theta.components[i] * xi.components[i].partial(j)
+        comps.append(acc)
+    return OneForm(n, tuple(comps))
 
 
 def p(n, expr_terms):

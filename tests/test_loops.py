@@ -131,6 +131,18 @@ class TestLoopProperties:
         failed = {c.name for c in rep.checks if not c.ok}
         assert failed == {"left_inverse_property", "inner_mapping_automorphism"}
 
+    def test_nl3_lip_witness_names_the_sample_vectors(self, nl3):
+        ctx = loop_context(nl3)
+        rep = loop_property_check(ctx, samples=40, seed=1)
+        lip = next(c for c in rep.checks if c.name == "left_inverse_property")
+        k = int(lip.witness.split(":")[0].removeprefix("sample "))
+        rng = Pcg32(1)
+        quads = [tuple(random_vector(rng, 3) for _ in range(4)) for _ in range(k + 1)]
+        a, b = quads[k][:2]
+        assert loop_product(ctx, left_inverse(ctx, a), loop_product(ctx, a, b)) != b
+        text = ", ".join(f"{name}=({', '.join(map(str, v))})" for name, v in (("a", a), ("b", b)))
+        assert lip.witness == f"sample {k}: {text}"
+
     def test_nl3_lip_witness_value(self, nl3):
         # x = e1, y = e2: x' <> (x <> y) = (0, 1, 3/16) instead of y
         ctx = loop_context(nl3)
