@@ -670,14 +670,24 @@ def _rational_type(raw: str) -> Fraction:
             f"exact rational 'p' or 'p/q' required, got {raw!r}")
 
 
-def _positive_type(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"positive integer required, got {raw!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"positive integer required, got {raw!r}")
-    return value
+# Upper bounds on the size arguments. omni --dim d builds a (d^2 + d)-dimensional
+# algebra (about 1.5 s at d = 8); a sample costs up to tens of milliseconds.
+MAX_OMNI_DIM = 8
+MAX_VARS = 8
+MAX_SAMPLES = 1000
+
+
+def _count_type(limit: int):
+    """argparse type for an integer in 1..limit."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = 0
+        if not 1 <= value <= limit:
+            raise argparse.ArgumentTypeError(f"integer in 1..{limit} required, got {raw!r}")
+        return value
+    return parse
 
 
 def _tolerance_type(raw: str) -> float:
@@ -752,7 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--s", type=_rational_type, default=Q(1, 2),
                    help="exact deformation parameter (default 1/2)")
-    p.add_argument("--samples", type=_positive_type, default=100)
+    p.add_argument("--samples", type=_count_type(MAX_SAMPLES), default=100,
+                   help=f"number of seeded samples, at most {MAX_SAMPLES} (default 100)")
     p.add_argument("--float", dest="float_mode", action="store_true",
                    help="check numerically within --tol")
     p.add_argument("--tol", type=_tolerance_type, default=1e-9,
@@ -761,7 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = top.add_parser("omni", parents=[common],
                        help="emit the two omni algebras on gl(d) x R^d")
-    p.add_argument("--dim", type=_positive_type, required=True)
+    p.add_argument("--dim", type=_count_type(MAX_OMNI_DIM), required=True,
+                   help=f"d of gl(d) x R^d, at most {MAX_OMNI_DIM}")
     p.set_defaults(handler=_cmd_omni)
 
     courant = top.add_parser("courant", help="polynomial Courant bracket commands")
@@ -773,14 +785,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_courant_bracket)
     p = courant_sub.add_parser("axioms", parents=[common],
                                help="check the bracket axioms on seeded samples")
-    p.add_argument("--vars", type=_positive_type, required=True)
-    p.add_argument("--samples", type=_positive_type, default=16)
+    p.add_argument("--vars", type=_count_type(MAX_VARS), required=True,
+                   help=f"number of polynomial variables, at most {MAX_VARS}")
+    p.add_argument("--samples", type=_count_type(MAX_SAMPLES), default=16,
+                   help=f"number of seeded triples, at most {MAX_SAMPLES} (default 16)")
     p.set_defaults(handler=_cmd_courant_axioms)
     p = courant_sub.add_parser("graph", parents=[common],
                                help="close a bivector or 2-form graph under the bracket")
     p.add_argument("--kind", choices=("poisson", "twoform"), required=True)
     p.add_argument("--data", required=True, help="bivector or 2-form file")
-    p.add_argument("--samples", type=_positive_type, default=6)
+    p.add_argument("--samples", type=_count_type(MAX_SAMPLES), default=6,
+                   help=f"number of seeded inputs, at most {MAX_SAMPLES} (default 6)")
     p.set_defaults(handler=_cmd_courant_graph)
 
     return parser

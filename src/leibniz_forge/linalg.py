@@ -18,6 +18,7 @@ Q = Fraction
 Scalar = Union[int, Fraction]
 Vec = tuple[Fraction, ...]
 
+_ZERO = Q(0)
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
@@ -84,9 +85,14 @@ def vscale(c: Scalar, a: Vec) -> Vec:
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
+    """Exact dot product; pairs with a zero factor are skipped, not multiplied."""
     if len(a) != len(b):
         raise ValueError(f"vector length mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Q(0))
+    acc = _ZERO
+    for x, y in zip(a, b):
+        if x and y:
+            acc = acc + x * y if acc else x * y
+    return acc
 
 
 def is_zero_vec(a: Vec) -> bool:
@@ -173,8 +179,18 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bt = other.transpose().entries
-        return Matrix(tuple(tuple(vdot(r, c) for c in bt) for r in self.entries))
+        out = []
+        for r in self.entries:
+            # row i of the product sums x * (row k of other) over the nonzero x = r[k],
+            # and within that row only its nonzero entries
+            acc = [_ZERO] * other.cols
+            for x, brow in zip(r, other.entries):
+                if x:
+                    for j, y in enumerate(brow):
+                        if y:
+                            acc[j] = acc[j] + x * y if acc[j] else x * y
+            out.append(tuple(acc))
+        return Matrix(tuple(out))
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:

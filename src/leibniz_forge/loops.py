@@ -82,16 +82,26 @@ def _envelope_nilpotent(a: StructureAlgebra) -> bool:
 
 
 def loop_gate(a: StructureAlgebra) -> LoopGate:
-    """Layered nilpotency evidence; later layers are skipped once one fails."""
+    """Layered nilpotency evidence: basis, then envelope, then sampled.
+
+    The fields are those of checking basis -> sampled -> envelope, each layer
+    run only when the one before it passes; the envelope goes first because it
+    decides the sampled layer whenever it passes. Every lambda(x) = sum x_i
+    lambda(e_i) lies in the associative envelope of the lambda(e_i). When that
+    envelope is nilpotent, so is each of its elements, every sample passes, and
+    the answer is (True, True, True) without sampling. When it is not, the
+    answer is (True, sampled_ok, False) whatever the samples say. A basis
+    failure gives (False, False, False) either way.
+    """
     basis_ok = all(is_nilpotent(a.left_mul(basis_vec(a.dim, i)))[0] for i in range(a.dim))
     if not basis_ok:
         return LoopGate(False, False, False)
+    if _envelope_nilpotent(a):
+        return LoopGate(True, True, True)
     rng = Pcg32(_GATE_SEED)
     sampled_ok = all(is_nilpotent(a.left_mul(random_vector(rng, a.dim)))[0]
                      for _ in range(_GATE_SAMPLES))
-    if not sampled_ok:
-        return LoopGate(True, False, False)
-    return LoopGate(True, True, _envelope_nilpotent(a))
+    return LoopGate(True, sampled_ok, False)
 
 
 # -- evaluation context -------------------------------------------------------
@@ -238,18 +248,25 @@ def loop_property_check(ctx: LoopContext, samples: int = 64,
         return lp.close(lp.inner(a, b, lp.product(c, d)),
                         lp.product(lp.inner(a, b, c), lp.inner(a, b, d)))
 
+    laws = (("identity", identity_law, 1),
+            ("left_division", division_law, 2),
+            ("left_inverse", inverse_law, 1),
+            ("left_inverse_property", lip_law, 2),
+            ("inner_mapping_defining", inner_defining_law, 3),
+            ("inner_mapping_automorphism", inner_automorphism_law, 4))
+    bad: list[int | None] = [None] * len(laws)
+    for k, q in enumerate(quads):
+        # one _Loop per sample: the laws share its exponentials, and it is
+        # dropped with the sample; a law that has failed is not evaluated again
+        lp, vs = _Loop(ctx), [_coerce(ctx.mode, v) for v in q]
+        for i, (_, law, _) in enumerate(laws):
+            if bad[i] is None and not law(lp, *vs):
+                bad[i] = k
     checks = []
-    for name, law, reads in (("identity", identity_law, 1),
-                             ("left_division", division_law, 2),
-                             ("left_inverse", inverse_law, 1),
-                             ("left_inverse_property", lip_law, 2),
-                             ("inner_mapping_defining", inner_defining_law, 3),
-                             ("inner_mapping_automorphism", inner_automorphism_law, 4)):
-        bad = next((k for k, q in enumerate(quads)
-                    if not law(_Loop(ctx), *(_coerce(ctx.mode, v) for v in q))), None)
-        witness = None if bad is None else f"sample {bad}: " + ", ".join(
-            f"{v}=({', '.join(map(str, x))})" for v, x in zip("abcd", quads[bad][:reads]))
-        checks.append(CheckResult(name, bad is None, witness))
+    for (name, _, reads), k in zip(laws, bad):
+        witness = None if k is None else f"sample {k}: " + ", ".join(
+            f"{v}=({', '.join(map(str, x))})" for v, x in zip("abcd", quads[k][:reads]))
+        checks.append(CheckResult(name, k is None, witness))
     return LoopPropertyReport(all(c.ok for c in checks), tuple(checks))
 
 

@@ -10,8 +10,12 @@ from fractions import Fraction as Q
 import pytest
 
 from leibniz_forge.cli import (
+    MAX_OMNI_DIM,
+    MAX_SAMPLES,
+    MAX_VARS,
     CliError,
     algebra_to_doc,
+    build_parser,
     main,
     parse_algebra_text,
     parse_bivector_text,
@@ -377,6 +381,44 @@ class TestDispatch:
         _, out = self.run(capsys, "algebra", "check", path, "--timing",
                           "--format", "json")
         assert "timing_ms" in json.loads(out)
+
+
+class TestSizeLimits:
+    """Size arguments are checked by the parser alone; nothing here runs a command."""
+
+    LIMITS = [
+        (["omni"], "--dim", MAX_OMNI_DIM),
+        (["courant", "axioms", "--samples", "1"], "--vars", MAX_VARS),
+        (["courant", "axioms", "--vars", "1"], "--samples", MAX_SAMPLES),
+        (["courant", "graph", "--kind", "poisson", "--data", "p.json"], "--samples", MAX_SAMPLES),
+        (["loop", "verify", "--algebra", "a.json"], "--samples", MAX_SAMPLES),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, limit", LIMITS)
+    def test_bound_is_accepted(self, argv, flag, limit):
+        args = build_parser().parse_args([*argv, flag, str(limit)])
+        assert getattr(args, flag.removeprefix("--")) == limit
+
+    @pytest.mark.parametrize("argv, flag, limit", LIMITS)
+    @pytest.mark.parametrize("over", [1, 10 ** 6])
+    def test_above_bound_is_a_usage_error(self, capsys, argv, flag, limit, over):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, flag, str(limit + over)])
+        assert exc.value.code == 2
+        assert f"integer in 1..{limit} required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "2.5", "many"])
+    def test_non_positive_or_non_integer_is_a_usage_error(self, capsys, raw):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["omni", "--dim", raw])
+        assert exc.value.code == 2
+
+    def test_defaults_within_bounds(self):
+        parser = build_parser()
+        assert parser.parse_args(["loop", "verify", "--algebra", "a.json"]).samples == 100
+        assert parser.parse_args(["courant", "axioms", "--vars", "2"]).samples == 16
+        assert parser.parse_args(["courant", "graph", "--kind", "poisson",
+                                  "--data", "p.json"]).samples == 6
 
 
 class TestDeterminism:

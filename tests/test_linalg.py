@@ -23,9 +23,11 @@ from leibniz_forge import (
     rref,
     solve_linear,
 )
-from leibniz_forge.linalg import FloatMatrix, basis_vec, format_rational, vzero
+from leibniz_forge.linalg import FloatMatrix, basis_vec, format_rational, vdot, vzero
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# mostly zeros, as in the sparse lambda(x) and their products
+zero_heavy = st.one_of(st.just(Q(0)), st.just(Q(0)), rationals)
 
 
 def square(n: int):
@@ -133,6 +135,47 @@ class TestNilpotencyAndExp:
         r = mat_exp_float(Matrix.from_rows([[0, -1], [1, 0]]))
         assert abs(r.entries[0][0] - math.cos(1.0)) < 1e-12
         assert abs(r.entries[1][0] - math.sin(1.0)) < 1e-12
+
+
+def ref_dot(a, b):
+    """Dense reference: every product, zeros included."""
+    return sum((x * y for x, y in zip(a, b)), Q(0))
+
+
+@st.composite
+def sparse_matrices(draw, rows: int, cols: int):
+    """rows x cols, mostly zero, with some rows and columns entirely zero.
+
+    Without rows there are no columns either: Matrix(()) is 0 x 0.
+    """
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    return Matrix(tuple(tuple(Q(0) if i in zero_rows or j in zero_cols else draw(zero_heavy)
+                              for j in range(cols)) for i in range(rows)))
+
+
+class TestZeroSkippingKernels:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_match_dense_reference(self, data):
+        r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a = data.draw(sparse_matrices(r, k))
+        b = data.draw(sparse_matrices(a.cols, c))
+        v = data.draw(st.tuples(*[zero_heavy] * a.cols))
+        w = data.draw(st.tuples(*[zero_heavy] * a.cols))
+        dot = vdot(v, w)
+        assert dot == ref_dot(v, w) and isinstance(dot, Q)
+        av = a.apply(v)
+        assert av == tuple(ref_dot(row, v) for row in a.entries)
+        prod = a @ b
+        assert prod.entries == tuple(tuple(ref_dot(row, b.col(j)) for j in range(b.cols))
+                                     for row in a.entries)
+        assert all(isinstance(x, Q) for x in av + prod.flat)
+
+    def test_empty(self):
+        assert vdot((), ()) == Q(0) and isinstance(vdot((), ()), Q)
+        assert Matrix(()) @ Matrix(()) == Matrix(())
+        assert Matrix(((), ())).apply(()) == (Q(0), Q(0))
 
 
 class TestCommutator:

@@ -6,6 +6,10 @@ certifies nilpotency by repeated squaring and a power scan, then sums the
 finite Taylor series with dense matmuls, as the definitions read. Equal
 results, and equal first failing samples of the loop laws, pin the exact
 behaviour; the float path is pinned bit for bit against its own recipe.
+
+Two orderings are kept here as references as well: the gate checked in the
+order basis -> sampled -> envelope, and the law suite evaluated law by law
+with a fresh set of exponentials for every law and sample.
 """
 
 from __future__ import annotations
@@ -27,18 +31,28 @@ from leibniz_forge import (
     left_inner_mapping,
     left_inverse,
     loop_context,
+    loop_gate,
     loop_product,
     loop_property_check,
     mat_exp_exact,
     mat_exp_float,
     omni_algebras,
+    random_algebra,
     random_nilpotent_leibniz,
     random_vector,
 )
-from leibniz_forge.linalg import basis_vec, exp_apply, vadd, vneg, vsub, vzero
-from leibniz_forge.loops import LoopContext
+from leibniz_forge.linalg import basis_vec, exp_apply, is_nilpotent, vadd, vneg, vsub, vzero
+from leibniz_forge.loops import (
+    _GATE_SAMPLES,
+    _GATE_SEED,
+    LoopContext,
+    LoopGate,
+    _coerce,
+    _envelope_nilpotent,
+    _Loop,
+)
 
-from conftest import make_so3, make_so3_hemi
+from conftest import make_nl3, make_so3, make_so3_hemi
 
 S = Q(1, 2)
 
@@ -116,6 +130,47 @@ def ref_first_failures(a, samples, seed):
         lambda u, v, w, z: inner(u, v, p(w, z)) == p(inner(u, v, w), inner(u, v, z)),
     )
     return [next((k for k, q in enumerate(quads) if not law(*q)), None) for law in laws]
+
+
+def ref_loop_gate(a):
+    """The gate in the order basis -> sampled -> envelope, each layer run only
+    when the one before it passes."""
+    if not all(is_nilpotent(a.left_mul(basis_vec(a.dim, i)))[0] for i in range(a.dim)):
+        return LoopGate(False, False, False)
+    rng = Pcg32(_GATE_SEED)
+    if not all(is_nilpotent(a.left_mul(random_vector(rng, a.dim)))[0]
+               for _ in range(_GATE_SAMPLES)):
+        return LoopGate(True, False, False)
+    return LoopGate(True, True, _envelope_nilpotent(a))
+
+
+def ref_witnesses(ctx, samples, seed):
+    """Per law, the witness text (None when it passes), evaluated law by law
+    with a fresh _Loop for every law and sample."""
+    n = ctx.algebra.dim
+    rng = Pcg32(seed)
+    quads = [tuple(random_vector(rng, n) for _ in range(4)) for _ in range(samples)]
+    zero = _coerce(ctx.mode, vzero(n))
+    laws = (
+        (1, lambda lp, a, b, c, d: lp.close(lp.product(zero, a), a)
+         and lp.close(lp.product(a, zero), a)),
+        (2, lambda lp, a, b, c, d: lp.close(lp.product(a, lp.divide(a, b)), b)
+         and lp.close(lp.divide(a, lp.product(a, b)), b)),
+        (1, lambda lp, a, b, c, d: lp.close(lp.inverse(a), lp.divide(a, zero))
+         and lp.close(lp.product(a, lp.inverse(a)), zero)),
+        (2, lambda lp, a, b, c, d: lp.close(lp.product(lp.inverse(a), lp.product(a, b)), b)),
+        (3, lambda lp, a, b, c, d: lp.close(lp.product(a, lp.product(b, c)),
+                                            lp.product(lp.product(a, b), lp.inner(a, b, c)))),
+        (4, lambda lp, a, b, c, d: lp.close(lp.inner(a, b, lp.product(c, d)),
+                                            lp.product(lp.inner(a, b, c), lp.inner(a, b, d)))),
+    )
+    out = []
+    for reads, law in laws:
+        bad = next((k for k, q in enumerate(quads)
+                    if not law(_Loop(ctx), *(_coerce(ctx.mode, v) for v in q))), None)
+        out.append(None if bad is None else f"sample {bad}: " + ", ".join(
+            f"{v}=({', '.join(map(str, x))})" for v, x in zip("abcd", quads[bad][:reads])))
+    return out
 
 
 def first_failures(report):
@@ -244,7 +299,47 @@ def test_first_failing_samples_match_reference(name, corpus, nl3):
     assert first_failures(rep) == ref_first_failures(a, 8, 1)
 
 
+# -- the gate, envelope first ------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(nilpotent_algebras(),
+                 st.builds(lambda sd, n: random_algebra(Pcg32(sd), n), seeds, st.integers(2, 4))))
+def test_gate_matches_sampled_first_reference(a):
+    assert loop_gate(a) == ref_loop_gate(a)
+
+
+def test_gate_matches_reference_on_corpus(corpus, nl3):
+    for a in [*corpus.values(), nl3]:
+        assert loop_gate(a) == ref_loop_gate(a), a.name
+
+
+@pytest.mark.parametrize("dim, products, gate", [
+    # lambda(x)^2 = x_1 x_2 I, so a sample with both coordinates nonzero rejects it
+    (2, {(0, 1): {0: 1}, (1, 0): {1: 1}}, LoopGate(True, False, False)),
+    # every lambda(x) is nilpotent, but the envelope of the lambda(e_i) is not
+    (3, {(0, 1): {0: 1}, (0, 2): {1: 1}, (1, 0): {1: 1}, (1, 1): {2: -1}},
+     LoopGate(True, True, False)),
+])
+def test_gate_reaches_the_sampled_layer(dim, products, gate):
+    a = StructureAlgebra.from_products(dim, products)
+    assert loop_gate(a) == ref_loop_gate(a) == gate
+
+
 # -- float mode and the exact edge case ---------------------------------------
+
+@pytest.mark.parametrize("make, mode, tol", [
+    *[(make, "float", tol) for make in (make_so3, make_so3_hemi, make_nl3)
+      for tol in (1e-8, 1e-14)],
+    (make_nl3, "exact", 1e-9),
+])
+def test_report_matches_law_by_law_reference(make, mode, tol):
+    # at 1e-14 some float laws fail on rounding alone, at different first samples
+    ctx = loop_context(make(), s=S, mode=mode, tol=tol)
+    rep = loop_property_check(ctx, samples=12, seed=1)
+    witnesses = ref_witnesses(ctx, 12, 1)
+    assert [c.witness for c in rep.checks] == witnesses
+    assert [c.ok for c in rep.checks] == [w is None for w in witnesses]
+
 
 @pytest.mark.parametrize("make", [make_so3, make_so3_hemi])
 def test_float_product_is_bit_identical(make):
