@@ -35,7 +35,8 @@ from .courant import (
     courant_bracket,
     dorfman_checks,
     graph_closure_check,
-    interior_two_form,
+    graph_residual,
+    graph_section,
 )
 from .envelope import (
     EnvelopeError,
@@ -56,7 +57,7 @@ from .linalg import (
 from .loops import LoopContext, loop_context, loop_product, loop_property_check
 from .poly import Poly
 from .products import omni_algebras
-from .sampling import Pcg32, courant_samples, random_one_form, random_vector_field
+from .sampling import Pcg32, courant_samples, random_one_form
 from .yamaguti import LieYamaguti, validate_ly
 
 
@@ -601,52 +602,37 @@ def _cmd_courant_bracket(args) -> tuple[str, Any]:
 
 
 def _cmd_courant_axioms(args) -> tuple[str, Any]:
-    if args.vars < 1:
-        raise CliError("--vars must be at least 1")
     samples = courant_samples(args.seed, args.vars, args.samples)
     results = list(axiom_suite(samples.triples, samples.funcs))
     results += dorfman_checks(samples.triples, samples.funcs)
     return "report", [_bool_check(r.name, r.ok, r.witness) for r in results]
 
 
+# the residual's slot in a graph witness, by graph kind
+_OFF_GRAPH_KEY = {"poisson": "off_graph_vector_field", "twoform": "off_graph_one_form"}
+
+
 def _cmd_courant_graph(args) -> tuple[str, Any]:
-    text = _read_file(args.data)
+    parse = parse_bivector_text if args.kind == "poisson" else parse_twoform_text
+    names, data = parse(_read_file(args.data), args.data)
     rng = Pcg32(args.seed)
-    if args.kind == "poisson":
-        names, pi = parse_bivector_text(text, args.data)
-        inputs = [random_one_form(rng, len(names)) for _ in range(args.samples)]
-        closed, pair = graph_closure_check("poisson", pi, inputs)
-    else:
-        names, omega = parse_twoform_text(text, args.data)
-        inputs = [random_vector_field(rng, len(names)) for _ in range(args.samples)]
-        closed, pair = graph_closure_check("twoform", omega, inputs)
+    # the inputs are 1-forms for a bivector and vector fields for a 2-form: one
+    # polynomial per variable either way
+    inputs = [random_one_form(rng, len(names)) for _ in range(args.samples)]
+    closed, pair = graph_closure_check(args.kind, data, inputs)
     witness = None
-    if not closed and pair is not None:
+    if pair is not None:
         i, j = pair
-        if args.kind == "poisson":
-            x = Section(pi.sharp(inputs[i]), inputs[i])
-            y = Section(pi.sharp(inputs[j]), inputs[j])
-            br = courant_bracket(x, y)
-            residual = br.vf - pi.sharp(br.form)
-            witness = {
-                "pair": [i, j],
-                "bracket": section_to_doc(names, br),
-                "off_graph_vector_field": {names[k]: poly_to_str(c, names)
-                                           for k, c in enumerate(residual.components)
-                                           if not c.is_zero()},
-            }
-        else:
-            x = Section(inputs[i], interior_two_form(inputs[i], omega))
-            y = Section(inputs[j], interior_two_form(inputs[j], omega))
-            br = courant_bracket(x, y)
-            residual = br.form - interior_two_form(br.vf, omega)
-            witness = {
-                "pair": [i, j],
-                "bracket": section_to_doc(names, br),
-                "off_graph_one_form": {names[k]: poly_to_str(c, names)
-                                       for k, c in enumerate(residual.components)
-                                       if not c.is_zero()},
-            }
+        br = courant_bracket(graph_section(args.kind, data, inputs[i]),
+                             graph_section(args.kind, data, inputs[j]))
+        residual = graph_residual(args.kind, data, br)
+        witness = {
+            "pair": [i, j],
+            "bracket": section_to_doc(names, br),
+            _OFF_GRAPH_KEY[args.kind]: {names[k]: poly_to_str(c, names)
+                                        for k, c in enumerate(residual.components)
+                                        if not c.is_zero()},
+        }
     return "report", [_bool_check("graph_closed", closed, witness)]
 
 

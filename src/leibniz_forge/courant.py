@@ -12,13 +12,17 @@ Conventions, fixed once:
 Under the halved pairing the ideal identity for the image of D reads
 x . D f = D(rho(x) f) = 2 D<x, D f>; the un-halved convention would absorb
 the factor 2. All checks here use the halved forms exactly.
+
+In coordinates a vector field and a 1-form are both one polynomial per
+variable, and a bivector and a 2-form both an antisymmetric polynomial matrix,
+so each pair is one class under two names: VectorField is OneForm, and
+Bivector is TwoForm. The slot a value fills says which one it stands for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import Q, Scalar, as_q
 from .poly import Poly
@@ -26,45 +30,18 @@ from .poly import Poly
 
 # -- graded pieces ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VectorField:
-    nvars: int
-    components: tuple[Poly, ...]
-
-    @staticmethod
-    def zero(nvars: int) -> "VectorField":
-        return VectorField(nvars, tuple(Poly.zero(nvars) for _ in range(nvars)))
-
-    def __post_init__(self) -> None:
-        if len(self.components) != self.nvars or any(p.nvars != self.nvars for p in self.components):
-            raise ValueError("vector field needs one polynomial per variable")
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.nvars, tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.nvars, tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.nvars, tuple(-a for a in self.components))
-
-    def scale(self, f: "Poly | Scalar") -> "VectorField":
-        return VectorField(self.nvars, tuple(c * f if isinstance(f, Poly) else c * as_q(f)
-                                             for c in self.components))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def derive(self, p: Poly) -> Poly:
-        """Directional derivative rho(xi) p = sum_i xi_i d_i p."""
-        out = Poly.zero(self.nvars)
-        for i, c in enumerate(self.components):
-            out = out + c * p.partial(i)
-        return out
+def _dot(nvars: int, ps: Iterable[Poly], qs: Iterable[Poly]) -> Poly:
+    """sum_i p_i q_i, the one contraction behind every pairing, derivative and sharp."""
+    out = Poly.zero(nvars)
+    for p, q in zip(ps, qs):
+        out = out + p * q
+    return out
 
 
 @dataclass(frozen=True)
 class OneForm:
+    """One polynomial per variable: a 1-form, or a vector field (VectorField)."""
+
     nvars: int
     components: tuple[Poly, ...]
 
@@ -74,7 +51,7 @@ class OneForm:
 
     def __post_init__(self) -> None:
         if len(self.components) != self.nvars or any(p.nvars != self.nvars for p in self.components):
-            raise ValueError("1-form needs one polynomial per variable")
+            raise ValueError("vector field or 1-form needs one polynomial per variable")
 
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.nvars, tuple(a + b for a, b in zip(self.components, other.components)))
@@ -92,10 +69,20 @@ class OneForm:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
+    def derive(self, p: Poly) -> Poly:
+        """Directional derivative rho(xi) p = sum_i xi_i d_i p."""
+        return _dot(self.nvars, self.components, (p.partial(i) for i in range(self.nvars)))
+
+
+VectorField = OneForm
+
 
 @dataclass(frozen=True)
 class TwoForm:
-    """Antisymmetric matrix of coefficient polynomials, omega_ij = -omega_ji."""
+    """Antisymmetric matrix of coefficient polynomials, omega_ij = -omega_ji.
+
+    Read as a bivector pi^{ij} (Bivector), sharp maps 1-forms to vector fields.
+    """
 
     nvars: int
     entries: tuple[tuple[Poly, ...], ...]
@@ -103,11 +90,11 @@ class TwoForm:
     def __post_init__(self) -> None:
         n = self.nvars
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise ValueError("2-form needs an n x n coefficient matrix")
+            raise ValueError("2-form or bivector needs an n x n coefficient matrix")
         for i in range(n):
             for j in range(n):
                 if self.entries[i][j] != -self.entries[j][i]:
-                    raise ValueError("2-form coefficients must be antisymmetric")
+                    raise ValueError("2-form or bivector coefficients must be antisymmetric")
 
     @staticmethod
     def from_upper(nvars: int, upper: dict[tuple[int, int], Poly]) -> "TwoForm":
@@ -122,41 +109,12 @@ class TwoForm:
     def is_zero(self) -> bool:
         return all(p.is_zero() for r in self.entries for p in r)
 
-
-@dataclass(frozen=True)
-class Bivector:
-    """Antisymmetric matrix pi^{ij}; sharp maps 1-forms to vector fields."""
-
-    nvars: int
-    entries: tuple[tuple[Poly, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = self.nvars
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise ValueError("bivector needs an n x n coefficient matrix")
-        for i in range(n):
-            for j in range(n):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    raise ValueError("bivector coefficients must be antisymmetric")
-
-    @staticmethod
-    def from_upper(nvars: int, upper: dict[tuple[int, int], Poly]) -> "Bivector":
-        rows = [[Poly.zero(nvars) for _ in range(nvars)] for _ in range(nvars)]
-        for (i, j), p in upper.items():
-            if not 0 <= i < j < nvars:
-                raise ValueError(f"upper-triangular index expected, got ({i}, {j})")
-            rows[i][j] = p
-            rows[j][i] = -p
-        return Bivector(nvars, tuple(tuple(r) for r in rows))
-
     def sharp(self, theta: OneForm) -> VectorField:
-        comps = []
-        for i in range(self.nvars):
-            acc = Poly.zero(self.nvars)
-            for j in range(self.nvars):
-                acc = acc + self.entries[i][j] * theta.components[j]
-            comps.append(acc)
-        return VectorField(self.nvars, tuple(comps))
+        return VectorField(self.nvars, tuple(_dot(self.nvars, row, theta.components)
+                                             for row in self.entries))
+
+
+Bivector = TwoForm
 
 
 @dataclass(frozen=True)
@@ -206,33 +164,18 @@ def d_one_form(theta: OneForm) -> TwoForm:
 
 
 def interior_one_form(xi: VectorField, theta: OneForm) -> Poly:
-    out = Poly.zero(xi.nvars)
-    for a, b in zip(xi.components, theta.components):
-        out = out + a * b
-    return out
+    return _dot(xi.nvars, xi.components, theta.components)
 
 
 def interior_two_form(xi: VectorField, omega: TwoForm) -> OneForm:
-    n = xi.nvars
-    comps = []
-    for j in range(n):
-        acc = Poly.zero(n)
-        for i in range(n):
-            acc = acc + xi.components[i] * omega.entries[i][j]
-        comps.append(acc)
-    return OneForm(n, tuple(comps))
+    """(i_xi omega)_j = sum_i xi_i omega_ij."""
+    return OneForm(xi.nvars, tuple(_dot(xi.nvars, xi.components, column)
+                                   for column in zip(*omega.entries)))
 
 
 def vf_bracket(a: VectorField, b: VectorField) -> VectorField:
-    n = a.nvars
-    comps = []
-    for k in range(n):
-        acc = Poly.zero(n)
-        for i in range(n):
-            acc = acc + a.components[i] * b.components[k].partial(i)
-            acc = acc - b.components[i] * a.components[k].partial(i)
-        comps.append(acc)
-    return VectorField(n, tuple(comps))
+    return VectorField(a.nvars, tuple(a.derive(bk) - b.derive(ak)
+                                      for ak, bk in zip(a.components, b.components)))
 
 
 def lie_derivative_one_form(xi: VectorField, theta: OneForm) -> OneForm:
@@ -294,59 +237,10 @@ class CheckResult:
     witness: str | None = None
 
 
-def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
-                funcs: Sequence[tuple[Poly, Poly]]) -> list[CheckResult]:
-    """The five structure axioms, checked exactly on every supplied case.
-
-    axiom1  cyclic [[x,y],z] sums to D T(x,y,z)
-    axiom2  anchor is bracket preserving
-    axiom3  Leibniz scaling of the skew bracket with correction terms
-    axiom4  D lands in the anchor kernel and is isotropic
-    axiom5  pairing is invariant for the Dorfman product
-    """
-    results: list[CheckResult] = []
-
-    def ax1(case):
-        idx, (x, y, z) = case
-        lhs = (courant_bracket(courant_bracket(x, y), z)
-               + courant_bracket(courant_bracket(y, z), x)
-               + courant_bracket(courant_bracket(z, x), y))
-        return idx, (lhs - d_section(t_function(x, y, z))).is_zero()
-
-    def ax2(case):
-        idx, (x, y, z) = case
-        lhs = courant_bracket(x, y).vf - vf_bracket(x.vf, y.vf)
-        return idx, lhs.is_zero()
-
-    def ax3(case):
-        idx, ((x, y, _), (f, _g)) = case
-        lhs = courant_bracket(x, y.scale(f))
-        rhs = (courant_bracket(x, y).scale(f)
-               + y.scale(x.vf.derive(f))
-               - d_section(f).scale(pairing(x, y)))
-        return idx, (lhs - rhs).is_zero()
-
-    def ax4(case):
-        idx, (f, g) = case
-        return idx, pairing(d_section(f), d_section(g)).is_zero() and d_section(f).vf.is_zero()
-
-    def ax5(case):
-        idx, (x, y, z) = case
-        lhs = x.vf.derive(pairing(y, z))
-        rhs = (pairing(dorfman_product(x, y), z) + pairing(y, dorfman_product(x, z)))
-        return idx, (lhs - rhs).is_zero()
-
-    for name, cases, fn in (
-            ("axiom1", list(enumerate(triples)), ax1),
-            ("axiom2", list(enumerate(triples)), ax2),
-            ("axiom3", [(i, (t, fg)) for i, (t, fg) in enumerate(zip(triples, _cycle(funcs, len(triples))))], ax3),
-            ("axiom4", list(enumerate(funcs)), ax4),
-            ("axiom5", list(enumerate(triples)), ax5)):
-        outcomes = [fn(case) for case in cases]
-        bad = next((i for i, ok in outcomes if not ok), None)
-        results.append(CheckResult(name, bad is None,
-                                   None if bad is None else f"case {bad}"))
-    return results
+def _first_failure(name: str, cases: Iterable[tuple], holds: Callable[..., bool]) -> CheckResult:
+    """Run holds(*case) over the cases in order, stopping at the first that fails."""
+    bad = next((i for i, case in enumerate(cases) if not holds(*case)), None)
+    return CheckResult(name, bad is None, None if bad is None else f"case {bad}")
 
 
 def _cycle(items: Sequence, count: int) -> list:
@@ -355,46 +249,77 @@ def _cycle(items: Sequence, count: int) -> list:
     return [items[i % len(items)] for i in range(count)]
 
 
+def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
+                funcs: Sequence[tuple[Poly, Poly]]) -> list[CheckResult]:
+    """The five structure axioms, each checked exactly up to its first failing case.
+
+    axiom1  cyclic [[x,y],z] sums to D T(x,y,z)
+    axiom2  anchor is bracket preserving
+    axiom3  Leibniz scaling of the skew bracket with correction terms
+    axiom4  D lands in the anchor kernel and is isotropic
+    axiom5  pairing is invariant for the Dorfman product
+    """
+    def ax1(x, y, z):
+        lhs = (courant_bracket(courant_bracket(x, y), z)
+               + courant_bracket(courant_bracket(y, z), x)
+               + courant_bracket(courant_bracket(z, x), y))
+        return (lhs - d_section(t_function(x, y, z))).is_zero()
+
+    def ax2(x, y, _z):
+        return (courant_bracket(x, y).vf - vf_bracket(x.vf, y.vf)).is_zero()
+
+    def ax3(triple, fg):
+        (x, y, _), (f, _g) = triple, fg
+        lhs = courant_bracket(x, y.scale(f))
+        rhs = (courant_bracket(x, y).scale(f)
+               + y.scale(x.vf.derive(f))
+               - d_section(f).scale(pairing(x, y)))
+        return (lhs - rhs).is_zero()
+
+    def ax4(f, g):
+        return pairing(d_section(f), d_section(g)).is_zero() and d_section(f).vf.is_zero()
+
+    def ax5(x, y, z):
+        lhs = x.vf.derive(pairing(y, z))
+        rhs = (pairing(dorfman_product(x, y), z) + pairing(y, dorfman_product(x, z)))
+        return (lhs - rhs).is_zero()
+
+    with_funcs = list(zip(triples, _cycle(funcs, len(triples))))
+    return [_first_failure("axiom1", triples, ax1),
+            _first_failure("axiom2", triples, ax2),
+            _first_failure("axiom3", with_funcs, ax3),
+            _first_failure("axiom4", funcs, ax4),
+            _first_failure("axiom5", triples, ax5)]
+
+
 def dorfman_checks(triples: Sequence[tuple[Section, Section, Section]],
                    funcs: Sequence[tuple[Poly, Poly]]) -> list[CheckResult]:
     """Dorfman Leibniz rule, the skew/symmetric decomposition, and the D-ideal identity."""
-    results: list[CheckResult] = []
-
-    bad = None
-    for i, (x, y, z) in enumerate(triples):
+    def leibniz(x, y, z):
         lhs = dorfman_product(x, dorfman_product(y, z))
         rhs = (dorfman_product(dorfman_product(x, y), z)
                + dorfman_product(y, dorfman_product(x, z)))
-        if not (lhs - rhs).is_zero():
-            bad = i
-            break
-    results.append(CheckResult("dorfman_leibniz", bad is None,
-                               None if bad is None else f"case {bad}"))
+        return (lhs - rhs).is_zero()
 
-    bad = None
-    for i, (x, y, _) in enumerate(triples):
+    def decomposition(x, y, _z):
         dec = dorfman_product(x, y) - courant_bracket(x, y) - d_section(pairing(x, y))
         skew = courant_bracket(x, y) - (dorfman_product(x, y) - dorfman_product(y, x)).scale(Q(1, 2))
         sym = (dorfman_product(x, y) + dorfman_product(y, x)
                - d_section(pairing(x, y)).scale(2))
-        if not dec.is_zero() or not skew.is_zero() or not sym.is_zero():
-            bad = i
-            break
-    results.append(CheckResult("skew_symmetric_decomposition", bad is None,
-                               None if bad is None else f"case {bad}"))
+        return dec.is_zero() and skew.is_zero() and sym.is_zero()
 
-    bad = None
-    for i, ((x, _, _), (f, _g)) in enumerate(zip(triples, _cycle(funcs, len(triples)))):
+    def d_image_ideal(triple, fg):
+        (x, _, _), (f, _g) = triple, fg
         left = dorfman_product(x, d_section(f))
         mid = d_section(x.vf.derive(f))
         right = d_section(pairing(x, d_section(f))).scale(2)
         back = dorfman_product(d_section(f), x)
-        if not (left - mid).is_zero() or not (left - right).is_zero() or not back.is_zero():
-            bad = i
-            break
-    results.append(CheckResult("d_image_ideal", bad is None,
-                               None if bad is None else f"case {bad}"))
-    return results
+        return (left - mid).is_zero() and (left - right).is_zero() and back.is_zero()
+
+    return [_first_failure("dorfman_leibniz", triples, leibniz),
+            _first_failure("skew_symmetric_decomposition", triples, decomposition),
+            _first_failure("d_image_ideal", zip(triples, _cycle(funcs, len(triples))),
+                           d_image_ideal)]
 
 
 # -- graphs -------------------------------------------------------------------
@@ -407,6 +332,25 @@ def graph_section_twoform(omega: TwoForm, xi: VectorField) -> Section:
     return Section(xi, interior_two_form(xi, omega))
 
 
+def graph_section(kind: str, data: TwoForm, u: OneForm) -> Section:
+    """The point of the graph over u: (pi# u, u) for kind "poisson", (u, i_u omega) for "twoform"."""
+    if kind == "poisson":
+        return graph_section_poisson(data, u)
+    if kind == "twoform":
+        return graph_section_twoform(data, u)
+    raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def graph_residual(kind: str, data: TwoForm, s: Section) -> OneForm:
+    """How far s is off the graph, zero exactly on it: the vector field
+    s.vf - pi# s.form for "poisson", the 1-form s.form - i_(s.vf) omega for "twoform"."""
+    if kind == "poisson":
+        return s.vf - data.sharp(s.form)
+    if kind == "twoform":
+        return s.form - interior_two_form(s.vf, data)
+    raise ValueError(f"unknown graph kind {kind!r}")
+
+
 def graph_closure_check(kind: str, data: "Bivector | TwoForm",
                         inputs: Sequence) -> tuple[bool, tuple[int, int] | None]:
     """Close the graph under the Courant bracket over all input pairs.
@@ -416,22 +360,10 @@ def graph_closure_check(kind: str, data: "Bivector | TwoForm",
     closure fails exactly when the form is not closed. Returns the first
     failing input pair as witness.
     """
-    if kind == "poisson":
-        sections = [graph_section_poisson(data, th) for th in inputs]
-
-        def on_graph(s: Section) -> bool:
-            return (s.vf - data.sharp(s.form)).is_zero()
-    elif kind == "twoform":
-        sections = [graph_section_twoform(data, xi) for xi in inputs]
-
-        def on_graph(s: Section) -> bool:
-            return (s.form - interior_two_form(s.vf, data)).is_zero()
-    else:
-        raise ValueError(f"unknown graph kind {kind!r}")
-
-    for i in range(len(sections)):
-        for j in range(len(sections)):
-            if not on_graph(courant_bracket(sections[i], sections[j])):
+    sections = [graph_section(kind, data, u) for u in inputs]
+    for i, x in enumerate(sections):
+        for j, y in enumerate(sections):
+            if not graph_residual(kind, data, courant_bracket(x, y)).is_zero():
                 return False, (i, j)
     return True, None
 

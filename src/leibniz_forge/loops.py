@@ -306,12 +306,7 @@ def connection_eval(a: StructureAlgebra, s: Scalar,
     if x.nvars != n or y.nvars != n:
         raise ValueError("fields must have one component per algebra basis vector")
     sq = as_q(s)
-    comps = []
-    for k in range(n):
-        acc = Poly.zero(n)
-        for j in range(n):
-            acc = acc + y.components[k].partial(j) * x.components[j]
-        comps.append(acc)
+    comps = [x.derive(c) for c in y.components]
     for (i, j), cell in a.sparse.entries.items():
         xy = x.components[i] * y.components[j]
         for k, ck in cell.items():

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence, TypeVar
 
 from .algebra import StructureAlgebra, direct_sum
-from .courant import OneForm, Section, VectorField
+from .courant import OneForm, Section
 from .linalg import Matrix, Q, Vec
 from .poly import Poly
 
@@ -134,14 +134,13 @@ def random_poly(rng: Pcg32, nvars: int, max_degree: int = 2,
     return out
 
 
-def random_vector_field(rng: Pcg32, nvars: int, max_degree: int = 2) -> VectorField:
-    return VectorField(nvars, tuple(random_poly(rng, nvars, max_degree)
-                                    for _ in range(nvars)))
-
-
 def random_one_form(rng: Pcg32, nvars: int, max_degree: int = 2) -> OneForm:
+    """One random polynomial per variable; a vector field is the same value."""
     return OneForm(nvars, tuple(random_poly(rng, nvars, max_degree)
                                 for _ in range(nvars)))
+
+
+random_vector_field = random_one_form
 
 
 def random_section(rng: Pcg32, nvars: int, max_degree: int = 2) -> Section:

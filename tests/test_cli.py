@@ -25,8 +25,17 @@ from leibniz_forge.cli import (
     parse_subspace_text,
     parse_twoform_text,
     poly_to_str,
+    section_to_doc,
+)
+from leibniz_forge.courant import (
+    Section,
+    TwoForm,
+    courant_bracket,
+    graph_closure_check,
+    interior_two_form,
 )
 from leibniz_forge.poly import Poly
+from leibniz_forge.sampling import Pcg32, random_vector_field
 
 LEIBNIZ2 = """{
   "name": "leibniz2", "dim": 2, "basis": ["e1", "e2"],
@@ -366,6 +375,54 @@ class TestDispatch:
         assert code == 1 and doc["status"] == "fail"
         witness = doc["checks"][0]["witness"]
         assert "pair" in witness and "off_graph_vector_field" in witness
+
+    def test_courant_graph_twoform_witness(self, files, capsys):
+        # x3 dx1 ^ dx2 is not closed, so its graph is not closed under the bracket
+        omega_file = files("omega.json",
+                           '{"vars": ["x1", "x2", "x3"], "entries": [[0, 1, "x3"]]}')
+        code, out = self.run(capsys, "courant", "graph", "--kind", "twoform",
+                             "--data", omega_file, "--seed", "3", "--samples", "4",
+                             "--format", "json")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "fail"
+        witness = doc["checks"][0]["witness"]
+        names = ("x1", "x2", "x3")
+        omega = TwoForm.from_upper(3, {(0, 1): Poly.var(3, 2)})
+        rng = Pcg32(3)
+        xis = [random_vector_field(rng, 3) for _ in range(4)]
+        closed, pair = graph_closure_check("twoform", omega, xis)
+        assert not closed and witness["pair"] == list(pair)
+        i, j = pair
+        br = courant_bracket(Section(xis[i], interior_two_form(xis[i], omega)),
+                             Section(xis[j], interior_two_form(xis[j], omega)))
+        residual = br.form - interior_two_form(br.vf, omega)
+        assert witness["bracket"] == section_to_doc(names, br)
+        assert witness["off_graph_one_form"] == {
+            names[k]: poly_to_str(c, names)
+            for k, c in enumerate(residual.components) if not c.is_zero()}
+        assert witness["off_graph_one_form"] and "off_graph_vector_field" not in witness
+
+    def test_courant_graph_exit_codes(self, files, capsys):
+        """0 when every check passes; 1 when a check fails or the input is
+        rejected (the report then has an error check); 2 for a usage error."""
+        closed = files("closed.json", '{"vars": ["x1", "x2"], "entries": [[0, 1, "x1"]]}')
+        not_closed = files("open.json",
+                           '{"vars": ["x1", "x2", "x3"], "entries": [[0, 1, "x3"]]}')
+        lower = files("lower.json", '{"vars": ["x1", "x2"], "entries": [[1, 0, "x1"]]}')
+
+        def graph(path):
+            code, out = self.run(capsys, "courant", "graph", "--kind", "twoform",
+                                 "--data", path, "--format", "json")
+            doc = json.loads(out)
+            return code, doc["status"], [c["name"] for c in doc["checks"]]
+
+        assert graph(closed) == (0, "pass", ["graph_closed"])
+        assert graph(not_closed) == (1, "fail", ["graph_closed"])
+        assert graph(lower) == (1, "fail", ["error"])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["courant", "graph", "--kind", "symplectic",
+                                       "--data", closed])
+        assert exc.value.code == 2
 
     def test_text_format(self, files, capsys):
         path = files("a.json", LEIBNIZ2)
