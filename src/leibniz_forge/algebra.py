@@ -26,7 +26,6 @@ from .linalg import (
     vadd,
     vscale,
     vsub,
-    vzero,
 )
 from .tensor import SparseTensor, first_failure, skew_failure
 
@@ -247,14 +246,14 @@ class Subspace:
         """Coefficients of v in the rref basis; v must lie in the span.
 
         Rref rows carry 1 at their own pivot and 0 at every other pivot, so the
-        coefficient of basis row i is just v[pivot_i].
+        coefficient of basis row i is just v[pivot_i], and membership needs
+        checking only off the pivots.
         """
         w = tuple(as_q(x) for x in v)
         out = tuple(w[p] for p in self.pivots)
-        rebuilt = vzero(self.ambient_dim)
-        for cf, r in zip(out, self.basis):
-            rebuilt = vadd(rebuilt, vscale(cf, r))
-        if rebuilt != w:
+        terms = [(cf, r) for cf, r in zip(out, self.basis) if cf]
+        if len(w) != self.ambient_dim or any(w[j] != sum(cf * r[j] for cf, r in terms if r[j])
+                                             for j in self.complement_coords):
             raise ValueError("vector is not in the subspace")
         return out
 

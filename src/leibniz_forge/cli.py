@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Sequence
 
 from .algebra import (
@@ -88,6 +89,8 @@ def _load_json(text: str, origin: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"{origin}: parse error at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal beyond Python's int-digit limit
+        raise CliError(f"{origin}: {e}") from e
 
 
 def _exact_number(value: Any, where: str) -> Fraction:
@@ -259,10 +262,16 @@ def parse_poly_expr(text: str, names: Sequence[str]) -> Poly:
         cursor += 1
         return tok
 
+    def number(convert, value: str, pos: int):
+        try:
+            return convert(value)
+        except (ValueError, ZeroDivisionError) as e:  # int-digit limit, zero denominator
+            raise CliError(f"bad number at position {pos}: {e}") from e
+
     def parse_factor() -> tuple[Fraction, tuple[int, ...]]:
         kind, value, pos = take()
         if kind == "rat":
-            return Fraction(value), (0,) * nvars
+            return number(Fraction, value, pos), (0,) * nvars
         if kind == "name":
             if value not in index:
                 raise CliError(f"unknown variable {value!r} at position {pos}")
@@ -273,7 +282,7 @@ def parse_poly_expr(text: str, names: Sequence[str]) -> Poly:
                 ekind, evalue, epos = take()
                 if ekind != "rat" or "/" in evalue:
                     raise CliError(f"syntax error at position {epos}: exponent must be a natural number")
-                power = int(evalue)
+                power = number(int, evalue, epos)
             expo = tuple(power if i == index[value] else 0 for i in range(nvars))
             return Q(1), expo
         raise CliError(f"syntax error at position {pos}: unexpected {value!r}")
@@ -686,7 +695,10 @@ def _tolerance_type(raw: str) -> float:
     return value
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every call returns the
+    same shared parser, so callers must not mutate it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="report format (default text)")

@@ -285,54 +285,94 @@ def inverse(m: Matrix) -> Matrix | None:
     return Matrix(tuple(r[n:] for r in red.entries))
 
 
+def _clear(xs: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Integer numerators of the rationals xs over their lcm denominator."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+@dataclass(frozen=True)
+class ScaledMatrix:
+    """Square matrix num / den over one positive denominator: each row keeps
+    the (column, integer numerator) pairs of its nonzero entries."""
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    den: int
+
+    @staticmethod
+    def reduced(rows: Sequence[dict[int, int]], den: int) -> "ScaledMatrix":
+        """rows / den, reduced by the gcd of den and every numerator."""
+        g = math.gcd(den, *(x for r in rows for x in r.values()))
+        return ScaledMatrix(tuple(tuple((j, x // g) for j, x in r.items() if x) for r in rows),
+                            den // g)
+
+    @staticmethod
+    def of(m: "Matrix | ScaledMatrix") -> "ScaledMatrix":
+        if isinstance(m, ScaledMatrix):
+            return m
+        if not m.is_square():
+            raise ValueError(f"shape mismatch: {m.rows}x{m.cols} is not square")
+        nums, den = _clear(m.flat)
+        return ScaledMatrix.reduced([dict(enumerate(nums[i * m.cols:(i + 1) * m.cols]))
+                                     for i in range(m.rows)], den)
+
+
 def is_nilpotent(m: Matrix) -> tuple[bool, int | None]:
     """(True, index) with the least k such that m^k = 0, else (False, None).
 
-    Detection squares up to the dimension: m is nilpotent iff m^n = 0.
+    m is nilpotent iff m^n e_j = 0 for every basis vector e_j; the index is the
+    longest such sequence. They run on D m, which clears the denominators:
+    (D m)^k = D^k m^k vanishes exactly when m^k does.
     """
     if not m.is_square():
         raise ValueError("nilpotency is defined for square matrices")
-    n = m.rows
-    if n == 0:
-        return True, 0
-    p = m
-    k = 1
-    while k < n:
-        p = p @ p
-        k *= 2
-    if not p.is_zero():
-        return False, None
-    power = Matrix.identity(n)
-    for idx in range(1, n + 1):
-        power = power @ m
-        if power.is_zero():
-            return True, idx
-    return True, n  # unreachable: m^n = 0 was just certified
+    sm, index = ScaledMatrix.of(m), 0
+    for j in range(m.rows):
+        t, k = [int(i == j) for i in range(m.rows)], 0
+        while any(t):
+            k += 1
+            if k > m.rows:
+                return False, None
+            t = [sum([c * t[i] for i, c in row]) for row in sm.rows]
+        index = max(index, k)
+    return True, index
 
 
-def exp_apply(m: Matrix, v: Vec) -> Vec:
+def exp_apply(m: Matrix | ScaledMatrix, v: Vec) -> Vec:
     """exp(m) v as the series v + m v + m^2 v / 2! + ..., up to its first zero term.
 
     A nonzero m^n v (n = dim) proves that m is not nilpotent, since the Krylov
-    sequence of v then never dies, and raises NotNilpotentError.
+    sequence of v then never dies, and raises NotNilpotentError. Term and sum
+    are integer vectors over one denominator e; the next term of num / den is
+    num term / (e den k), one gcd per term reduces all three, and only the
+    returned sum becomes Fractions.
     """
-    out = term = tuple(v)
-    k = 0
-    while not is_zero_vec(term):
+    sm = ScaledMatrix.of(m)
+    n = len(sm.rows)
+    term, e = _clear(v)
+    out, k = term, 0
+    while any(term):
         k += 1
-        if k > m.rows:
+        if k > n:
             raise NotNilpotentError("not nilpotent; use float mode")
-        term = tuple(x / k for x in m.apply(term))
-        out = vadd(out, term)
-    return out
+        if len(term) != n:
+            raise ValueError(f"shape mismatch: {n}x{n} applied to length {len(term)}")
+        term = [sum([c * term[j] for j, c in row]) for row in sm.rows]
+        out = [x * sm.den * k + y for x, y in zip(out, term)]
+        e *= sm.den * k
+        g = math.gcd(e, *term, *out)
+        term, out, e = [x // g for x in term], [x // g for x in out], e // g
+    return tuple(Fraction(x, e) for x in out)
 
 
-def mat_exp_exact(m: Matrix) -> Matrix:
+def mat_exp_exact(m: Matrix | ScaledMatrix) -> Matrix:
     """exp(m) column by column, exp(m) e_j = exp_apply(m, e_j); m must be nilpotent.
 
     Some m^n e_j is nonzero iff m^n is, so this raises exactly when m is not nilpotent.
     """
-    return Matrix.from_cols([exp_apply(m, basis_vec(m.rows, j)) for j in range(m.rows)])
+    sm = ScaledMatrix.of(m)
+    return Matrix.from_cols([exp_apply(sm, basis_vec(len(sm.rows), j))
+                             for j in range(len(sm.rows))])
 
 
 # -- float matrices -----------------------------------------------------------

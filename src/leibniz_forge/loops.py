@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 from .algebra import StructureAlgebra, Subspace
@@ -22,6 +22,8 @@ from .linalg import (
     NotNilpotentError,
     Q,
     Scalar,
+    ScaledMatrix,
+    _clear,
     as_q,
     basis_vec,
     exp_apply,
@@ -113,6 +115,13 @@ class LoopContext:
     mode: str  # "exact" | "float"
     tol: float = 1e-9
 
+    @cached_property
+    def _int_constants(self) -> tuple[list[tuple[tuple[int, int, int], int]], int]:
+        """The nonzero c_ij^k as ((i, j, k), integer numerator) over one denominator."""
+        keys = [(i, j, k) for (i, j), cell in self.algebra.sparse.entries.items() for k in cell]
+        nums, den = _clear([self.algebra.c[i][j][k] for i, j, k in keys])
+        return list(zip(keys, nums)), den
+
 
 def loop_context(algebra: StructureAlgebra, s: Scalar = Q(1, 2),
                  mode: str = "auto", tol: float = 1e-9) -> LoopContext:
@@ -132,19 +141,28 @@ def _coerce(mode: str, v: Sequence) -> tuple:
     return tuple(as_q(c) for c in v) if mode == "exact" else tuple(float(c) for c in v)
 
 
-def _exp_matrix(mode: str, tol: float, m: Matrix | FloatMatrix) -> Matrix | FloatMatrix:
+def _exp_matrix(mode: str, tol: float,
+                m: Matrix | ScaledMatrix | FloatMatrix) -> Matrix | FloatMatrix:
     return mat_exp_exact(m) if mode == "exact" else mat_exp_float(m, tol=min(tol, 1e-12))
 
 
-def _exp_apply(mode: str, tol: float, m: Matrix | FloatMatrix) -> Callable[[tuple], tuple]:
+def _exp_apply(mode: str, tol: float,
+               m: Matrix | ScaledMatrix | FloatMatrix) -> Callable[[tuple], tuple]:
     """v -> exp(m) v: the terminating series when exact, one float exponential otherwise."""
     return partial(exp_apply, m) if mode == "exact" else _exp_matrix(mode, tol, m).apply
 
 
-def _s_lambda(ctx: LoopContext, x: tuple, sign: int) -> Matrix | FloatMatrix:
-    """sign * s * lambda(x) in the arithmetic of the context, for coerced x."""
+def _s_lambda(ctx: LoopContext, x: tuple, sign: int) -> ScaledMatrix | FloatMatrix:
+    """sign * s * lambda(x) for coerced x; exact: integer-scaled from the nonzero c_ij^k."""
     if ctx.mode == "exact":
-        return ctx.algebra.left_mul(x) * (sign * ctx.s)
+        cells, den = ctx._int_constants
+        nums, xden = _clear(x)
+        xs = [sign * ctx.s.numerator * q for q in nums]
+        rows: list[dict[int, int]] = [{} for _ in range(ctx.algebra.dim)]
+        for (i, j, k), c in cells:
+            if xs[i]:
+                rows[k][j] = rows[k].get(j, 0) + xs[i] * c
+        return ScaledMatrix.reduced(rows, ctx.s.denominator * xden * den)
     cols = [ctx.algebra.sparse.contract(x, j) for j in range(ctx.algebra.dim)]
     return FloatMatrix.from_rows(list(zip(*cols))) * float(sign * ctx.s)
 
@@ -157,10 +175,11 @@ class _Loop:
         self._exps: dict = {}
 
     def exp(self, x: tuple, sign: int) -> Callable[[tuple], tuple]:
-        if (x, sign) not in self._exps:
+        exp = self._exps.get((x, sign))
+        if exp is None:
             m = _s_lambda(self.ctx, x, sign)
-            self._exps[x, sign] = _exp_apply(self.ctx.mode, self.ctx.tol, m)
-        return self._exps[x, sign]
+            exp = self._exps[x, sign] = _exp_apply(self.ctx.mode, self.ctx.tol, m)
+        return exp
 
     def close(self, u: tuple, v: tuple) -> bool:
         if self.ctx.mode == "exact":

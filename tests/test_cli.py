@@ -497,3 +497,69 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True, check=True)
         assert a.stdout == b.stdout
         assert a.stdout.endswith(b"\n")
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_leak_between_calls(self, files, capsys):
+        # --float and --tol of one call must not carry over to the next
+        path = files("a.json", LEIBNIZ2)
+        float_cmd = ["loop", "verify", "--algebra", path, "--float", "--tol", "1e-8",
+                     "--samples", "4"]
+        exact_cmd = ["loop", "verify", "--algebra", path, "--samples", "4"]
+        outs = []
+        for argv in (float_cmd, exact_cmd, float_cmd):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[2]
+        fresh = subprocess.run([sys.executable, "-m", "leibniz_forge.cli", *exact_cmd],
+                               capture_output=True, check=True, text=True)
+        assert outs[1] == fresh.stdout
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int-digit limit, set to its default while the test runs if it is off."""
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        sys.set_int_max_str_digits(4300)
+    yield sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+
+
+class TestIntDigitLimit:
+    """A number beyond Python's int-digit limit is an input error that names
+    the file, the entry and the position."""
+
+    def error_witness(self, capsys, argv):
+        code = main([*argv, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [c["name"] for c in doc["checks"]] == ["error"]
+        return doc["checks"][0]["witness"]
+
+    def test_exponent(self, files, capsys, digit_limit):
+        path = files("s.json", json.dumps({"vars": ["x1", "x2"], "one_form": {},
+                                           "vector_field": {"x1": "x2^" + "7" * (digit_limit + 1)}}))
+        witness = self.error_witness(capsys, ["courant", "bracket", path, path])
+        assert witness.startswith(f"{path}: vector_field['x1']: bad number at position 3: ")
+
+    def test_coefficient(self, files, capsys, digit_limit):
+        path = files("s.json", json.dumps({"vars": ["x1", "x2"], "vector_field": {},
+                                           "one_form": {"x2": "x1 - " + "9" * (digit_limit + 1)}}))
+        witness = self.error_witness(capsys, ["courant", "bracket", path, path])
+        assert witness.startswith(f"{path}: one_form['x2']: bad number at position 5: ")
+
+    def test_zero_denominator(self, files, capsys):
+        path = files("s.json", json.dumps({"vars": ["x1"], "one_form": {},
+                                           "vector_field": {"x1": "x1 + 1/0"}}))
+        witness = self.error_witness(capsys, ["courant", "bracket", path, path])
+        assert witness.startswith(f"{path}: vector_field['x1']: bad number at position 5: ")
+
+    def test_algebra_file_integer(self, files, capsys, digit_limit):
+        doc = LEIBNIZ2.replace('"1"', "1" * (digit_limit + 1))
+        path = files("a.json", doc)
+        witness = self.error_witness(capsys, ["algebra", "check", path])
+        assert witness.startswith(f"{path}: ") and "digits" in witness

@@ -19,6 +19,7 @@ from leibniz_forge import (
     LieYamaguti,
     Pcg32,
     StructureAlgebra,
+    Subspace,
     gl_algebra,
     graph_criterion,
     omni_algebras,
@@ -26,7 +27,7 @@ from leibniz_forge import (
     random_nilpotent_leibniz,
     validate_ly,
 )
-from leibniz_forge.linalg import Matrix, commutator, vadd, vneg, vscale, vsub
+from leibniz_forge.linalg import Matrix, as_q, commutator, vadd, vneg, vscale, vsub
 from leibniz_forge.products import GraphCriterionReport
 
 from conftest import make_broken3, make_heisenberg3, make_leibniz2, make_nl3, make_so3
@@ -272,3 +273,42 @@ def test_every_axiom_is_hit():
     ]
     hit = [ly_case(ly) for ly in cases]
     assert hit == [None, "LY1", "LY2", "LY3", "LY4", "LY5", "LY6"]
+
+
+# -- subspace coordinates -----------------------------------------------------
+
+def ref_coords(space, v):
+    """Coordinates by a dense rebuild of v from every basis row."""
+    w = tuple(as_q(x) for x in v)
+    out = tuple(w[p] for p in space.pivots)
+    rebuilt = (Q(0),) * space.ambient_dim
+    for cf, r in zip(out, space.basis):
+        rebuilt = vadd(rebuilt, vscale(cf, r))
+    if rebuilt != w:
+        raise ValueError("vector is not in the subspace")
+    return out
+
+
+def coords_outcome(f, space, v):
+    try:
+        return f(space, v)
+    except (IndexError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+sparse_rationals = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-9, 9), st.integers(1, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_subspace_coords_match_dense_rebuild(n, data):
+    gens = data.draw(st.lists(st.tuples(*[sparse_rationals] * n), max_size=4))
+    space = Subspace.span(n, gens)
+    inside = vsum((vscale(c, g) for c, g in
+                   zip(data.draw(st.lists(sparse_rationals, min_size=len(gens),
+                                          max_size=len(gens))), gens)), n)
+    outside = vadd(inside, data.draw(st.tuples(*[sparse_rationals] * n)))
+    short, long = inside[:-1], inside + (data.draw(sparse_rationals),)
+    for v in (inside, outside, short, long, tuple(int(x) for x in inside if x.denominator == 1)):
+        assert coords_outcome(Subspace.coords, space, v) == coords_outcome(ref_coords, space, v)
+    assert Subspace.coords(space, inside) == ref_coords(space, inside)

@@ -7,6 +7,10 @@ finite Taylor series with dense matmuls, as the definitions read. Equal
 results, and equal first failing samples of the loop laws, pin the exact
 behaviour; the float path is pinned bit for bit against its own recipe.
 
+The Fraction-arithmetic exp_apply and is_nilpotent that the integer-scaled
+kernels replaced are kept verbatim, and rational entries with denominators up
+to 7 and several values of s check the kernels against them.
+
 Two orderings are kept here as references as well: the gate checked in the
 order basis -> sampled -> envelope, and the law suite evaluated law by law
 with a fresh set of exponentials for every law and sample.
@@ -41,7 +45,17 @@ from leibniz_forge import (
     random_nilpotent_leibniz,
     random_vector,
 )
-from leibniz_forge.linalg import basis_vec, exp_apply, is_nilpotent, vadd, vneg, vsub, vzero
+from leibniz_forge.linalg import (
+    Vec,
+    basis_vec,
+    exp_apply,
+    is_nilpotent,
+    is_zero_vec,
+    vadd,
+    vneg,
+    vsub,
+    vzero,
+)
 from leibniz_forge.loops import (
     _GATE_SAMPLES,
     _GATE_SEED,
@@ -87,24 +101,71 @@ def ref_mat_exp(m):
     return out
 
 
-def ref_exp(a, x, sign):
-    return ref_mat_exp(a.left_mul(x) * (sign * S))
+def ref_exp(a, x, sign, s=S):
+    return ref_mat_exp(a.left_mul(x) * (sign * s))
 
 
-def ref_product(a, x, y):
-    return vadd(x, ref_exp(a, x, 1).apply(y))
+def ref_product(a, x, y, s=S):
+    return vadd(x, ref_exp(a, x, 1, s).apply(y))
 
 
-def ref_inverse(a, x):
-    return vneg(ref_exp(a, x, -1).apply(x))
+def ref_inverse(a, x, s=S):
+    return vneg(ref_exp(a, x, -1, s).apply(x))
 
 
-def ref_divide(a, x, y):
-    return ref_exp(a, x, -1).apply(vsub(y, x))
+def ref_divide(a, x, y, s=S):
+    return ref_exp(a, x, -1, s).apply(vsub(y, x))
 
 
-def ref_inner(a, x, y):
-    return ref_exp(a, ref_product(a, x, y), -1) @ ref_exp(a, x, 1) @ ref_exp(a, y, 1)
+def ref_inner(a, x, y, s=S):
+    return (ref_exp(a, ref_product(a, x, y, s), -1, s) @ ref_exp(a, x, 1, s)
+            @ ref_exp(a, y, 1, s))
+
+
+# The Fraction-arithmetic series and nilpotency test that the integer-scaled
+# kernels replaced, kept verbatim: the kernels must agree with them value for
+# value, and raise on exactly the same inputs.
+
+def fraction_is_nilpotent(m: Matrix) -> tuple[bool, int | None]:
+    """(True, index) with the least k such that m^k = 0, else (False, None).
+
+    Detection squares up to the dimension: m is nilpotent iff m^n = 0.
+    """
+    if not m.is_square():
+        raise ValueError("nilpotency is defined for square matrices")
+    n = m.rows
+    if n == 0:
+        return True, 0
+    p = m
+    k = 1
+    while k < n:
+        p = p @ p
+        k *= 2
+    if not p.is_zero():
+        return False, None
+    power = Matrix.identity(n)
+    for idx in range(1, n + 1):
+        power = power @ m
+        if power.is_zero():
+            return True, idx
+    return True, n  # unreachable: m^n = 0 was just certified
+
+
+def fraction_exp_apply(m: Matrix, v: Vec) -> Vec:
+    """exp(m) v as the series v + m v + m^2 v / 2! + ..., up to its first zero term.
+
+    A nonzero m^n v (n = dim) proves that m is not nilpotent, since the Krylov
+    sequence of v then never dies, and raises NotNilpotentError.
+    """
+    out = term = tuple(v)
+    k = 0
+    while not is_zero_vec(term):
+        k += 1
+        if k > m.rows:
+            raise NotNilpotentError("not nilpotent; use float mode")
+        term = tuple(x / k for x in m.apply(term))
+        out = vadd(out, term)
+    return out
 
 
 def ref_first_failures(a, samples, seed):
@@ -364,3 +425,161 @@ def test_direct_exact_so3_context():
         loop_product(ctx, x, basis_vec(3, 1))
     assert loop_product(ctx, x, vzero(3)) == x
     assert loop_product(ctx, x, (Q(2), Q(0), Q(0))) == (Q(3), Q(0), Q(0))
+
+
+# -- rational entries against the Fraction series -----------------------------
+
+rationals = st.builds(Q, st.integers(-60, 60), st.integers(1, 7))
+nonzero_rationals = rationals.filter(bool)
+s_values = st.sampled_from([Q(1, 2), Q(2, 3), Q(-3, 5), Q(7)])
+BIG = Q(10 ** 59 + 7, 3)  # a 60-digit numerator
+
+
+def rational_vectors(n):
+    return st.tuples(*[rationals] * n)
+
+
+@st.composite
+def rational_square_matrices(draw):
+    """Rational matrices of sizes 0-4: half strictly upper triangular in a
+    scrambled basis (nilpotent), the rest mostly not nilpotent."""
+    n = draw(st.integers(0, 4))
+    rows = [list(draw(rational_vectors(n))) for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[x if j > i else Q(0) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+        perm = draw(st.permutations(range(n)))
+        rows = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(rows)
+
+
+@st.composite
+def scaled_nilpotent_algebras(draw):
+    """A random nilpotent Leibniz algebra with its constants scaled by a
+    rational: each side of the Leibniz identity scales by its square."""
+    a = random_nilpotent_leibniz(Pcg32(draw(seeds)), draw(st.integers(2, 5)))
+    t = draw(nonzero_rationals)
+    return StructureAlgebra.from_constants([[[t * x for x in cell] for cell in row]
+                                            for row in a.c])
+
+
+@st.composite
+def rational_triangular_algebras(draw):
+    n = draw(st.integers(2, 4))
+    return StructureAlgebra.from_products(n, {
+        (i, j): {k: draw(rationals) for k in range(max(i, j) + 1, n)}
+        for i in range(n) for j in range(n)})
+
+
+def outcome(f, *args):
+    """f(*args), or the NotNilpotentError message when it raises one."""
+    try:
+        return f(*args)
+    except NotNilpotentError as e:
+        return ("raised", str(e))
+
+
+def assert_fractions(value):
+    rows = value.entries if isinstance(value, Matrix) else (value,)
+    assert all(type(x) is Q for r in rows for x in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_square_matrices(), st.data())
+def test_exp_apply_matches_fraction_series_on_rationals(m, data):
+    v = data.draw(rational_vectors(m.rows))
+    got, want = outcome(exp_apply, m, v), outcome(fraction_exp_apply, m, v)
+    assert got == want
+    if got != ("raised", "not nilpotent; use float mode"):
+        assert_fractions(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_square_matrices())
+def test_mat_exp_exact_and_nilpotency_match_on_rationals(m):
+    assert is_nilpotent(m) == fraction_is_nilpotent(m)
+    got = outcome(mat_exp_exact, m)
+    if fraction_is_nilpotent(m)[0]:
+        assert got == ref_mat_exp(m)
+        assert_fractions(got)
+    else:
+        assert got == ("raised", "not nilpotent; use float mode")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(scaled_nilpotent_algebras(), rational_triangular_algebras()),
+       s_values, st.data())
+def test_loop_operations_match_reference_on_rationals(a, s, data):
+    ctx = loop_context(a, s=s)
+    assert ctx.mode == "exact"
+    x, y = data.draw(rational_vectors(a.dim)), data.draw(rational_vectors(a.dim))
+    lam = a.left_mul(x) * s
+    got = (loop_product(ctx, x, y), left_inverse(ctx, x), left_divide(ctx, x, y),
+           left_inner_mapping(ctx, x, y), exp_apply(lam, y), mat_exp_exact(lam))
+    assert got == (ref_product(a, x, y, s), ref_inverse(a, x, s), ref_divide(a, x, y, s),
+                   ref_inner(a, x, y, s), ref_mat_exp(lam).apply(y), ref_mat_exp(lam))
+    for value in got:
+        assert_fractions(value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(*[rationals] * 3), st.tuples(*[rationals] * 3), s_values)
+def test_omni2_e12_slice_matches_reference_on_rationals(xs, ys, s):
+    x, y = (Q(0), xs[0], Q(0), Q(0), xs[1], xs[2]), (Q(0), ys[0], Q(0), Q(0), ys[1], ys[2])
+    ctx = LoopContext(OMNI2, s, "exact")
+    got = (loop_product(ctx, x, y), left_inverse(ctx, x), left_divide(ctx, x, y),
+           left_inner_mapping(ctx, x, y))
+    assert got == (ref_product(OMNI2, x, y, s), ref_inverse(OMNI2, x, s),
+                   ref_divide(OMNI2, x, y, s), ref_inner(OMNI2, x, y, s))
+    for value in got:
+        assert_fractions(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_vectors(3), rational_vectors(3), s_values)
+def test_direct_exact_so3_raises_where_fraction_series_does(x, y, s):
+    # so(3) is not nilpotent: the series for y dies only when lambda(x) y = 0
+    a = make_so3()
+    ctx = LoopContext(a, s, "exact")
+    want = outcome(lambda: vadd(x, fraction_exp_apply(a.left_mul(x) * s, y)))
+    assert outcome(loop_product, ctx, x, y) == want
+    want = outcome(lambda: fraction_exp_apply(a.left_mul(x) * -s, vsub(y, x)))
+    assert outcome(left_divide, ctx, x, y) == want
+
+
+@pytest.mark.parametrize("rows", [
+    [],                                             # 0 x 0
+    [[Q(0)]],                                       # 1 x 1, nilpotent
+    [[Q(-3, 7)]],                                   # 1 x 1, not nilpotent
+    [[Q(0)] * 3] * 3,                               # the zero matrix
+    [[0, BIG, Q(1, 6)], [0, 0, Q(-3, 5)], [0, 0, 0]],
+    [[0, BIG, 0], [0, 0, Q(5, 7)], [Q(2, 3), 0, 0]],
+])
+def test_edge_matrices_match_fraction_kernels(rows):
+    m = Matrix.from_rows(rows)
+    n = m.rows
+    assert is_nilpotent(m) == fraction_is_nilpotent(m)
+    for v in (vzero(n), tuple(Q(k + 1, 7) for k in range(n)), (BIG,) * n):
+        got = outcome(exp_apply, m, v)
+        assert got == outcome(fraction_exp_apply, m, v)
+        if type(got) is tuple and got[:1] != ("raised",):
+            assert_fractions(got)
+    if fraction_is_nilpotent(m)[0]:
+        assert mat_exp_exact(m) == ref_mat_exp(m)
+        assert_fractions(mat_exp_exact(m))
+    else:
+        with pytest.raises(NotNilpotentError, match="use float mode$"):
+            mat_exp_exact(m)
+
+
+@pytest.mark.parametrize("s", [Q(1, 2), Q(2, 3), Q(-3, 5), Q(7)])
+def test_loop_zero_vector_and_big_numerator(s, corpus):
+    a = corpus["nilp4_s13"]
+    ctx = loop_context(a, s=s)
+    zero, big = vzero(4), (BIG, Q(-1, 7), Q(0), Q(60, 7))
+    for x, y in ((zero, zero), (zero, big), (big, zero), (big, big)):
+        assert loop_product(ctx, x, y) == ref_product(a, x, y, s)
+        assert left_inverse(ctx, x) == ref_inverse(a, x, s)
+        assert left_divide(ctx, x, y) == ref_divide(a, x, y, s)
+        assert left_inner_mapping(ctx, x, y) == ref_inner(a, x, y, s)
+        assert_fractions(left_inner_mapping(ctx, x, y))
+        assert_fractions(loop_product(ctx, x, y))
