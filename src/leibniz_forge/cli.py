@@ -68,12 +68,20 @@ class CliError(ValueError):
 
 # -- small serializers --------------------------------------------------------
 
+def _rational_text(x: Fraction) -> str:
+    try:
+        return format_rational(x)
+    except ValueError as e:  # beyond Python's int-digit limit
+        raise CliError("result too large to print: a coefficient exceeds Python's "
+                       f"int-digit limit ({sys.get_int_max_str_digits()} digits)") from e
+
+
 def _vec_doc(v: Vec) -> list[str]:
-    return [format_rational(x) for x in v]
+    return [_rational_text(x) for x in v]
 
 
 def _matrix_doc(m: Matrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.entries]
+    return [[_rational_text(x) for x in row] for row in m.entries]
 
 
 def _read_file(path: str) -> str:
@@ -162,7 +170,7 @@ def algebra_to_doc(a: StructureAlgebra) -> dict:
             products.append({
                 "left": a.basis_names[i],
                 "right": a.basis_names[j],
-                "result": {a.basis_names[k]: format_rational(x)
+                "result": {a.basis_names[k]: _rational_text(x)
                            for k, x in enumerate(cell) if x != 0},
             })
     return {"name": a.name, "dim": a.dim, "basis": list(a.basis_names),
@@ -327,11 +335,11 @@ def poly_to_str(p: Poly, names: Sequence[str]) -> str:
             for i, e in enumerate(expo) if e > 0)
         mag = abs(coeff)
         if not vars_part:
-            body = format_rational(mag)
+            body = _rational_text(mag)
         elif mag == 1:
             body = vars_part
         else:
-            body = f"{format_rational(mag)}*{vars_part}"
+            body = f"{_rational_text(mag)}*{vars_part}"
         pieces.append((coeff < 0, body))
     neg, body = pieces[0]
     out = ("-" if neg else "") + body
@@ -577,7 +585,7 @@ def _cmd_loop_eval(args) -> tuple[str, Any]:
         raise CliError(str(e)) from e
     return "data", {
         "mode": mode,
-        "s": format_rational(args.s),
+        "s": _rational_text(args.s),
         "x": _vec_doc(x),
         "y": _vec_doc(y),
         "product": _vec_doc(product) if mode == "exact" else list(product),

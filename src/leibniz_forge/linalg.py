@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Q = Fraction
@@ -416,24 +417,17 @@ class FloatMatrix:
         return FloatMatrix(tuple(tuple(x + y for x, y in zip(a, b))
                                  for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "FloatMatrix") -> "FloatMatrix":
-        return FloatMatrix(tuple(tuple(x - y for x, y in zip(a, b))
-                                 for a, b in zip(self.entries, other.entries)))
-
     def __mul__(self, c: float) -> "FloatMatrix":
         return FloatMatrix(tuple(tuple(c * x for x in r) for r in self.entries))
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "FloatMatrix") -> "FloatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         bt = list(zip(*other.entries))
-        return FloatMatrix(tuple(tuple(math.fsum(x * y for x, y in zip(r, c)) for c in bt)
-                                 for r in self.entries))
+        return FloatMatrix(tuple(tuple(_fdot(r, c) for c in bt) for r in self.entries))
 
     def apply(self, v: Sequence[float]) -> tuple[float, ...]:
-        return tuple(math.fsum(x * y for x, y in zip(r, v)) for r in self.entries)
+        return tuple(_fdot(r, v) for r in self.entries)
 
     def inf_norm(self) -> float:
         return max((math.fsum(abs(x) for x in r) for r in self.entries), default=0.0)
@@ -443,8 +437,13 @@ class FloatMatrix:
                     for x, y in zip(a, b)), default=0.0)
 
 
+def _fdot(r: Sequence[float], c: Sequence[float]) -> float:
+    return math.fsum(map(mul, r, c))
+
+
 def mat_exp_float(m: Matrix | FloatMatrix, tol: float = 1e-12) -> FloatMatrix:
-    """exp(m) by scaling and squaring with the Taylor tail bounded below tol."""
+    """exp(m) by scaling and squaring with the Taylor tail bounded below tol, on rows
+    rounded as FloatMatrix *, @ and + round them; only a squaring can overflow."""
     fm = FloatMatrix.from_exact(m) if isinstance(m, Matrix) else m
     if fm.rows != fm.cols:
         raise ValueError("exp is defined for square matrices")
@@ -456,18 +455,21 @@ def mat_exp_float(m: Matrix | FloatMatrix, tol: float = 1e-12) -> FloatMatrix:
     while norm > 0.5:
         norm /= 2.0
         j += 1
-    scaled = fm * (0.5 ** j)
-    out = FloatMatrix.identity(n)
-    term = FloatMatrix.identity(n)
+    scaled_cols = list(zip(*(fm * (0.5 ** j)).entries))
+    out = term = FloatMatrix.identity(n).entries
     # tail bound: after the k-th term the remainder is < |term| since |scaled| <= 1/2;
     # squaring amplifies roughly 2^j-fold, so demand a j-scaled margin
     cutoff = tol * (0.5 ** j) / math.e
     for k in range(1, 80):
-        term = term @ scaled * (1.0 / k)
-        out = out + term
-        if term.inf_norm() < cutoff:
+        f = 1.0 / k
+        term = [[f * _fdot(r, col) for col in scaled_cols] for r in term]
+        out = [[x + y for x, y in zip(a, b)] for a, b in zip(out, term)]
+        if max(math.fsum(map(abs, r)) for r in term) < cutoff:
             break
     for _ in range(j):
-        out = out @ out
-    return out
-
+        cols = list(zip(*out))
+        out = [[_fdot(r, col) for col in cols] for r in out]
+        bad = next((x for r in out for x in r if not math.isfinite(x)), None)
+        if bad is not None:
+            raise ValueError(f"non-finite entry {bad!r}")
+    return FloatMatrix(tuple(map(tuple, out)))

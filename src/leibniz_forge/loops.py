@@ -59,47 +59,35 @@ class LoopGate:
 
 
 def _envelope_nilpotent(a: StructureAlgebra) -> bool:
-    """Is the associative algebra generated by all lambda(e_i) nilpotent?
+    """Is the associative algebra A generated by all lambda(e_i) nilpotent?
 
-    Tracks the span W_k of products of exactly k generators. If the envelope
-    is nilpotent W_k dies within n^2 + 1 steps; a nonzero fixed point W_(k+1)
-    = W_k proves it never dies.
+    The chain W_0 = E, W_(k+1) = span{e_i . w : w in a basis of W_k} has W_k =
+    A^k E, so A is nilpotent iff it reaches 0. W_1 = A E lies in E and A keeps
+    inclusions, so W_(k+1) lies in W_k; once the dimension stops falling the
+    chain is constant and never dies. At most n + 1 spans in E are built.
     """
-    n = a.dim
-    gens = [a.left_mul(basis_vec(n, i)) for i in range(n)]
-    chain = Subspace.span(n * n, [g.flat for g in gens])
-    for _ in range(n * n + 1):
-        if chain.dim == 0:
-            return True
-        nxt_vecs = []
-        for w in chain.basis:
-            wm = Matrix.from_flat(w, n)
-            for g in gens:
-                nxt_vecs.append((wm @ g).flat)
-        nxt = Subspace.span(n * n, nxt_vecs)
-        if nxt == chain:
+    chain = Subspace.whole(a.dim)
+    while chain.dim:
+        nxt = Subspace.span(a.dim, [a.lmul_basis(i, w) for w in chain.basis for i in range(a.dim)])
+        if nxt.dim == chain.dim:
             return False
         chain = nxt
-    return chain.dim == 0
+    return True
 
 
 def loop_gate(a: StructureAlgebra) -> LoopGate:
-    """Layered nilpotency evidence: basis, then envelope, then sampled.
+    """Layered nilpotency evidence: envelope, then basis, then sampled.
 
     The fields are those of checking basis -> sampled -> envelope, each layer
-    run only when the one before it passes; the envelope goes first because it
-    decides the sampled layer whenever it passes. Every lambda(x) = sum x_i
-    lambda(e_i) lies in the associative envelope of the lambda(e_i). When that
-    envelope is nilpotent, so is each of its elements, every sample passes, and
-    the answer is (True, True, True) without sampling. When it is not, the
-    answer is (True, sampled_ok, False) whatever the samples say. A basis
-    failure gives (False, False, False) either way.
+    run only when the one before it passes. Every lambda(x) = sum x_i lambda(e_i)
+    lies in the associative envelope of the lambda(e_i), so a nilpotent
+    envelope gives (True, True, True) at once. Otherwise a basis failure gives
+    (False, False, False), and the samples (True, sampled_ok, False).
     """
-    basis_ok = all(is_nilpotent(a.left_mul(basis_vec(a.dim, i)))[0] for i in range(a.dim))
-    if not basis_ok:
-        return LoopGate(False, False, False)
     if _envelope_nilpotent(a):
         return LoopGate(True, True, True)
+    if not all(is_nilpotent(a.left_mul(basis_vec(a.dim, i)))[0] for i in range(a.dim)):
+        return LoopGate(False, False, False)
     rng = Pcg32(_GATE_SEED)
     sampled_ok = all(is_nilpotent(a.left_mul(random_vector(rng, a.dim)))[0]
                      for _ in range(_GATE_SAMPLES))
@@ -116,10 +104,12 @@ class LoopContext:
     tol: float = 1e-9
 
     @cached_property
-    def _int_constants(self) -> tuple[list[tuple[tuple[int, int, int], int]], int]:
-        """The nonzero c_ij^k as ((i, j, k), integer numerator) over one denominator."""
+    def _constants(self) -> tuple[list[tuple[tuple[int, int, int], int | float]], int]:
+        """The nonzero c_ij^k as ((i, j, k), value) in key order over one denominator:
+        integer numerators when exact, float(c_ij^k) over 1 in float mode."""
         keys = [(i, j, k) for (i, j), cell in self.algebra.sparse.entries.items() for k in cell]
-        nums, den = _clear([self.algebra.c[i][j][k] for i, j, k in keys])
+        cs = [self.algebra.c[i][j][k] for i, j, k in keys]
+        nums, den = _clear(cs) if self.mode == "exact" else ([float(c) for c in cs], 1)
         return list(zip(keys, nums)), den
 
 
@@ -153,18 +143,24 @@ def _exp_apply(mode: str, tol: float,
 
 
 def _s_lambda(ctx: LoopContext, x: tuple, sign: int) -> ScaledMatrix | FloatMatrix:
-    """sign * s * lambda(x) for coerced x; exact: integer-scaled from the nonzero c_ij^k."""
-    if ctx.mode == "exact":
-        cells, den = ctx._int_constants
+    """sign * s * lambda(x) for coerced x from the nonzero c_ij^k; exact: integer-scaled.
+
+    Float: entry (k, j) sums x_i c_ij^k over ascending i from 0, then is
+    scaled, as contracting x column by column would round it.
+    """
+    cells, den = ctx._constants
+    n, exact = ctx.algebra.dim, ctx.mode == "exact"
+    if exact:
         nums, xden = _clear(x)
-        xs = [sign * ctx.s.numerator * q for q in nums]
-        rows: list[dict[int, int]] = [{} for _ in range(ctx.algebra.dim)]
-        for (i, j, k), c in cells:
-            if xs[i]:
-                rows[k][j] = rows[k].get(j, 0) + xs[i] * c
+        x = tuple(sign * ctx.s.numerator * q for q in nums)
+    rows: list[dict[int, int | float]] = [{} for _ in range(n)]
+    for (i, j, k), c in cells:
+        if x[i]:
+            rows[k][j] = rows[k].get(j, 0) + x[i] * c
+    if exact:
         return ScaledMatrix.reduced(rows, ctx.s.denominator * xden * den)
-    cols = [ctx.algebra.sparse.contract(x, j) for j in range(ctx.algebra.dim)]
-    return FloatMatrix.from_rows(list(zip(*cols))) * float(sign * ctx.s)
+    t = float(sign * ctx.s)
+    return FloatMatrix(tuple(tuple(t * r.get(j, 0.0) for j in range(n)) for r in rows))
 
 
 class _Loop:

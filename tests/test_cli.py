@@ -558,6 +558,18 @@ class TestIntDigitLimit:
         witness = self.error_witness(capsys, ["courant", "bracket", path, path])
         assert witness.startswith(f"{path}: vector_field['x1']: bad number at position 5: ")
 
+    def test_result_too_large_to_print(self, files, capsys, digit_limit):
+        # both inputs are within the limit; the bracket's coefficients, products
+        # of two of them, are not
+        big = "7" * (digit_limit - 300)
+        x = files("x.json", json.dumps({"vars": ["x1", "x2"], "one_form": {},
+                                        "vector_field": {"x1": f"{big}*x2"}}))
+        y = files("y.json", json.dumps({"vars": ["x1", "x2"], "one_form": {},
+                                        "vector_field": {"x2": f"{big}*x1"}}))
+        witness = self.error_witness(capsys, ["courant", "bracket", x, y])
+        assert witness == ("result too large to print: a coefficient exceeds Python's "
+                           f"int-digit limit ({digit_limit} digits)")
+
     def test_algebra_file_integer(self, files, capsys, digit_limit):
         doc = LEIBNIZ2.replace('"1"', "1" * (digit_limit + 1))
         path = files("a.json", doc)

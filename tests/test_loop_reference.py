@@ -14,10 +14,16 @@ to 7 and several values of s check the kernels against them.
 Two orderings are kept here as references as well: the gate checked in the
 order basis -> sampled -> envelope, and the law suite evaluated law by law
 with a fresh set of exponentials for every law and sample.
+
+The envelope test that spans products of generators in the n^2-dimensional
+space of matrices, the float exponential on FloatMatrix products, and sign *
+s * lambda(x) built from sparse.contract are kept verbatim as well: the gate
+must return the same LoopGate, and the float path the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from math import factorial
 
@@ -31,6 +37,7 @@ from leibniz_forge import (
     NotNilpotentError,
     Pcg32,
     StructureAlgebra,
+    Subspace,
     left_divide,
     left_inner_mapping,
     left_inverse,
@@ -64,9 +71,10 @@ from leibniz_forge.loops import (
     _coerce,
     _envelope_nilpotent,
     _Loop,
+    _s_lambda,
 )
 
-from conftest import make_nl3, make_so3, make_so3_hemi
+from conftest import make_idem1, make_nl3, make_so3, make_so3_hemi
 
 S = Q(1, 2)
 
@@ -193,6 +201,31 @@ def ref_first_failures(a, samples, seed):
     return [next((k for k, q in enumerate(quads) if not law(*q)), None) for law in laws]
 
 
+def ref_envelope_nilpotent(a: StructureAlgebra) -> bool:
+    """Is the associative algebra generated by all lambda(e_i) nilpotent?
+
+    Tracks the span W_k of products of exactly k generators. If the envelope
+    is nilpotent W_k dies within n^2 + 1 steps; a nonzero fixed point W_(k+1)
+    = W_k proves it never dies.
+    """
+    n = a.dim
+    gens = [a.left_mul(basis_vec(n, i)) for i in range(n)]
+    chain = Subspace.span(n * n, [g.flat for g in gens])
+    for _ in range(n * n + 1):
+        if chain.dim == 0:
+            return True
+        nxt_vecs = []
+        for w in chain.basis:
+            wm = Matrix.from_flat(w, n)
+            for g in gens:
+                nxt_vecs.append((wm @ g).flat)
+        nxt = Subspace.span(n * n, nxt_vecs)
+        if nxt == chain:
+            return False
+        chain = nxt
+    return chain.dim == 0
+
+
 def ref_loop_gate(a):
     """The gate in the order basis -> sampled -> envelope, each layer run only
     when the one before it passes."""
@@ -202,7 +235,58 @@ def ref_loop_gate(a):
     if not all(is_nilpotent(a.left_mul(random_vector(rng, a.dim)))[0]
                for _ in range(_GATE_SAMPLES)):
         return LoopGate(True, False, False)
-    return LoopGate(True, True, _envelope_nilpotent(a))
+    return LoopGate(True, True, ref_envelope_nilpotent(a))
+
+
+# The float exponential, product and apply as they were on FloatMatrix
+# operations, kept verbatim (FloatMatrix @ is spelled ref_float_matmul), and
+# sign * s * lambda(x) built from one sparse.contract per column: the float
+# path must return the same bits and raise the same errors.
+
+def ref_float_matmul(a: FloatMatrix, b: FloatMatrix) -> FloatMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    bt = list(zip(*b.entries))
+    return FloatMatrix(tuple(tuple(math.fsum(x * y for x, y in zip(r, c)) for c in bt)
+                             for r in a.entries))
+
+
+def ref_float_apply(m: FloatMatrix, v) -> tuple[float, ...]:
+    return tuple(math.fsum(x * y for x, y in zip(r, v)) for r in m.entries)
+
+
+def ref_mat_exp_float(m, tol: float = 1e-12) -> FloatMatrix:
+    """exp(m) by scaling and squaring with the Taylor tail bounded below tol."""
+    fm = FloatMatrix.from_exact(m) if isinstance(m, Matrix) else m
+    if fm.rows != fm.cols:
+        raise ValueError("exp is defined for square matrices")
+    n = fm.rows
+    if n == 0:
+        return fm
+    norm = fm.inf_norm()
+    j = 0
+    while norm > 0.5:
+        norm /= 2.0
+        j += 1
+    scaled = fm * (0.5 ** j)
+    out = FloatMatrix.identity(n)
+    term = FloatMatrix.identity(n)
+    # tail bound: after the k-th term the remainder is < |term| since |scaled| <= 1/2;
+    # squaring amplifies roughly 2^j-fold, so demand a j-scaled margin
+    cutoff = tol * (0.5 ** j) / math.e
+    for k in range(1, 80):
+        term = ref_float_matmul(term, scaled) * (1.0 / k)
+        out = out + term
+        if term.inf_norm() < cutoff:
+            break
+    for _ in range(j):
+        out = ref_float_matmul(out, out)
+    return out
+
+
+def ref_float_s_lambda(ctx, x, sign):
+    cols = [ctx.algebra.sparse.contract(x, j) for j in range(ctx.algebra.dim)]
+    return FloatMatrix.from_rows(list(zip(*cols))) * float(sign * ctx.s)
 
 
 def ref_witnesses(ctx, samples, seed):
@@ -386,6 +470,36 @@ def test_gate_reaches_the_sampled_layer(dim, products, gate):
     assert loop_gate(a) == ref_loop_gate(a) == gate
 
 
+# the two algebras on which the gate reaches its sampled layer
+SAMPLED_LAYER_EDGES = [
+    # lambda(x)^2 = x_1 x_2 I, so a sample with both coordinates nonzero rejects it
+    (2, {(0, 1): {0: 1}, (1, 0): {1: 1}}),
+    # every lambda(x) is nilpotent, but the envelope of the lambda(e_i) is not
+    (3, {(0, 1): {0: 1}, (0, 2): {1: 1}, (1, 0): {1: 1}, (1, 1): {2: -1}}),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.builds(lambda sd, n: random_algebra(Pcg32(sd), n), seeds, st.integers(1, 5)),
+                 nilpotent_algebras(), triangular_algebras()))
+def test_envelope_layer_matches_n2_reference(a):
+    assert _envelope_nilpotent(a) == ref_envelope_nilpotent(a)
+    assert loop_gate(a) == ref_loop_gate(a)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StructureAlgebra.from_products(0, {}),
+    lambda: StructureAlgebra.from_products(1, {}),
+    make_idem1, make_so3, make_nl3,
+    *[lambda dim=dim, products=products: StructureAlgebra.from_products(dim, products)
+      for dim, products in SAMPLED_LAYER_EDGES],
+])
+def test_envelope_layer_matches_n2_reference_on_fixed_algebras(make):
+    a = make()
+    assert _envelope_nilpotent(a) == ref_envelope_nilpotent(a)
+    assert loop_gate(a) == ref_loop_gate(a)
+
+
 # -- float mode and the exact edge case ---------------------------------------
 
 @pytest.mark.parametrize("make, mode, tol", [
@@ -414,6 +528,93 @@ def test_float_product_is_bit_identical(make):
         lam = FloatMatrix.from_rows(list(zip(*[a.sparse.contract(xf, j) for j in range(a.dim)])))
         ey = mat_exp_float(lam * float(S), tol=1e-12).apply(yf)
         assert loop_product(ctx, x, y) == tuple(p + q for p, q in zip(xf, ey))
+
+
+def bits(value):
+    """repr of every entry, so that -0.0 and 0.0 differ."""
+    rows = value.entries if isinstance(value, FloatMatrix) else (value,)
+    return [[repr(x) for x in r] for r in rows]
+
+
+def float_outcome(f, *args):
+    """The bits of f(*args), or the type and message of the error it raises."""
+    try:
+        return bits(f(*args))
+    except (ValueError, OverflowError) as e:
+        return type(e).__name__, str(e)
+
+
+SCALES = [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3]
+
+
+def float_entries(scale):
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    return st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), unit).map(lambda t: t * scale)
+
+
+@st.composite
+def float_matrices(draw, rows=None, cols=None):
+    """Float matrices of sizes 0-6 with entries up to a drawn scale, 1e-3 to
+    1e3: up to about a dozen squarings, and exponentials that overflow."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = rows if cols is None else cols
+    entry = float_entries(draw(st.sampled_from(SCALES)))
+    return FloatMatrix(tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_matrices(), st.sampled_from([1e-8, 1e-12, 1e-14]))
+def test_mat_exp_float_is_bit_identical_to_reference(m, tol):
+    assert float_outcome(mat_exp_float, m, tol) == float_outcome(ref_mat_exp_float, m, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_float_matmul_and_apply_are_bit_identical_to_reference(r, k, c, data):
+    a = data.draw(float_matrices(r, k))
+    b = data.draw(float_matrices(k, c))
+    v = data.draw(st.tuples(*[float_entries(data.draw(st.sampled_from(SCALES)))] * k))
+    assert float_outcome(a.__matmul__, b) == float_outcome(ref_float_matmul, a, b)
+    assert float_outcome(a.apply, v) == float_outcome(ref_float_apply, a, v)
+    tall = data.draw(float_matrices(k + 1, c))
+    assert float_outcome(a.__matmul__, tall) == ("ValueError", "shape mismatch")
+    assert float_outcome(ref_float_matmul, a, tall) == ("ValueError", "shape mismatch")
+
+
+@pytest.mark.parametrize("rows", [
+    [[800.0]],
+    [[400.0, 400.0], [400.0, 400.0]],
+    # overflows one squaring before the last, which would turn 0 * inf into nan
+    [[0.0, 0.0], [0.0, 2000.0]],
+])
+def test_float_exp_overflow_raises_as_reference(rows):
+    m = FloatMatrix.from_rows(rows)
+    with pytest.raises(ValueError) as want:
+        ref_mat_exp_float(m)
+    with pytest.raises(ValueError) as got:
+        mat_exp_float(m)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("non-finite entry ")
+
+
+@pytest.mark.parametrize("make", [
+    make_so3, make_so3_hemi, make_nl3,
+    # every c_ij^k nonzero: four terms add into each entry, so their order shows
+    lambda: StructureAlgebra.from_products(4, {
+        (i, j): {k: Q((-1) ** (i + k) * (i + 2 * j + 3 * k + 1), 7 + i + j + k) for k in range(4)}
+        for i in range(4) for j in range(4)}),
+])
+@pytest.mark.parametrize("s", [Q(1, 2), Q(-3, 5), Q(7)])
+def test_float_s_lambda_is_bit_identical_to_contract_reference(make, s):
+    a = make()
+    ctx = LoopContext(a, s, "float", 1e-8)
+    rng = Pcg32(5)
+    xs = [vzero(a.dim), basis_vec(a.dim, a.dim - 1), tuple(Q(1, 3 + i) for i in range(a.dim)),
+          *(random_vector(rng, a.dim) for _ in range(12))]
+    for x in xs:
+        xf = _coerce("float", x)
+        for sign in (1, -1):
+            assert bits(_s_lambda(ctx, xf, sign)) == bits(ref_float_s_lambda(ctx, xf, sign))
 
 
 def test_direct_exact_so3_context():
