@@ -99,16 +99,9 @@ class StructureAlgebra:
         """v . e_j"""
         return self.sparse.contract(v, j)
 
-    lmul_basis_vec = rmul_basis
-
     def left_mul(self, x: Vec) -> Matrix:
         """Matrix of lambda(x): y -> x . y in the algebra basis."""
-        cols = [self.lmul_basis_vec(x, j) for j in range(self.dim)]
-        return Matrix.from_cols(cols)
-
-    def right_mul(self, x: Vec) -> Matrix:
-        """Matrix of y -> y . x."""
-        cols = [self.product(basis_vec(self.dim, j), x) for j in range(self.dim)]
+        cols = [self.rmul_basis(x, j) for j in range(self.dim)]
         return Matrix.from_cols(cols)
 
     # -- structural checks ----------------------------------------------------

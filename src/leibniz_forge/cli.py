@@ -101,6 +101,25 @@ def _load_json(text: str, origin: str) -> Any:
         raise CliError(f"{origin}: {e}") from e
 
 
+def _load_object(text: str, origin: str) -> dict:
+    doc = _load_json(text, origin)
+    if not isinstance(doc, dict):
+        raise CliError(f"{origin}: top level must be an object")
+    return doc
+
+
+def _is_int(value: Any) -> bool:
+    # JSON true and false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_int(doc: dict, key: str, origin: str) -> int:
+    value = doc[key]
+    if not _is_int(value) or value < 1:
+        raise CliError(f"{origin}: {key} must be a positive integer")
+    return value
+
+
 def _exact_number(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise CliError(f"{where}: exact rational required, got {value!r}")
@@ -117,18 +136,12 @@ def _exact_number(value: Any, where: str) -> Fraction:
 # -- algebra files ------------------------------------------------------------
 
 def parse_algebra_text(text: str, origin: str = "algebra file") -> StructureAlgebra:
-    doc = _load_json(text, origin)
-    if not isinstance(doc, dict):
-        raise CliError(f"{origin}: top level must be an object")
-    try:
-        dim = doc["dim"]
-        basis = doc["basis"]
-        entries = doc["products"]
-    except KeyError as e:
-        raise CliError(f"{origin}: missing field {e.args[0]!r}") from e
-    name = doc.get("name", "")
-    if not isinstance(dim, int) or dim < 1:
-        raise CliError(f"{origin}: dim must be a positive integer")
+    doc = _load_object(text, origin)
+    for key in ("dim", "basis", "products"):
+        if key not in doc:
+            raise CliError(f"{origin}: missing field {key!r}")
+    dim = _positive_int(doc, "dim", origin)
+    basis, entries = doc["basis"], doc["products"]
     if (not isinstance(basis, list) or len(basis) != dim
             or any(not isinstance(b, str) for b in basis) or len(set(basis)) != dim):
         raise CliError(f"{origin}: basis must list {dim} distinct labels")
@@ -136,54 +149,42 @@ def parse_algebra_text(text: str, origin: str = "algebra file") -> StructureAlge
     if not isinstance(entries, list):
         raise CliError(f"{origin}: products must be a list")
 
+    def lookup(label: Any, where: str) -> int:
+        if not isinstance(label, str) or label not in index:
+            raise CliError(f"{where}: unknown basis label {label!r}")
+        return index[label]
+
     products: dict[tuple[int, int], dict[int, Fraction]] = {}
     for pos, entry in enumerate(entries):
         where = f"{origin}: products[{pos}]"
         if not isinstance(entry, dict) or set(entry) != {"left", "right", "result"}:
             raise CliError(f"{where}: expected keys left, right, result")
-        for side in ("left", "right"):
-            if entry[side] not in index:
-                raise CliError(f"{where}: unknown basis label {entry[side]!r}")
-        key = (index[entry["left"]], index[entry["right"]])
+        key = (lookup(entry["left"], where), lookup(entry["right"], where))
         if key in products:
             raise CliError(f"{where}: duplicate product entry for "
                            f"({entry['left']}, {entry['right']})")
         result = entry["result"]
         if not isinstance(result, dict):
             raise CliError(f"{where}: result must map labels to rationals")
-        cell: dict[int, Fraction] = {}
-        for label, value in result.items():
-            if label not in index:
-                raise CliError(f"{where}: unknown basis label {label!r}")
-            cell[index[label]] = _exact_number(value, where)
-        products[key] = cell
-    return StructureAlgebra.from_products(dim, products, basis, name)
+        products[key] = {lookup(label, where): _exact_number(value, where)
+                         for label, value in result.items()}
+    return StructureAlgebra.from_products(dim, products, basis, doc.get("name", ""))
 
 
 def algebra_to_doc(a: StructureAlgebra) -> dict:
-    products = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            cell = a.c[i][j]
-            if all(x == 0 for x in cell):
-                continue
-            products.append({
-                "left": a.basis_names[i],
-                "right": a.basis_names[j],
-                "result": {a.basis_names[k]: _rational_text(x)
-                           for k, x in enumerate(cell) if x != 0},
-            })
-    return {"name": a.name, "dim": a.dim, "basis": list(a.basis_names),
-            "products": products}
+    names = a.basis_names
+    # the nonzero cells in row-major (i, j) order, each in ascending k
+    products = [{"left": names[i], "right": names[j],
+                 "result": {names[k]: _rational_text(x) for k, x in cell.items()}}
+                for (i, j), cell in a.sparse.entries.items()]
+    return {"name": a.name, "dim": a.dim, "basis": list(names), "products": products}
 
 
 def parse_subspace_text(text: str, origin: str = "subspace file") -> Subspace:
     doc = _load_json(text, origin)
     if not isinstance(doc, dict) or "ambient_dim" not in doc or "vectors" not in doc:
         raise CliError(f"{origin}: expected keys ambient_dim, vectors")
-    n = doc["ambient_dim"]
-    if not isinstance(n, int) or n < 1:
-        raise CliError(f"{origin}: ambient_dim must be a positive integer")
+    n = _positive_int(doc, "ambient_dim", origin)
     vectors = doc["vectors"]
     if not isinstance(vectors, list):
         raise CliError(f"{origin}: vectors must be a list")
@@ -201,25 +202,25 @@ def parse_ly_text(text: str, origin: str = "file") -> LieYamaguti:
     doc = _load_json(text, origin)
     if not isinstance(doc, dict) or "dim" not in doc:
         raise CliError(f"{origin}: expected keys dim, binary, ternary")
-    n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
-        raise CliError(f"{origin}: dim must be a positive integer")
+    n = _positive_int(doc, "dim", origin)
     b = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
     t = [[[[Q(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
 
     def fill(key: str, arity: int, target) -> None:
+        seen: set[tuple] = set()  # the indices of every entry so far, zero values included
         for pos, entry in enumerate(doc.get(key, [])):
             where = f"{origin}: {key}[{pos}]"
             if not isinstance(entry, list) or len(entry) != arity + 1:
                 raise CliError(f"{where}: expected {arity} indices and a value")
             idx = entry[:arity]
-            if any(not isinstance(i, int) or not 0 <= i < n for i in idx):
+            if any(not _is_int(i) or not 0 <= i < n for i in idx):
                 raise CliError(f"{where}: indices must lie in [0, {n - 1}]")
+            if tuple(idx) in seen:
+                raise CliError(f"{where}: duplicate entry at {idx}")
+            seen.add(tuple(idx))
             cursor = target
             for i in idx[:-1]:
                 cursor = cursor[i]
-            if cursor[idx[-1]] != 0:
-                raise CliError(f"{where}: duplicate entry at {idx}")
             cursor[idx[-1]] = _exact_number(entry[arity], where)
 
     fill("binary", 3, b)
@@ -356,7 +357,7 @@ class NamedSection:
     section: Section
 
 
-def _parse_vars(doc: Any, origin: str) -> tuple[str, ...]:
+def _parse_vars(doc: dict, origin: str) -> tuple[str, ...]:
     names = doc.get("vars")
     if (not isinstance(names, list) or not names
             or any(not isinstance(v, str) for v in names) or len(set(names)) != len(names)):
@@ -364,7 +365,7 @@ def _parse_vars(doc: Any, origin: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _parse_components(doc: Any, key: str, names: Sequence[str], origin: str) -> tuple[Poly, ...]:
+def _parse_components(doc: dict, key: str, names: Sequence[str], origin: str) -> tuple[Poly, ...]:
     mapping = doc.get(key, {})
     if not isinstance(mapping, dict):
         raise CliError(f"{origin}: {key} must map variables to expressions")
@@ -383,30 +384,27 @@ def _parse_components(doc: Any, key: str, names: Sequence[str], origin: str) -> 
 
 
 def parse_section_text(text: str, origin: str = "section file") -> NamedSection:
-    doc = _load_json(text, origin)
-    if not isinstance(doc, dict):
-        raise CliError(f"{origin}: top level must be an object")
+    doc = _load_object(text, origin)
     names = _parse_vars(doc, origin)
     vf = VectorField(len(names), _parse_components(doc, "vector_field", names, origin))
     form = OneForm(len(names), _parse_components(doc, "one_form", names, origin))
     return NamedSection(names, Section(vf, form))
 
 
+def _components_doc(names: Sequence[str], f: OneForm) -> dict:
+    """The nonzero components of a vector field or 1-form, by variable name."""
+    return {names[i]: poly_to_str(c, names) for i, c in enumerate(f.components)
+            if not c.is_zero()}
+
+
 def section_to_doc(names: Sequence[str], s: Section) -> dict:
-    return {
-        "vars": list(names),
-        "vector_field": {names[i]: poly_to_str(c, names)
-                         for i, c in enumerate(s.vf.components) if not c.is_zero()},
-        "one_form": {names[i]: poly_to_str(c, names)
-                     for i, c in enumerate(s.form.components) if not c.is_zero()},
-    }
+    return {"vars": list(names), "vector_field": _components_doc(names, s.vf),
+            "one_form": _components_doc(names, s.form)}
 
 
 def parse_skew_matrix_text(text: str, origin: str) -> tuple[tuple[str, ...], dict]:
     """Shared reader for bivector and 2-form files: {"vars", "entries": [[i,j,expr]]}."""
-    doc = _load_json(text, origin)
-    if not isinstance(doc, dict):
-        raise CliError(f"{origin}: top level must be an object")
+    doc = _load_object(text, origin)
     names = _parse_vars(doc, origin)
     n = len(names)
     upper: dict[tuple[int, int], Poly] = {}
@@ -416,7 +414,7 @@ def parse_skew_matrix_text(text: str, origin: str) -> tuple[tuple[str, ...], dic
     for pos, entry in enumerate(entries):
         where = f"{origin}: entries[{pos}]"
         if (not isinstance(entry, list) or len(entry) != 3
-                or not isinstance(entry[0], int) or not isinstance(entry[1], int)
+                or not _is_int(entry[0]) or not _is_int(entry[1])
                 or not isinstance(entry[2], str)):
             raise CliError(f"{where}: expected [i, j, expression]")
         i, j = entry[0], entry[1]
@@ -446,13 +444,13 @@ def parse_twoform_text(text: str, origin: str = "2-form file") -> tuple[tuple[st
 @dataclass
 class Check:
     name: str
-    status: str  # "pass" | "fail"
+    ok: bool
     witness: Any = None
     value: Any = None
 
 
 def _check_doc(c: Check) -> dict:
-    doc: dict[str, Any] = {"name": c.name, "status": c.status}
+    doc: dict[str, Any] = {"name": c.name, "status": "pass" if c.ok else "fail"}
     if c.witness is not None:
         doc["witness"] = c.witness
     if c.value is not None:
@@ -460,29 +458,22 @@ def _check_doc(c: Check) -> dict:
     return doc
 
 
-def _bool_check(name: str, ok: bool, witness: Any = None) -> Check:
-    return Check(name, "pass" if ok else "fail", None if ok else witness)
-
-
 def _render(kind: str, payload: Any, fmt: str, timing_ms: int | None) -> tuple[str, int]:
     if kind == "data":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n", 0
-    checks: list[Check] = payload
-    status = "pass" if all(c.status == "pass" for c in checks) else "fail"
+    checks = [_check_doc(c) for c in payload]
+    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     code = 0 if status == "pass" else 1
     if fmt == "json":
-        doc: dict[str, Any] = {"status": status, "checks": [_check_doc(c) for c in checks]}
+        doc: dict[str, Any] = {"status": status, "checks": checks}
         if timing_ms is not None:
             doc["timing_ms"] = timing_ms
         return json.dumps(doc, indent=2, sort_keys=True) + "\n", code
     lines = [f"status: {status}"]
     for c in checks:
-        line = f"  [{c.status}] {c.name}"
-        if c.value is not None:
-            line += f" value={json.dumps(c.value, sort_keys=True)}"
-        if c.witness is not None:
-            line += f" witness={json.dumps(c.witness, sort_keys=True)}"
-        lines.append(line)
+        lines.append(f"  [{c['status']}] {c['name']}" + "".join(
+            f" {key}={json.dumps(c[key], sort_keys=True)}"
+            for key in ("value", "witness") if key in c))
     if timing_ms is not None:
         lines.append(f"timing: {timing_ms} ms")
     return "\n".join(lines) + "\n", code
@@ -497,10 +488,11 @@ def _cmd_algebra_check(args) -> tuple[str, Any]:
     if not leib and wit is not None:
         i, j, k, lhs, rhs = wit
         witness = {"at": [i, j, k], "lhs": _vec_doc(lhs), "rhs": _vec_doc(rhs)}
+    # reported as values: a non-Leibniz algebra still passes, with its witness
     return "report", [
-        Check("leibniz", "pass", witness, leib),
-        Check("skew", "pass", None, a.is_skew),
-        Check("lie", "pass", None, a.check_lie()),
+        Check("leibniz", True, witness, leib),
+        Check("skew", True, value=a.is_skew),
+        Check("lie", True, value=a.check_lie()),
     ]
 
 
@@ -541,36 +533,30 @@ def _cmd_envelope_verify(args) -> tuple[str, Any]:
     try:
         t = _build_envelope(a, ideal)
     except (EnvelopeError, NotAnIdealError) as e:
-        return "report", [Check("envelope_conditions", "fail", str(e))]
-    scaling_ok, scaling_wit = scaling_check(t)
-    checks = [
-        Check("envelope_conditions", "pass"),
-        _bool_check("recovery_half", recovery_check(t)),
-        _bool_check("s_scaling", scaling_ok,
-                    None if scaling_ok else {"s": scaling_wit[0],
-                                             "at": [scaling_wit[1], scaling_wit[2]],
-                                             "part": scaling_wit[3]}),
-        _bool_check("sigma1_embedding", sigma_one_embed_check(t)),
-        Check("f_surjective", "pass", None, t.f_surjective),
+        return "report", [Check("envelope_conditions", False, str(e))]
+    scaling_ok, wit = scaling_check(t)
+    return "report", [
+        Check("envelope_conditions", True),
+        Check("recovery_half", recovery_check(t)),
+        Check("s_scaling", scaling_ok,
+              None if scaling_ok else {"s": wit[0], "at": [wit[1], wit[2]], "part": wit[3]}),
+        Check("sigma1_embedding", sigma_one_embed_check(t)),
+        Check("f_surjective", True, value=t.f_surjective),
     ]
-    return "report", checks
 
 
 def _cmd_ly_check(args) -> tuple[str, Any]:
     ly = parse_ly_text(_read_file(args.file), args.file)
     rep = validate_ly(ly)
     witness = None if rep.ok else {"axiom": rep.axiom, "at": list(rep.at)}
-    return "report", [_bool_check("lie_yamaguti_axioms", rep.ok, witness)]
+    return "report", [Check("lie_yamaguti_axioms", rep.ok, witness)]
 
 
 def _parse_vec_flag(raw: str, dim: int, flag: str) -> Vec:
-    parts = [p.strip() for p in raw.split(",")]
+    parts = raw.split(",")
     if len(parts) != dim:
         raise CliError(f"{flag} must have {dim} comma-separated components")
-    try:
-        return tuple(parse_rational(p) for p in parts)
-    except ValueError as e:
-        raise CliError(f"{flag}: {e}") from e
+    return tuple(_exact_number(p.strip(), flag) for p in parts)
 
 
 def _cmd_loop_eval(args) -> tuple[str, Any]:
@@ -578,11 +564,7 @@ def _cmd_loop_eval(args) -> tuple[str, Any]:
     x = _parse_vec_flag(args.x, a.dim, "--x")
     y = _parse_vec_flag(args.y, a.dim, "--y")
     mode = "float" if args.float_mode else "exact"
-    ctx = LoopContext(a, args.s, mode, args.tol)
-    try:
-        product = loop_product(ctx, x, y)
-    except NotNilpotentError as e:
-        raise CliError(str(e)) from e
+    product = loop_product(LoopContext(a, args.s, mode, args.tol), x, y)
     return "data", {
         "mode": mode,
         "s": _rational_text(args.s),
@@ -598,9 +580,9 @@ def _cmd_loop_verify(args) -> tuple[str, Any]:
     try:
         ctx = loop_context(a, args.s, mode, args.tol)
     except NotNilpotentError as e:
-        return "report", [Check("exact_mode", "fail", str(e))]
+        return "report", [Check("exact_mode", False, str(e))]
     rep = loop_property_check(ctx, samples=args.samples, seed=args.seed)
-    return "report", [_bool_check(c.name, c.ok, c.witness) for c in rep.checks]
+    return "report", [Check(c.name, c.ok, c.witness) for c in rep.checks]
 
 
 def _cmd_omni(args) -> tuple[str, Any]:
@@ -622,7 +604,7 @@ def _cmd_courant_axioms(args) -> tuple[str, Any]:
     samples = courant_samples(args.seed, args.vars, args.samples)
     results = list(axiom_suite(samples.triples, samples.funcs))
     results += dorfman_checks(samples.triples, samples.funcs)
-    return "report", [_bool_check(r.name, r.ok, r.witness) for r in results]
+    return "report", [Check(r.name, r.ok, r.witness) for r in results]
 
 
 # the residual's slot in a graph witness, by graph kind
@@ -643,14 +625,9 @@ def _cmd_courant_graph(args) -> tuple[str, Any]:
         br = courant_bracket(graph_section(args.kind, data, inputs[i]),
                              graph_section(args.kind, data, inputs[j]))
         residual = graph_residual(args.kind, data, br)
-        witness = {
-            "pair": [i, j],
-            "bracket": section_to_doc(names, br),
-            _OFF_GRAPH_KEY[args.kind]: {names[k]: poly_to_str(c, names)
-                                        for k, c in enumerate(residual.components)
-                                        if not c.is_zero()},
-        }
-    return "report", [_bool_check("graph_closed", closed, witness)]
+        witness = {"pair": [i, j], "bracket": section_to_doc(names, br),
+                   _OFF_GRAPH_KEY[args.kind]: _components_doc(names, residual)}
+    return "report", [Check("graph_closed", closed, witness)]
 
 
 # -- argument parsing and dispatch --------------------------------------------
@@ -721,88 +698,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "Lie-Yamaguti structures, loops, and the Courant bracket.")
     top = parser.add_subparsers(dest="group", required=True)
 
-    algebra = top.add_parser("algebra", help="structure-constant algebra commands")
-    algebra_sub = algebra.add_subparsers(dest="verb", required=True)
-    p = algebra_sub.add_parser("check", parents=[common],
-                               help="report Leibniz/skew/Lie status of an algebra file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_algebra_check)
+    def group(name: str, help: str):
+        return top.add_parser(name, help=help).add_subparsers(dest="verb", required=True)
 
-    envelope = top.add_parser("envelope", help="enveloping Lie algebra commands")
-    envelope_sub = envelope.add_subparsers(dest="verb", required=True)
-    p = envelope_sub.add_parser("build", parents=[common],
-                                help="emit the canonical envelope triple as JSON")
-    p.add_argument("file")
-    p.add_argument("--ideal", default="squares",
-                   help="squares | kernel | path to a subspace file (default squares)")
-    p.set_defaults(handler=_cmd_envelope_build)
-    p = envelope_sub.add_parser("verify", parents=[common],
-                                help="run all envelope invariant checks")
-    p.add_argument("file")
-    p.add_argument("--ideal", default="squares",
-                   help="squares | kernel | path to a subspace file (default squares)")
-    p.set_defaults(handler=_cmd_envelope_verify)
+    def verb(sub, name: str, help: str, handler, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    ly = top.add_parser("ly", help="Lie-Yamaguti commands")
-    ly_sub = ly.add_subparsers(dest="verb", required=True)
-    p = ly_sub.add_parser("check", parents=[common],
-                          help="validate the axioms of a Lie-Yamaguti file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_ly_check)
+    algebra = group("algebra", "structure-constant algebra commands")
+    verb(algebra, "check", "report Leibniz/skew/Lie status of an algebra file",
+         _cmd_algebra_check).add_argument("file")
 
-    loop = top.add_parser("loop", help="left-loop commands")
-    loop_sub = loop.add_subparsers(dest="verb", required=True)
-    p = loop_sub.add_parser("eval", parents=[common], help="evaluate one loop product")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--s", type=_rational_type, default=Q(1, 2),
-                   help="exact deformation parameter (default 1/2)")
-    p.add_argument("--x", required=True, help="comma-separated rational coordinates")
-    p.add_argument("--y", required=True, help="comma-separated rational coordinates")
-    p.add_argument("--float", dest="float_mode", action="store_true",
-                   help="evaluate numerically instead of exactly")
-    p.add_argument("--tol", type=_tolerance_type, default=1e-9,
-                   help="float-mode tolerance (default 1e-9)")
-    p.set_defaults(handler=_cmd_loop_eval)
-    p = loop_sub.add_parser("verify", parents=[common],
-                            help="check the loop laws on seeded samples")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--s", type=_rational_type, default=Q(1, 2),
-                   help="exact deformation parameter (default 1/2)")
-    p.add_argument("--samples", type=_count_type(MAX_SAMPLES), default=100,
-                   help=f"number of seeded samples, at most {MAX_SAMPLES} (default 100)")
-    p.add_argument("--float", dest="float_mode", action="store_true",
-                   help="check numerically within --tol")
-    p.add_argument("--tol", type=_tolerance_type, default=1e-9,
-                   help="float-mode tolerance (default 1e-9)")
-    p.set_defaults(handler=_cmd_loop_verify)
+    envelope_input = argparse.ArgumentParser(add_help=False)
+    envelope_input.add_argument("file")
+    envelope_input.add_argument("--ideal", default="squares",
+                                help="squares | kernel | path to a subspace file (default squares)")
+    envelope = group("envelope", "enveloping Lie algebra commands")
+    verb(envelope, "build", "emit the canonical envelope triple as JSON",
+         _cmd_envelope_build, envelope_input)
+    verb(envelope, "verify", "run all envelope invariant checks",
+         _cmd_envelope_verify, envelope_input)
 
-    p = top.add_parser("omni", parents=[common],
-                       help="emit the two omni algebras on gl(d) x R^d")
-    p.add_argument("--dim", type=_count_type(MAX_OMNI_DIM), required=True,
-                   help=f"d of gl(d) x R^d, at most {MAX_OMNI_DIM}")
-    p.set_defaults(handler=_cmd_omni)
+    ly = group("ly", "Lie-Yamaguti commands")
+    verb(ly, "check", "validate the axioms of a Lie-Yamaguti file",
+         _cmd_ly_check).add_argument("file")
 
-    courant = top.add_parser("courant", help="polynomial Courant bracket commands")
-    courant_sub = courant.add_subparsers(dest="verb", required=True)
-    p = courant_sub.add_parser("bracket", parents=[common],
-                               help="bracket of two section files")
+    # Both loop verbs take --algebra and --s before their own flags and --float
+    # and --tol after them, the order their usage lines have always shown.
+    loop = group("loop", "left-loop commands")
+    evaluate = verb(loop, "eval", "evaluate one loop product", _cmd_loop_eval)
+    verify = verb(loop, "verify", "check the loop laws on seeded samples", _cmd_loop_verify)
+    for p in (evaluate, verify):
+        p.add_argument("--algebra", required=True)
+        p.add_argument("--s", type=_rational_type, default=Q(1, 2),
+                       help="exact deformation parameter (default 1/2)")
+    evaluate.add_argument("--x", required=True, help="comma-separated rational coordinates")
+    evaluate.add_argument("--y", required=True, help="comma-separated rational coordinates")
+    verify.add_argument("--samples", type=_count_type(MAX_SAMPLES), default=100,
+                        help=f"number of seeded samples, at most {MAX_SAMPLES} (default 100)")
+    for p in (evaluate, verify):
+        p.add_argument("--float", dest="float_mode", action="store_true",
+                       help="compute numerically within --tol instead of exactly")
+        p.add_argument("--tol", type=_tolerance_type, default=1e-9,
+                       help="float-mode tolerance (default 1e-9)")
+
+    verb(top, "omni", "emit the two omni algebras on gl(d) x R^d", _cmd_omni).add_argument(
+        "--dim", type=_count_type(MAX_OMNI_DIM), required=True,
+        help=f"d of gl(d) x R^d, at most {MAX_OMNI_DIM}")
+
+    courant = group("courant", "polynomial Courant bracket commands")
+    p = verb(courant, "bracket", "bracket of two section files", _cmd_courant_bracket)
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(handler=_cmd_courant_bracket)
-    p = courant_sub.add_parser("axioms", parents=[common],
-                               help="check the bracket axioms on seeded samples")
+    p = verb(courant, "axioms", "check the bracket axioms on seeded samples", _cmd_courant_axioms)
     p.add_argument("--vars", type=_count_type(MAX_VARS), required=True,
                    help=f"number of polynomial variables, at most {MAX_VARS}")
     p.add_argument("--samples", type=_count_type(MAX_SAMPLES), default=16,
                    help=f"number of seeded triples, at most {MAX_SAMPLES} (default 16)")
-    p.set_defaults(handler=_cmd_courant_axioms)
-    p = courant_sub.add_parser("graph", parents=[common],
-                               help="close a bivector or 2-form graph under the bracket")
+    p = verb(courant, "graph", "close a bivector or 2-form graph under the bracket",
+             _cmd_courant_graph)
     p.add_argument("--kind", choices=("poisson", "twoform"), required=True)
     p.add_argument("--data", required=True, help="bivector or 2-form file")
     p.add_argument("--samples", type=_count_type(MAX_SAMPLES), default=6,
                    help=f"number of seeded inputs, at most {MAX_SAMPLES} (default 6)")
-    p.set_defaults(handler=_cmd_courant_graph)
 
     return parser
 
@@ -812,8 +771,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         kind, payload = args.handler(args)
-    except (CliError, EnvelopeError, NotAnIdealError, NotNilpotentError, ValueError) as e:
-        kind, payload = "report", [Check("error", "fail", str(e))]
+    except ValueError as e:  # CliError and every library input error are ValueErrors
+        kind, payload = "report", [Check("error", False, str(e))]
     timing_ms = round((time.perf_counter() - start) * 1000) if args.timing else None
     text, code = _render(kind, payload, args.format, timing_ms)
     sys.stdout.write(text)

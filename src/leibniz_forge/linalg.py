@@ -151,9 +151,6 @@ class Matrix:
         """Entries in row-major order."""
         return tuple(x for r in self.entries for x in r)
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
 
@@ -197,9 +194,6 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} applied to length {len(v)}")
         return tuple(vdot(r, v) for r in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.col(j) for j in range(self.cols)))
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.entries)

@@ -14,18 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import StructureAlgebra, Subspace, matrix_lie_algebra
-from .linalg import (
-    Matrix,
-    Q,
-    Vec,
-    as_q,
-    basis_vec,
-    inverse,
-    is_zero_vec,
-    vadd,
-    vneg,
-    vzero,
-)
+from .linalg import Matrix, Q, Vec, as_q, basis_vec, is_zero_vec, vneg
 from .products import ModuleAction, action_products
 from .tensor import SparseTensor, first_failure, skew_failure
 
@@ -136,53 +125,32 @@ def ly_from_decomposition(g: StructureAlgebra,
         raise ValueError("g is not a Lie algebra")
     hb = list(h_basis.basis if isinstance(h_basis, Subspace) else map(tuple, h_basis))
     mb = list(m_basis.basis if isinstance(m_basis, Subspace) else map(tuple, m_basis))
-    n = g.dim
-    if len(hb) + len(mb) != n:
+    n, hd = g.dim, len(hb)
+    if hd + len(mb) != n:
         raise ValueError("h and m dimensions do not fill g")
-    cols = hb + mb
-    basis_mat = Matrix.from_cols(cols)
-    inv = inverse(basis_mat)
-    if inv is None:
-        raise ValueError("h and m do not form a direct sum decomposition")
-    hd, md = len(hb), len(mb)
-
-    def split(v: Vec) -> tuple[Vec, Vec]:
-        z = inv.apply(v)
-        return z[:hd], z[hd:]
-
+    basis = Matrix.from_cols(hb + mb)
+    try:
+        ghm = g.change_basis(basis)  # the bracket in the basis (h, m)
+    except ValueError:  # the vectors are not n long, or not independent
+        raise ValueError("h and m do not form a direct sum decomposition") from None
+    c = ghm.c
     for a in range(hd):
         for bb in range(a + 1, hd):
-            _, mpart = split(g.product(hb[a], hb[bb]))
-            if not is_zero_vec(mpart):
+            if not is_zero_vec(c[a][bb][hd:]):
                 raise ValueError(f"h is not a subalgebra at basis pair ({a}, {bb})")
     for a in range(hd):
-        for i in range(md):
-            hpart, _ = split(g.product(hb[a], mb[i]))
-            if not is_zero_vec(hpart):
-                raise ValueError(f"decomposition is not reductive at (h {a}, m {i})")
-
-    bt = []
-    tt = []
-    for i in range(md):
-        brow = []
-        trow = []
-        for j in range(md):
-            hpart, mpart = split(g.product(mb[i], mb[j]))
-            brow.append(mpart)
-            delta_amb = vzero(n)
-            for a, ca in enumerate(hpart):
-                if ca != 0:
-                    delta_amb = vadd(delta_amb, tuple(ca * x for x in hb[a]))
-            cell = []
-            for k in range(md):
-                hres, mres = split(g.product(delta_amb, mb[k]))
-                if not is_zero_vec(hres):
-                    raise ValueError("decomposition is not reductive")
-                cell.append(mres)
-            trow.append(tuple(cell))
-        bt.append(tuple(brow))
-        tt.append(tuple(trow))
-    return LieYamaguti(md, tuple(bt), tuple(tt))
+        for i in range(hd, n):
+            if not is_zero_vec(c[a][i][:hd]):
+                raise ValueError(f"decomposition is not reductive at (h {a}, m {i - hd})")
+    # {x, y, z} = [Delta, z] with Delta = sum_a c_a h_a the h-part of [x, y]. Each
+    # [h_a, z] lies in m (checked above), so by bilinearity [Delta, z] has no h-part.
+    m_zero = (Q(0),) * (n - hd)
+    m = range(hd, n)
+    b = tuple(tuple(c[i][j][hd:] for j in m) for i in m)
+    t = tuple(tuple(tuple(ghm.rmul_basis(c[i][j][:hd] + m_zero, k)[hd:] for k in m)
+                    for j in m)
+              for i in m)
+    return LieYamaguti(n - hd, b, t)
 
 
 # -- inner derivations and the envelope ---------------------------------------

@@ -104,6 +104,24 @@ class TestAlgebraFormat:
         with pytest.raises(CliError, match="line"):
             parse_algebra_text("{", origin="broken.json")
 
+    @pytest.mark.parametrize("side, label", [("left", ["e1"]), ("right", {"e": 1})])
+    def test_unhashable_label_is_unknown(self, files, capsys, side, label):
+        # a JSON list or object as a label used to crash with "unhashable type"
+        doc = json.loads(LEIBNIZ2)
+        doc["products"][0][side] = label
+        with pytest.raises(CliError, match="unknown basis label"):
+            parse_algebra_text(json.dumps(doc))
+        assert main(["algebra", "check", files("a.json", json.dumps(doc)),
+                     "--format", "json"]) == 1
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["name"] == "error" and "unknown basis label" in check["witness"]
+
+    def test_dim_true_is_not_an_integer(self):
+        doc = json.loads(LEIBNIZ2)
+        doc.update(dim=True, basis=["e1"], products=[])
+        with pytest.raises(CliError, match="dim must be a positive integer"):
+            parse_algebra_text(json.dumps(doc))
+
 
 class TestOtherFormats:
     def test_subspace(self):
@@ -113,6 +131,10 @@ class TestOtherFormats:
     def test_subspace_bad_length(self):
         with pytest.raises(CliError):
             parse_subspace_text('{"ambient_dim": 3, "vectors": [[1, 0]]}')
+
+    def test_subspace_ambient_dim_true_rejected(self):
+        with pytest.raises(CliError, match="ambient_dim must be a positive integer"):
+            parse_subspace_text('{"ambient_dim": true, "vectors": [[1]]}')
 
     def test_ly_round_values(self):
         ly = parse_ly_text(
@@ -128,6 +150,22 @@ class TestOtherFormats:
         with pytest.raises(CliError, match="duplicate"):
             parse_ly_text(
                 '{"dim": 2, "binary": [[0, 1, 0, "1"], [0, 1, 0, "2"]], "ternary": []}')
+
+    def test_ly_duplicate_after_a_zero(self):
+        with pytest.raises(CliError, match=r"binary\[1\]: duplicate entry at \[0, 1, 0\]"):
+            parse_ly_text(
+                '{"dim": 2, "binary": [[0, 1, 0, "0"], [0, 1, 0, "2"]], "ternary": []}')
+        with pytest.raises(CliError, match=r"ternary\[1\]: duplicate"):
+            parse_ly_text('{"dim": 1, "ternary": [[0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]}')
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": true, "binary": [], "ternary": []}', "dim must be a positive integer"),
+        ('{"dim": 2, "binary": [[0, true, 0, "1"]]}', "indices must lie"),
+        ('{"dim": 2, "ternary": [[false, 1, 0, 0, "1"]]}', "indices must lie"),
+    ])
+    def test_ly_true_false_are_not_integers(self, text, message):
+        with pytest.raises(CliError, match=message):
+            parse_ly_text(text)
 
     def test_section(self):
         named = parse_section_text(SECTION_Z)
@@ -150,6 +188,11 @@ class TestOtherFormats:
         with pytest.raises(CliError, match="duplicate"):
             parse_bivector_text(
                 '{"vars": ["x1", "x2"], "entries": [[0, 1, "1"], [0, 1, "2"]]}')
+
+    @pytest.mark.parametrize("parse", [parse_bivector_text, parse_twoform_text])
+    def test_skew_indices_true_false_rejected(self, parse):
+        with pytest.raises(CliError, match=r"expected \[i, j, expression\]"):
+            parse('{"vars": ["x1", "x2"], "entries": [[false, true, "1"]]}')
 
 
 class TestPolyGrammar:
