@@ -207,6 +207,8 @@ def parse_ly_text(text: str, origin: str = "file") -> LieYamaguti:
     t = [[[[Q(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
 
     def fill(key: str, arity: int, target) -> None:
+        if not isinstance(doc.get(key, []), list):
+            raise CliError(f"{origin}: {key} must be a list of entries")
         seen: set[tuple] = set()  # the indices of every entry so far, zero values included
         for pos, entry in enumerate(doc.get(key, [])):
             where = f"{origin}: {key}[{pos}]"

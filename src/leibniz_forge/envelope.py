@@ -160,20 +160,24 @@ def projected_bracket_delta(t: EnvelopeTriple, s: Scalar, x: Vec, y: Vec) -> tup
     """
     sq = as_q(s)
     sigma = section_sigma(t, sq)
-    w = t.g.product(sigma.apply(x), sigma.apply(y))
-    hd = t.h.dim
+    return _projections(t, sq, sigma.apply(x), sigma.apply(y))
+
+
+def _projections(t: EnvelopeTriple, sq: Fraction, u: Vec, v: Vec) -> tuple[Vec, Vec]:
+    """projected_bracket_delta for u = sigma_s x and v = sigma_s y."""
+    w, hd = t.g.product(u, v), t.h.dim
     h_raw, e_part = w[:hd], w[hd:]
-    delta = vsub(h_raw, vscale(sq, t.f.apply(e_part)))
-    return e_part, delta
+    return e_part, vsub(h_raw, vscale(sq, t.f.apply(e_part)))
 
 
 def recovery_check(t: EnvelopeTriple) -> bool:
     """s = 1/2 recovery: E-projection of the sigma bracket is the skew product."""
     n = t.e.dim
     half = Q(1, 2)
+    sigma = section_sigma(t, half)
     for i in range(n):
         for j in range(n):
-            e_part, _ = projected_bracket_delta(t, half, basis_vec(n, i), basis_vec(n, j))
+            e_part, _ = _projections(t, half, sigma.col(i), sigma.col(j))
             if e_part != t.e.skew_product(basis_vec(n, i), basis_vec(n, j)):
                 return False
     return True
@@ -191,13 +195,15 @@ def scaling_check(t: EnvelopeTriple,
     Returns the first failing (s, i, j, which-part) otherwise None.
     """
     n = t.e.dim
+    skew = [[t.e.skew_product(basis_vec(n, i), basis_vec(n, j)) for j in range(n)]
+            for i in range(n)]
     for s in svals:
         sq = as_q(s)
+        sigma = section_sigma(t, sq)
         for i in range(n):
             for j in range(n):
-                x, y = basis_vec(n, i), basis_vec(n, j)
-                e_part, delta = projected_bracket_delta(t, sq, x, y)
-                br = t.e.skew_product(x, y)
+                e_part, delta = _projections(t, sq, sigma.col(i), sigma.col(j))
+                br = skew[i][j]
                 if e_part != vscale(2 * sq, br):
                     return False, (str(sq), i, j, "bracket")
                 if delta != vscale(-(sq * sq), t.f.apply(br)):

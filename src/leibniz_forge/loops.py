@@ -104,13 +104,13 @@ class LoopContext:
     tol: float = 1e-9
 
     @cached_property
-    def _constants(self) -> tuple[list[tuple[tuple[int, int, int], int | float]], int]:
-        """The nonzero c_ij^k as ((i, j, k), value) in key order over one denominator:
-        integer numerators when exact, float(c_ij^k) over 1 in float mode."""
-        keys = [(i, j, k) for (i, j), cell in self.algebra.sparse.entries.items() for k in cell]
-        cs = [self.algebra.c[i][j][k] for i, j, k in keys]
-        nums, den = _clear(cs) if self.mode == "exact" else ([float(c) for c in cs], 1)
-        return list(zip(keys, nums)), den
+    def _constants(self) -> tuple[dict[tuple[int, int], dict[int, int | float]], int]:
+        """The nonzero c_ij^k as (i, j) -> {k: value} in key order over one denominator:
+        the integer view when exact, float(c_ij^k) over 1 in float mode."""
+        if self.mode == "exact":
+            return self.algebra.sparse.scaled
+        return {ij: {k: float(c) for k, c in cell.items()}
+                for ij, cell in self.algebra.sparse.entries.items()}, 1
 
 
 def loop_context(algebra: StructureAlgebra, s: Scalar = Q(1, 2),
@@ -154,9 +154,10 @@ def _s_lambda(ctx: LoopContext, x: tuple, sign: int) -> ScaledMatrix | FloatMatr
         nums, xden = _clear(x)
         x = tuple(sign * ctx.s.numerator * q for q in nums)
     rows: list[dict[int, int | float]] = [{} for _ in range(n)]
-    for (i, j, k), c in cells:
+    for (i, j), cell in cells.items():
         if x[i]:
-            rows[k][j] = rows[k].get(j, 0) + x[i] * c
+            for k, c in cell.items():
+                rows[k][j] = rows[k].get(j, 0) + x[i] * c
     if exact:
         return ScaledMatrix.reduced(rows, ctx.s.denominator * xden * den)
     t = float(sign * ctx.s)

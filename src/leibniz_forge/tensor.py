@@ -19,15 +19,23 @@ that slice's residual from the nonzero entries alone, and returns the least
 failing tuple of the first failing slice: the lexicographically first
 failing basis tuple, as a dense scan would report it, without scanning past
 it.
+
+Scans add integers: `scaled` holds a tensor's numerators over its lcm
+denominator (1 when empty), and each term is brought to the identity's common
+denominator, so no sum takes a gcd. Public values stay Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
+from .linalg import _clear
+
 Cell = dict[int, Fraction]
-Residual = dict[tuple[int, ...], Cell]
+Residual = dict[tuple[int, ...], dict[int, int]]
 # (sign, outer, outer variables) or
 # (sign, outer, outer variables with one "*", inner, inner variables); sign is 1 or -1
 Term = Union[tuple[int, "SparseTensor", str],
@@ -40,28 +48,30 @@ class SparseTensor:
     def __init__(self, dense: Sequence, arity: int) -> None:
         self.arity = arity
         self.dim = len(dense)
-        self.entries: dict[tuple[int, ...], Cell] = {}
-        self._groups: dict[tuple[int, ...], dict] = {}
-
-        def walk(t: Sequence, key: tuple[int, ...]) -> None:
-            if len(key) == arity:
-                if any(t):
-                    self.entries[key] = {k: x for k, x in enumerate(t) if x}
-            else:
-                for i, sub in enumerate(t):
-                    walk(sub, key + (i,))
-
-        walk(dense, ())
+        self._groups: dict[tuple[tuple[int, ...], bool], dict] = {}
+        rows: list[tuple[tuple[int, ...], Sequence]] = [((), dense)]
+        for _ in range(arity - 1):
+            rows = [(key + (i,), sub) for key, t in rows for i, sub in enumerate(t)]
+        self.entries: dict[tuple[int, ...], Cell] = {
+            key + (i,): {k: x for k, x in enumerate(cell) if x}
+            for key, row in rows for i, cell in enumerate(row) if any(cell)}
         for _ in range(arity):
             dense = dense[0] if dense else ()
         self.out_dim = len(dense)
 
-    def group(self, positions: tuple[int, ...]) -> dict:
-        """Entries by the indices at `positions`, each list in key order."""
-        g = self._groups.get(positions)
+    @cached_property
+    def scaled(self) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
+        """(cells, den): the entries as integer numerators over den, their lcm denominator."""
+        nums, den = _clear([x for cell in self.entries.values() for x in cell.values()])
+        it = iter(nums)
+        return {key: {m: next(it) for m in cell} for key, cell in self.entries.items()}, den
+
+    def group(self, positions: tuple[int, ...], scaled: bool = False) -> dict:
+        """Entries, or the scaled cells, by the indices at `positions`, each list in key order."""
+        g = self._groups.get((positions, scaled))
         if g is None:
-            g = self._groups[positions] = {}
-            for key, cell in self.entries.items():
+            g = self._groups[positions, scaled] = {}
+            for key, cell in (self.scaled[0] if scaled else self.entries).items():
                 g.setdefault(tuple([key[p] for p in positions]), []).append((key, cell))
         return g
 
@@ -89,45 +99,46 @@ class SparseTensor:
         return tuple(out)
 
 
-def _add(res: Residual, key: tuple[int, ...], cell: Cell, f: Fraction | None) -> None:
-    """res[key] += f * cell, where None stands for f = 1."""
+def _add(res: Residual, key: tuple[int, ...], cell: dict[int, int], f: int) -> None:
+    """res[key] += f * cell"""
     r = res.get(key)
     if r is None:
-        res[key] = dict(cell) if f is None else {m: f * x for m, x in cell.items()}
+        res[key] = {m: f * x for m, x in cell.items()}
         return
     for m, x in cell.items():
-        if f is not None:
-            x = f * x
-        r[m] = r[m] + x if m in r else x
+        r[m] = r.get(m, 0) + f * x
 
 
 def residual(variables: str, i: int, terms: Sequence[Term]) -> Residual:
     """The identity's value at every basis tuple whose leading variable is i,
-    keyed by the values of the other variables (zero keys may be absent)."""
+    keyed by the values of the other variables (zero keys may be absent), times
+    L: term t is scaled by L / (den_outer * den_inner), L the lcm over the terms."""
     lead, rest = variables[0], variables[1:]
+    dens = [math.prod([t.scaled[1] for t in term[1::2]]) for term in terms]
+    scale = math.lcm(*dens)
     res: Residual = {}
-    for sign, outer, oargs, *inner in terms:
+    for (sign, outer, oargs, *inner), den in zip(terms, dens):
+        f = sign * (scale // den)
         if not inner:
             pick = [oargs.index(v) for v in rest]
-            f = None if sign > 0 else Fraction(-1)
-            for key, cell in outer.group((oargs.index(lead),)).get((i,), ()):
+            for key, cell in outer.group((oargs.index(lead),), True).get((i,), ()):
                 _add(res, tuple([key[q] for q in pick]), cell, f)
             continue
         tensor, iargs = inner
         slot = oargs.index("*")
         pick = [(iargs + oargs).index(v) for v in rest]
         if lead in iargs:
-            ins = tensor.group((iargs.index(lead),)).get((i,), ())
-            outs, at = outer.group((slot,)), ()
+            ins = tensor.group((iargs.index(lead),), True).get((i,), ())
+            outs, at = outer.group((slot,), True), ()
         else:
-            ins = tensor.entries.items()
-            outs, at = outer.group((slot, oargs.index(lead))), (i,)
+            ins = tensor.scaled[0].items()
+            outs, at = outer.group((slot, oargs.index(lead)), True), (i,)
         for ikey, icell in ins:
             for l, c in icell.items():
-                f = c if sign > 0 else -c
+                fc = f * c
                 for okey, ocell in outs.get((l,) + at, ()):
                     both = ikey + okey
-                    _add(res, tuple([both[q] for q in pick]), ocell, f)
+                    _add(res, tuple([both[q] for q in pick]), ocell, fc)
     return res
 
 

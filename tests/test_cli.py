@@ -167,6 +167,19 @@ class TestOtherFormats:
         with pytest.raises(CliError, match=message):
             parse_ly_text(text)
 
+    @pytest.mark.parametrize("key", ["binary", "ternary"])
+    @pytest.mark.parametrize("value", [5, '"0010"', '{"0": [0, 0, 0, 1]}'])
+    def test_ly_field_must_be_a_list(self, files, capsys, key, value):
+        # an int used to end in a TypeError traceback, and a string was
+        # walked character by character
+        text = f'{{"dim": 2, "{key}": {value}}}'
+        with pytest.raises(CliError, match=f"^ly.json: {key} must be a list of entries$"):
+            parse_ly_text(text, origin="ly.json")
+        assert main(["ly", "check", files("ly.json", text), "--format", "json"]) == 1
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["name"] == "error"
+        assert check["witness"].endswith(f"{key} must be a list of entries")
+
     def test_section(self):
         named = parse_section_text(SECTION_Z)
         assert named.names == ("x1", "x2")

@@ -1,0 +1,472 @@
+"""Identity scans of the sparse tensor core against the Fraction scan kept here.
+
+tensor.first_failure and tensor.skew_failure evaluate an identity on the
+integer numerators of each tensor over one denominator per tensor. The scan
+kept verbatim below adds Fraction products cell by cell instead. Every check
+of the package reports the tuple that first_failure returns, so equal tuples
+on every identity the package states pin every witness: Leibniz, Jacobi and
+skew on structure constants, LY1-LY6, the three conditions of
+validate_envelope and the delta conditions of ly_envelope.
+
+Entries are rationals p/q with |p| <= 60 and q <= 7, and the tensors of one
+identity carry different denominators, so that each term is scaled by its own
+factor. Known-valid structures scaled by a rational and perturbed in one cell
+fail deep in the scan, not at its first tuple.
+
+The s-scaling and recovery checks, which rebuild sigma_s for each basis pair
+in the code kept here, are pinned the same way: equal results and witnesses.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from fractions import Fraction as Q
+from typing import Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leibniz_forge import (
+    EnvelopeTriple,
+    LieYamaguti,
+    Pcg32,
+    StructureAlgebra,
+    canonical_envelope,
+    direct_sum,
+    lambda_envelope,
+    ly_envelope,
+    ly_from_leibniz,
+    omni_algebras,
+    random_nilpotent_leibniz,
+    recovery_check,
+    scaling_check,
+    section_sigma,
+    squares_ideal,
+    validate_ly,
+)
+from leibniz_forge import tensor
+from leibniz_forge.envelope import DEFAULT_S_VALUES
+from leibniz_forge.linalg import Matrix, as_q, basis_vec, vscale, vsub
+from leibniz_forge.tensor import SparseTensor
+
+from conftest import make_broken3, make_heisenberg3, make_leibniz2, make_nl3, make_so3
+
+Cell = dict[int, Fraction]
+Residual = dict[tuple[int, ...], Cell]
+
+
+# -- Fraction scan, kept verbatim --------------------------------------------
+
+def _add(res: Residual, key: tuple[int, ...], cell: Cell, f: Fraction | None) -> None:
+    """res[key] += f * cell, where None stands for f = 1."""
+    r = res.get(key)
+    if r is None:
+        res[key] = dict(cell) if f is None else {m: f * x for m, x in cell.items()}
+        return
+    for m, x in cell.items():
+        if f is not None:
+            x = f * x
+        r[m] = r[m] + x if m in r else x
+
+
+def residual(variables: str, i: int, terms) -> Residual:
+    """The identity's value at every basis tuple whose leading variable is i,
+    keyed by the values of the other variables (zero keys may be absent)."""
+    lead, rest = variables[0], variables[1:]
+    res: Residual = {}
+    for sign, outer, oargs, *inner in terms:
+        if not inner:
+            pick = [oargs.index(v) for v in rest]
+            f = None if sign > 0 else Fraction(-1)
+            for key, cell in outer.group((oargs.index(lead),)).get((i,), ()):
+                _add(res, tuple([key[q] for q in pick]), cell, f)
+            continue
+        tensor, iargs = inner
+        slot = oargs.index("*")
+        pick = [(iargs + oargs).index(v) for v in rest]
+        if lead in iargs:
+            ins = tensor.group((iargs.index(lead),)).get((i,), ())
+            outs, at = outer.group((slot,)), ()
+        else:
+            ins = tensor.entries.items()
+            outs, at = outer.group((slot, oargs.index(lead))), (i,)
+        for ikey, icell in ins:
+            for l, c in icell.items():
+                f = c if sign > 0 else -c
+                for okey, ocell in outs.get((l,) + at, ()):
+                    both = ikey + okey
+                    _add(res, tuple([both[q] for q in pick]), ocell, f)
+    return res
+
+
+def first_failure(n: int, variables: str, terms) -> tuple[int, ...] | None:
+    """Lexicographically first basis tuple, leading index below n, at which
+    the identity fails; None if it holds everywhere."""
+    for i in range(n):
+        bad = [key for key, r in residual(variables, i, terms).items() if any(r.values())]
+        if bad:
+            return (i,) + min(bad)
+    return None
+
+
+def skew_failure(t: SparseTensor) -> tuple[int, ...] | None:
+    """First tuple at which swapping the first two slots fails to negate t."""
+    args = "ijklm"[:t.arity]
+    return first_failure(t.dim, args, [(1, t, args), (1, t, args[1] + args[0] + args[2:])])
+
+
+# -- the identities the package states -----------------------------------------
+
+CYCLIC = ("ijk", "jki", "kij")
+
+
+def algebra_identities(c: SparseTensor) -> list[tuple[str, int, str, list]]:
+    """(name, leading range, variables, terms) of check_leibniz and check_jacobi."""
+    return [("leibniz", c.dim, "ijk", [(1, c, "i*", c, "jk"), (-1, c, "*k", c, "ij"),
+                                      (-1, c, "j*", c, "ik")]),
+            ("jacobi", c.dim, "ijk", [(1, c, "*k", c, "ij"), (1, c, "*i", c, "jk"),
+                                      (1, c, "*j", c, "ki")])]
+
+
+def ly_identities(n: int, b: SparseTensor, t: SparseTensor) -> list[tuple[str, int, str, list]]:
+    """LY1-LY6 as validate_ly states them."""
+    return [(name, n, variables, terms) for name, variables, terms in (
+        ("LY1", "ij", [(1, b, "ij"), (1, b, "ji")]),
+        ("LY2", "ijk", [(1, t, "ijk"), (1, t, "jik")]),
+        ("LY3", "ijk", [term for x, y, z in CYCLIC
+                        for term in ((1, b, "*" + z, b, x + y), (1, t, x + y + z))]),
+        ("LY4", "ijku", [(1, t, "*" + z + "u", b, x + y) for x, y, z in CYCLIC]),
+        ("LY5", "ijuv", [(1, t, "ij*", b, "uv"), (-1, b, "*v", t, "iju"),
+                         (-1, b, "u*", t, "ijv")]),
+        ("LY6", "ijuvw", [(1, t, "ij*", t, "uvw"), (-1, t, "*vw", t, "iju"),
+                          (-1, t, "u*w", t, "ijv"), (-1, t, "uv*", t, "ijw")]))]
+
+
+def envelope_identities(n: int, hd: int, c: SparseTensor, hs: SparseTensor,
+                        rho: SparseTensor, fs: SparseTensor) -> list[tuple[str, int, str, list]]:
+    """The derivation, equivariance and left-multiplication conditions of validate_envelope."""
+    return [("derivation", hd, "aij", [(1, rho, "a*", c, "ij"), (-1, c, "*j", rho, "ai"),
+                                       (-1, c, "i*", rho, "aj")]),
+            ("equivariant", hd, "ai", [(1, fs, "*", rho, "ai"), (-1, hs, "a*", fs, "i")]),
+            ("left_mul", n, "ij", [(1, rho, "*j", fs, "i"), (-1, c, "ij")])]
+
+
+def delta_identities(n: int, hd: int, b: SparseTensor, t: SparseTensor, hs: SparseTensor,
+                     rho: SparseTensor, d: SparseTensor) -> list[tuple[str, int, str, list]]:
+    """delta1-delta3 as ly_envelope checks an explicit delta (skew is checked apart)."""
+    return [("delta1", n, "ijk", [(1, rho, "*k", d, "ij"), (-1, t, "ijk")]),
+            ("delta2", hd, "aij", [(1, hs, "a*", d, "ij"), (-1, d, "*j", rho, "ai"),
+                                   (-1, d, "i*", rho, "aj")]),
+            ("delta3", n, "ijk", [(1, d, "*" + z, b, x + y) for x, y, z in CYCLIC])]
+
+
+def assert_same_scans(identities, skew: Sequence[SparseTensor] = ()) -> None:
+    for name, n, variables, terms in identities:
+        assert tensor.first_failure(n, variables, terms) == first_failure(n, variables, terms), name
+    for t in skew:
+        assert tensor.skew_failure(t) == skew_failure(t), t.arity
+
+
+# -- inputs ---------------------------------------------------------------------
+
+def zeros(shape: Sequence[int]):
+    if len(shape) == 1:
+        return [Q(0)] * shape[0]
+    return [zeros(shape[1:]) for _ in range(shape[0])]
+
+
+def frozen(t):
+    return tuple(frozen(x) for x in t) if isinstance(t, list) else t
+
+
+def thawed(t):
+    return [thawed(x) for x in t] if isinstance(t, (tuple, list)) else t
+
+
+def setcell(dense, idx: Sequence[int], value: Fraction) -> None:
+    for i in idx[:-1]:
+        dense = dense[i]
+    dense[idx[-1]] = value
+
+
+def rationals(den: int | None = None):
+    """p/q with |p| <= 60 and q <= 7; q = den when den is given."""
+    q = st.just(den) if den else st.integers(1, 7)
+    return st.builds(Fraction, st.integers(-60, 60), q)
+
+
+def sparse_dense(data, shape: Sequence[int], den: int | None = None):
+    """A dense nested list of the given shape with a few nonzero entries."""
+    dense = zeros(shape)
+    if 0 in shape:
+        return dense
+    idx = st.tuples(*[st.integers(0, d - 1) for d in shape])
+    for at, x in data.draw(st.lists(st.tuples(idx, rationals(den)), max_size=12)):
+        setcell(dense, at, x)
+    return dense
+
+
+def perturb(data, dense, shape: Sequence[int]) -> None:
+    """Add p/q to one cell, sometimes (the structure stays valid then)."""
+    if 0 in shape or not data.draw(st.booleans()):
+        return
+    at = data.draw(st.tuples(*[st.integers(0, d - 1) for d in shape]))
+    cell = dense
+    for i in at[:-1]:
+        cell = cell[i]
+    cell[at[-1]] += data.draw(rationals())
+
+
+def scaled(dense, factor: Fraction):
+    return [scaled(x, factor) for x in dense] if isinstance(dense, list) else dense * factor
+
+
+def valid_algebras() -> list[StructureAlgebra]:
+    """Leibniz and Lie algebras, and three that are not Leibniz."""
+    return [make_leibniz2(), make_heisenberg3(), make_so3(), omni_algebras(1)[0],
+            omni_algebras(2)[0], omni_algebras(2)[1], make_nl3(), make_broken3(),
+            random_nilpotent_leibniz(Pcg32(12), 3), random_nilpotent_leibniz(Pcg32(13), 4)]
+
+
+VALID = valid_algebras()
+LEIBNIZ = [a for a in VALID if a.is_leibniz]
+SCALES = st.sampled_from([Q(1), Q(1, 2), Q(-3), Q(2, 3), Q(5, 7), Q(-1, 6)])
+
+
+# -- algebra identities ---------------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_random_structure_constants_match(n, data):
+    den = data.draw(st.sampled_from([None, 1, 2, 6, 7]))
+    c = SparseTensor(frozen(sparse_dense(data, (n, n, n), den)), 2)
+    assert_same_scans(algebra_identities(c), skew=[c])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(VALID))), SCALES, st.data())
+def test_scaled_perturbed_algebras_match(which, factor, data):
+    a = VALID[which]
+    n = a.dim
+    dense = scaled(thawed(a.c), factor)
+    perturb(data, dense, (n, n, n))
+    c = SparseTensor(frozen(dense), 2)
+    assert_same_scans(algebra_identities(c), skew=[c])
+
+
+def test_public_algebra_checks_report_the_reference_tuple():
+    for a in VALID:
+        c = SparseTensor(a.c, 2)
+        (_, _, _, leibniz), (_, _, _, jacobi) = algebra_identities(c)
+        at = first_failure(a.dim, "ijk", leibniz)
+        ok, witness = StructureAlgebra.from_constants(a.c).check_leibniz()
+        assert ok == (at is None) and (witness is None or witness[:3] == at)
+        fresh = StructureAlgebra.from_constants(a.c)
+        assert fresh.check_jacobi() == (first_failure(a.dim, "ijk", jacobi) is None)
+        assert fresh.is_skew == (skew_failure(c) is None)
+
+
+# -- Lie-Yamaguti identities -----------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_random_ly_tensors_match(n, data):
+    bden, tden = data.draw(st.sampled_from([(None, None), (2, 6), (1, 7), (3, 4), (5, 1)]))
+    b = SparseTensor(frozen(sparse_dense(data, (n, n, n), bden)), 2)
+    t = SparseTensor(frozen(sparse_dense(data, (n, n, n, n), tden)), 3)
+    assert_same_scans(ly_identities(n, b, t), skew=[b, t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(LEIBNIZ))), SCALES, st.data())
+def test_scaled_perturbed_ly_structures_match(which, factor, data):
+    """b scaled by a factor and t by its square is a Lie-Yamaguti structure
+    again, until a cell is perturbed."""
+    ly = ly_from_leibniz(LEIBNIZ[which])
+    n = ly.dim
+    bd, td = scaled(thawed(ly.b), factor), scaled(thawed(ly.t), factor * factor)
+    perturb(data, bd, (n, n, n))
+    perturb(data, td, (n, n, n, n))
+    b, t = SparseTensor(frozen(bd), 2), SparseTensor(frozen(td), 3)
+    assert_same_scans(ly_identities(n, b, t), skew=[b, t])
+    report = validate_ly(LieYamaguti.from_tensors(frozen(bd), frozen(td)))
+    ref = next(((name, at) for name, n_, v, terms in ly_identities(n, b, t)
+                if (at := first_failure(n_, v, terms)) is not None), (None, None))
+    assert (report.axiom, report.at) == ref
+
+
+# -- envelope conditions --------------------------------------------------------
+
+def envelope_parts(e: StructureAlgebra) -> tuple:
+    t = canonical_envelope(e, squares_ideal(e))
+    rho = [[m.col(k) for k in range(e.dim)] for m in t.action.mats]
+    fcols = [t.f.col(i) for i in range(e.dim)]
+    return t, thawed(e.c), thawed(rho), thawed(fcols)
+
+
+ENVELOPES = [envelope_parts(a) for a in LEIBNIZ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(ENVELOPES))), SCALES, st.data())
+def test_perturbed_envelope_conditions_match(which, factor, data):
+    """rho and f scaled inversely keep the derivation and left-multiplication
+    conditions; a perturbed cell breaks one of them, or none."""
+    t, c, rho, fcols = ENVELOPES[which]
+    n, hd = t.e.dim, t.h.dim
+    rho, fcols = scaled(rho, factor), scaled(fcols, 1 / factor)
+    perturb(data, c, (n, n, n))
+    perturb(data, rho, (hd, n, n))
+    perturb(data, fcols, (n, hd))
+    parts = (SparseTensor(frozen(c), 2), t.h.sparse, SparseTensor(frozen(rho), 2),
+             SparseTensor(frozen(fcols), 1))
+    assert_same_scans(envelope_identities(n, hd, *parts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_random_envelope_conditions_match(n, hd, data):
+    dens = data.draw(st.lists(st.sampled_from([None, 1, 2, 3, 12]), min_size=4, max_size=4))
+    c = SparseTensor(frozen(sparse_dense(data, (n, n, n), dens[0])), 2)
+    hs = SparseTensor(frozen(sparse_dense(data, (hd, hd, hd), dens[1])), 2)
+    rho = SparseTensor(frozen(sparse_dense(data, (hd, n, n), dens[2])), 2)
+    fs = SparseTensor(frozen(sparse_dense(data, (n, hd), dens[3])), 1)
+    assert_same_scans(envelope_identities(n, hd, c, hs, rho, fs))
+
+
+# -- delta conditions of ly_envelope --------------------------------------------
+
+def delta_parts(a: StructureAlgebra) -> tuple:
+    ly = ly_from_leibniz(a)
+    env = ly_envelope(ly)
+    return ly, env, thawed(env.delta)
+
+
+DELTAS = [delta_parts(a) for a in LEIBNIZ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(DELTAS))), st.data())
+def test_perturbed_delta_conditions_match(which, data):
+    ly, env, delta = DELTAS[which]
+    n, hd = ly.dim, env.h_dim
+    tdense = thawed(ly.t)
+    perturb(data, delta, (n, n, hd))
+    perturb(data, tdense, (n, n, n, n))
+    b, t = SparseTensor(ly.b, 2), SparseTensor(frozen(tdense), 3)
+    d = SparseTensor(frozen(delta), 2)
+    assert_same_scans(delta_identities(n, hd, b, t, env.h.sparse, env.action.sparse, d),
+                      skew=[d])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_random_delta_conditions_match(n, hd, data):
+    dens = data.draw(st.lists(st.sampled_from([None, 1, 4, 6]), min_size=5, max_size=5))
+    b = SparseTensor(frozen(sparse_dense(data, (n, n, n), dens[0])), 2)
+    t = SparseTensor(frozen(sparse_dense(data, (n, n, n, n), dens[1])), 3)
+    hs = SparseTensor(frozen(sparse_dense(data, (hd, hd, hd), dens[2])), 2)
+    rho = SparseTensor(frozen(sparse_dense(data, (hd, n, n), dens[3])), 2)
+    d = SparseTensor(frozen(sparse_dense(data, (n, n, hd), dens[4])), 2)
+    assert_same_scans(delta_identities(n, hd, b, t, hs, rho, d), skew=[d])
+
+
+# -- empty, all-zero, dim-0 and dim-1 tensors ------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("value", [Q(0), Q(1), Q(-5, 6)])
+def test_small_and_zero_tensors_match(n, value):
+    b = SparseTensor(frozen(scaled(zeros((n, n, n)), value)), 2)
+    t = SparseTensor(frozen(scaled(zeros((n, n, n, n)), value)), 3)
+    fill = [[[value] * n for _ in range(n)] for _ in range(n)]
+    full = SparseTensor(frozen(fill), 2)
+    f1 = SparseTensor(frozen([[value] * 1 for _ in range(n)]), 1)
+    h1 = SparseTensor((((value,),),), 2)
+    rho = SparseTensor(frozen([[[value] * n for _ in range(n)]]), 2)
+    d = SparseTensor(frozen([[[value] for _ in range(n)] for _ in range(n)]), 2)
+    for c in (b, full):
+        assert_same_scans(algebra_identities(c), skew=[c])
+    assert_same_scans(ly_identities(n, b, t) + ly_identities(n, full, t), skew=[t])
+    assert_same_scans(envelope_identities(n, 1, full, h1, rho, f1))
+    assert_same_scans(delta_identities(n, 1, full, t, h1, rho, d), skew=[d])
+
+
+# -- sigma_s checks, kept verbatim -----------------------------------------------
+
+def ref_projected_bracket_delta(t, s, x, y):
+    sq = as_q(s)
+    sigma = section_sigma(t, sq)
+    w = t.g.product(sigma.apply(x), sigma.apply(y))
+    hd = t.h.dim
+    h_raw, e_part = w[:hd], w[hd:]
+    delta = vsub(h_raw, vscale(sq, t.f.apply(e_part)))
+    return e_part, delta
+
+
+def ref_recovery_check(t) -> bool:
+    n = t.e.dim
+    half = Q(1, 2)
+    for i in range(n):
+        for j in range(n):
+            e_part, _ = ref_projected_bracket_delta(t, half, basis_vec(n, i), basis_vec(n, j))
+            if e_part != t.e.skew_product(basis_vec(n, i), basis_vec(n, j)):
+                return False
+    return True
+
+
+def ref_scaling_check(t, svals=DEFAULT_S_VALUES):
+    n = t.e.dim
+    for s in svals:
+        sq = as_q(s)
+        for i in range(n):
+            for j in range(n):
+                x, y = basis_vec(n, i), basis_vec(n, j)
+                e_part, delta = ref_projected_bracket_delta(t, sq, x, y)
+                br = t.e.skew_product(x, y)
+                if e_part != vscale(2 * sq, br):
+                    return False, (str(sq), i, j, "bracket")
+                if delta != vscale(-(sq * sq), t.f.apply(br)):
+                    return False, (str(sq), i, j, "delta")
+    return True, None
+
+
+def sigma_triples() -> list[EnvelopeTriple]:
+    """Valid envelopes, and triples whose f breaks the bracket or only the delta part.
+
+    On heis3 + Q the last basis vector acts by zero and is central in h = E, so
+    adding it to f keeps every E-projection and moves only the h-projection.
+    """
+    valid = [lambda_envelope(a) for a in LEIBNIZ[:6]] + [t for t, *_ in ENVELOPES]
+    out = list(valid)
+    for t in valid[:6]:
+        for r, col in ((0, -1), (-1, 0)):
+            rows = thawed(t.f.entries)
+            rows[r][col] += Q(1, 3)
+            out.append(EnvelopeTriple(t.e, t.h, t.action, Matrix.from_rows(rows)))
+    e = direct_sum(make_heisenberg3(), StructureAlgebra.abelian(1))
+    t = canonical_envelope(e, squares_ideal(e))
+    rows = thawed(t.f.entries)
+    rows[3][2] += Q(2, 5)
+    out.append(EnvelopeTriple(t.e, t.h, t.action, Matrix.from_rows(rows)))
+    return out
+
+
+SIGMA_TRIPLES = sigma_triples()
+
+
+@pytest.mark.parametrize("k", range(len(SIGMA_TRIPLES)))
+def test_sigma_checks_match_reference(k):
+    t = SIGMA_TRIPLES[k]
+    svals = (Q(1), Q(1, 2), Q(-2), Q(3, 7), 5)
+    assert scaling_check(t) == ref_scaling_check(t)
+    assert scaling_check(t, svals) == ref_scaling_check(t, svals)
+    assert recovery_check(t) == ref_recovery_check(t)
+
+
+def test_sigma_triples_reach_every_outcome():
+    results = [ref_scaling_check(t) for t in SIGMA_TRIPLES]
+    parts = {w[3] for ok, w in results if not ok}
+    assert (True, None) in results and parts == {"bracket", "delta"}
+    assert results[-1] == (False, ("1", 0, 1, "delta"))
+    assert {ref_recovery_check(t) for t in SIGMA_TRIPLES} == {True, False}
