@@ -17,7 +17,6 @@ from .algebra import (
     direct_sum,
     is_ideal,
     kernel_of_lambda,
-    matrix_lie_algebra,
     quotient_algebra,
     squares_ideal,
 )
@@ -106,6 +105,7 @@ from .products import (
     gl_algebra,
     graph_criterion,
     hemisemidirect,
+    matrix_lie_algebra,
     omni_algebras,
     semidirect_lie,
 )

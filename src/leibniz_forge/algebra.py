@@ -20,7 +20,6 @@ from .linalg import (
     Vec,
     as_q,
     basis_vec,
-    commutator,
     is_zero_vec,
     rref,
     vadd,
@@ -211,7 +210,7 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(j for j, x in enumerate(r) if x != 0) for r in self.basis)
 
@@ -344,18 +343,3 @@ def quotient_algebra(a: StructureAlgebra, m: Subspace) -> tuple[StructureAlgebra
     quotient = StructureAlgebra(qdim, c, names, f"{a.name}/M" if a.name else "")
     return quotient, qmat
 
-
-def matrix_lie_algebra(n: int, mats: Sequence[Matrix], prefix: str, name: str = ""
-                       ) -> tuple[StructureAlgebra, tuple[Matrix, ...], Subspace]:
-    """Lie algebra spanned by n x n matrices under the commutator.
-
-    Returns the algebra on the canonical basis of the span, with basis names
-    prefix1, prefix2, ..., that basis as matrices, and the span of the
-    flattened matrices, whose coords(m.flat) are a member's coordinates.
-    Raises ValueError when a commutator leaves the span.
-    """
-    span = Subspace.span(n * n, [m.flat for m in mats])
-    basis = tuple(Matrix.from_flat(r, n) for r in span.basis)
-    c = tuple(tuple(span.coords(commutator(p, q).flat) for q in basis) for p in basis)
-    names = tuple(f"{prefix}{a+1}" for a in range(span.dim))
-    return StructureAlgebra(span.dim, c, names, name), basis, span

@@ -653,7 +653,7 @@ def _rational_type(raw: str) -> Fraction:
 
 
 # Upper bounds on the size arguments. omni --dim d builds a (d^2 + d)-dimensional
-# algebra (about 1.5 s at d = 8); a sample costs up to tens of milliseconds.
+# algebra (about 0.6 s at d = 8); a sample costs up to tens of milliseconds.
 MAX_OMNI_DIM = 8
 MAX_VARS = 8
 MAX_SAMPLES = 1000

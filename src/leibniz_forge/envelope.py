@@ -24,7 +24,6 @@ from .algebra import (
     StructureAlgebra,
     Subspace,
     kernel_of_lambda,
-    matrix_lie_algebra,
     quotient_algebra,
     squares_ideal,
 )
@@ -41,7 +40,7 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .products import ModuleAction, hemisemidirect, semidirect_lie
+from .products import ModuleAction, hemisemidirect, matrix_lie_algebra, semidirect_lie
 from .tensor import SparseTensor, first_failure
 
 
@@ -74,6 +73,8 @@ class EnvelopeTriple:
 def validate_envelope(e: StructureAlgebra, h: StructureAlgebra,
                       action: ModuleAction, f: Matrix) -> EnvelopeTriple:
     """Check every envelope condition; raise EnvelopeError naming the first failure."""
+    if h.dim == 0:  # a Matrix with no rows reads cols as 0, so it cannot hold f
+        raise EnvelopeError(f"h = E/M is zero, and the 0 x {e.dim} map f has no Matrix form")
     if action.h is not h:
         if action.h != h:
             raise EnvelopeError("action is not an action of the supplied h")
@@ -127,7 +128,7 @@ def canonical_envelope(e: StructureAlgebra, m: Subspace) -> EnvelopeTriple:
         raise EnvelopeError("ideal is not contained in ker lambda")
     h, q = quotient_algebra(e, m)
     mats = tuple(e.left_mul(basis_vec(e.dim, cb)) for cb in m.complement_coords)
-    action = ModuleAction(h, mats)
+    action = ModuleAction(h, mats, space_dim=e.dim)
     return validate_envelope(e, h, action, q)
 
 
@@ -138,9 +139,9 @@ def lambda_envelope(e: StructureAlgebra) -> EnvelopeTriple:
         raise EnvelopeError(f"not a Leibniz algebra: first failing triple {witness[:3]}")
     n = e.dim
     lams = [e.left_mul(basis_vec(n, i)) for i in range(n)]
-    h, mats, span = matrix_lie_algebra(n, lams, "L", f"lam({e.name})" if e.name else "")
+    action, span = matrix_lie_algebra(n, lams, "L", f"lam({e.name})" if e.name else "")
     f = Matrix.from_cols([span.coords(m.flat) for m in lams])
-    return validate_envelope(e, h, ModuleAction(h, mats), f)
+    return validate_envelope(e, action.h, action, f)
 
 
 def section_sigma(t: EnvelopeTriple, s: Scalar) -> Matrix:
@@ -193,21 +194,28 @@ def scaling_check(t: EnvelopeTriple,
 
     The E part must scale as 2s skew(x, y) and the h part as -s^2 f(skew(x, y)).
     Returns the first failing (s, i, j, which-part) otherwise None.
+
+    One nonzero s decides every s. E is abelian in g, so with
+    u = rho(f x) y - rho(f y) x the bracket [sigma_s x, sigma_s y] is
+    (s^2 [f x, f y], s u): the E-part residual is s (u - 2 skew(x, y)) and the
+    h-part residual is s^2 ([f x, f y] - f(u) + f(skew(x, y))). Each
+    (i, j, part) therefore fails at one nonzero s exactly when it fails at all
+    of them, and nothing fails at s = 0, so the first failure over svals is
+    the first failure at the first nonzero value, the only one evaluated.
     """
+    sq = next((as_q(s) for s in svals if as_q(s)), None)
+    if sq is None:
+        return True, None
     n = t.e.dim
-    skew = [[t.e.skew_product(basis_vec(n, i), basis_vec(n, j)) for j in range(n)]
-            for i in range(n)]
-    for s in svals:
-        sq = as_q(s)
-        sigma = section_sigma(t, sq)
-        for i in range(n):
-            for j in range(n):
-                e_part, delta = _projections(t, sq, sigma.col(i), sigma.col(j))
-                br = skew[i][j]
-                if e_part != vscale(2 * sq, br):
-                    return False, (str(sq), i, j, "bracket")
-                if delta != vscale(-(sq * sq), t.f.apply(br)):
-                    return False, (str(sq), i, j, "delta")
+    sigma = section_sigma(t, sq)
+    for i in range(n):
+        for j in range(n):
+            e_part, delta = _projections(t, sq, sigma.col(i), sigma.col(j))
+            br = t.e.skew_product(basis_vec(n, i), basis_vec(n, j))
+            if e_part != vscale(2 * sq, br):
+                return False, (str(sq), i, j, "bracket")
+            if delta != vscale(-(sq * sq), t.f.apply(br)):
+                return False, (str(sq), i, j, "delta")
     return True, None
 
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
-from .algebra import StructureAlgebra
-from .linalg import Matrix, Q, Scalar, Vec, commutator, vadd, vscale, vzero
-from .tensor import SparseTensor, skew_failure
+from .algebra import StructureAlgebra, Subspace
+from .linalg import Matrix, Q, Scalar, Vec, vadd, vscale, vzero
+from .tensor import SparseTensor, first_failure, skew_failure
 
 
 class InvalidActionError(ValueError):
@@ -35,6 +36,11 @@ class ModuleAction:
     Construction validates shapes, that h is Lie, and that the assignment is a
     homomorphism into commutators on all basis pairs. space_dim may be given
     explicitly for the h = 0 edge case; otherwise it is read off the matrices.
+
+    The homomorphism check is one identity scan over (i, j, k) of column k of
+    D(i, j) = [rho_i, rho_j] - rho(e_i e_j). For a Lie h, D is skew in (i, j)
+    and zero at i = j, so the first failing triple has i < j and names the
+    first failing pair of the loop over i < j.
     """
 
     h: StructureAlgebra
@@ -53,11 +59,11 @@ class ModuleAction:
                 raise InvalidActionError("action matrices must be square of size space_dim")
         if not self.h.is_lie:
             raise InvalidActionError("h is not a Lie algebra")
-        for i in range(self.h.dim):
-            for j in range(i + 1, self.h.dim):
-                if self.of(self.h.c[i][j]) != commutator(self.mats[i], self.mats[j]):
-                    raise InvalidActionError(
-                        f"action is not a Lie homomorphism at basis pair ({i}, {j})")
+        rho = self.sparse  # (a, k) -> rho(e_a) e_k
+        at = first_failure(self.h.dim, "ijk", [(1, rho, "i*", rho, "jk"), (-1, rho, "j*", rho, "ik"),
+                                               (-1, rho, "*k", self.h.sparse, "ij")])
+        if at is not None:
+            raise InvalidActionError(f"action is not a Lie homomorphism at basis pair {at[:2]}")
 
     @property
     def v_dim(self) -> int:
@@ -65,7 +71,7 @@ class ModuleAction:
 
     @cached_property
     def sparse(self) -> SparseTensor:
-        """Nonzero action coefficients (a, k) -> {m: mats[a][m][k]}, built on first use."""
+        """Nonzero action coefficients (a, k) -> {m: mats[a][m][k]}."""
         return SparseTensor(tuple(tuple(m.col(k) for k in range(self.v_dim))
                                   for m in self.mats), 2)
 
@@ -76,6 +82,25 @@ class ModuleAction:
             if coeff != 0:
                 out = out + self.mats[a] * coeff
         return out
+
+
+def matrix_lie_algebra(n: int, mats: Sequence[Matrix], prefix: str, name: str = ""
+                       ) -> tuple[ModuleAction, Subspace]:
+    """Lie algebra spanned by n x n matrices under the commutator.
+
+    Returns its action on Q^n by the span's canonical basis (prefix1, ...) and
+    the span of the flattened matrices. Rref coordinates are pivot entries, so
+    [p_a, p_b] is read there, and the action check rejects one outside the span.
+    """
+    span = Subspace.span(n * n, [m.flat for m in mats])
+    basis = tuple(Matrix.from_flat(r, n) for r in span.basis)
+    at = [divmod(p, n) for p in span.pivots]
+    d = range(span.dim)
+    pq = [[[sum(x * q.entries[t][s] for t, x in enumerate(p.entries[r]) if x) for r, s in at]
+           for q in basis] for p in basis]  # p_a p_b at the pivots
+    c = [[[x - y for x, y in zip(pq[a][b], pq[b][a])] for b in d] for a in d]
+    h = StructureAlgebra.from_constants(c, [f"{prefix}{a+1}" for a in d], name)
+    return ModuleAction(h, basis, space_dim=n), span
 
 
 def _component_names(h: StructureAlgebra, v_dim: int) -> tuple[str, ...]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import StructureAlgebra, Subspace, matrix_lie_algebra
+from .algebra import StructureAlgebra, Subspace
 from .linalg import Matrix, Q, Vec, as_q, basis_vec, is_zero_vec, vneg
-from .products import ModuleAction, action_products
+from .products import ModuleAction, action_products, matrix_lie_algebra
 from .tensor import SparseTensor, first_failure, skew_failure
 
 BinTensor = tuple[tuple[Vec, ...], ...]
@@ -200,10 +200,10 @@ def ly_envelope(ly: LieYamaguti,
 
     if h is None:
         try:
-            h, mats, span = matrix_lie_algebra(n, inner_derivations(ly)[0], "d")
+            action, span = matrix_lie_algebra(n, inner_derivations(ly)[0], "d")
         except ValueError:
             raise ValueError("inner derivations do not close under commutators") from None
-        action = ModuleAction(h, mats, space_dim=n)
+        h = action.h
         delta_t = tuple(tuple(span.coords(delta_matrix(ly, i, j).flat) for j in range(n))
                         for i in range(n))
         d = SparseTensor(delta_t, 2)

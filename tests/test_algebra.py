@@ -213,3 +213,8 @@ class TestSubspace:
         s = Subspace.span(3, [(1, 0, 2)])
         assert s.pivots == (0,)
         assert s.complement_coords == (1, 2)
+
+    def test_pivots_computed_once(self):
+        s = Subspace.span(4, [(0, 2, 0, 1), (0, 0, 1, 1)])
+        assert s.pivots == (1, 2) and s.pivots is s.pivots
+        assert s == Subspace.span(4, [(0, 1, 0, Q(1, 2)), (0, 0, 1, 1)])

@@ -303,6 +303,20 @@ class TestDispatch:
         assert code == 1 and doc["status"] == "fail"
         assert doc["checks"][0]["name"] == "envelope_conditions"
 
+    def test_envelope_of_abelian_with_kernel_ideal(self, files, capsys):
+        path = files("ab.json", '{"dim": 2, "basis": ["a", "b"], "products": []}')
+        message = "h = E/M is zero, and the 0 x 2 map f has no Matrix form"
+        code, out = self.run(capsys, "envelope", "build", path, "--ideal", "kernel",
+                             "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"name": "error", "status": "fail", "witness": message}]
+        code, out = self.run(capsys, "envelope", "verify", path, "--ideal", "kernel",
+                             "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"name": "envelope_conditions", "status": "fail", "witness": message}]
+
     def test_envelope_ideal_file(self, files, capsys):
         apath = files("a.json", LEIBNIZ2)
         ipath = files("ideal.json",

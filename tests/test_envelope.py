@@ -10,6 +10,8 @@ from leibniz_forge import (
     DEFAULT_S_VALUES,
     EnvelopeError,
     Matrix,
+    ModuleAction,
+    StructureAlgebra,
     Pcg32,
     Subspace,
     canonical_envelope,
@@ -148,3 +150,25 @@ class TestSectionAndScaling:
         x, y = (Q(1), Q(2)), (Q(3), Q(4))
         e_part, delta = projected_bracket_delta(t, Q(0), x, y)
         assert e_part == vzero(2) and delta == vzero(1)
+
+
+class TestZeroH:
+    """h = E/M = 0 happens exactly for an abelian E with M = E = ker lambda."""
+
+    MESSAGE = "h = E/M is zero, and the 0 x 2 map f has no Matrix form"
+
+    def test_lambda_envelope_of_abelian(self):
+        with pytest.raises(EnvelopeError, match=f"^{self.MESSAGE}$"):
+            lambda_envelope(StructureAlgebra.abelian(2))
+
+    def test_canonical_envelope_with_kernel_ideal(self):
+        a = StructureAlgebra.abelian(2)
+        with pytest.raises(EnvelopeError, match=f"^{self.MESSAGE}$"):
+            canonical_envelope(a, kernel_of_lambda(a))
+        assert canonical_envelope(a, squares_ideal(a)).h.dim == 2
+
+    def test_validate_envelope_names_the_cause(self):
+        e, h = StructureAlgebra.abelian(2), StructureAlgebra.abelian(0)
+        with pytest.raises(EnvelopeError, match=f"^{self.MESSAGE}$"):
+            validate_envelope(e, h, ModuleAction(h, (), space_dim=2), Matrix(()))
+

@@ -17,13 +17,14 @@ from leibniz_forge import (
     gl_algebra,
     graph_criterion,
     hemisemidirect,
+    matrix_lie_algebra,
     omni_algebras,
     random_vector,
     semidirect_lie,
 )
-from leibniz_forge.linalg import Matrix, vadd
+from leibniz_forge.linalg import Matrix, basis_vec, vadd
 
-from conftest import make_broken3, make_idem1, make_nl3
+from conftest import make_broken3, make_idem1, make_nl3, make_so3
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,33 @@ class TestModuleAction:
     def test_of_is_linear(self, gl1_line):
         _, act = gl1_line
         assert act.of((Q(3),)) == Matrix.from_rows([[3]])
+
+    def test_check_forms_no_action_matrix(self, monkeypatch):
+        def dense(self, hvec):
+            raise AssertionError("dense action matrix formed")
+        monkeypatch.setattr(ModuleAction, "of", dense)
+        assert gl_action(2).v_dim == 2
+
+
+class TestMatrixLieAlgebra:
+    def test_returns_the_action_and_span(self):
+        so3 = make_so3()
+        lams = [so3.left_mul(basis_vec(3, i)) for i in range(3)]
+        act, span = matrix_lie_algebra(3, lams, "L", "lam")
+        assert act.v_dim == 3 and span.dim == 3
+        assert act.mats == tuple(Matrix.from_flat(r, 3) for r in span.basis)
+        assert act.h.basis_names == ("L1", "L2", "L3") and act.h.name == "lam"
+        assert act.h.is_lie and act.h.c[0][1] == (0, 0, -1)
+
+    def test_zero_family(self):
+        act, span = matrix_lie_algebra(2, [Matrix.zeros(2, 2)], "p")
+        assert act.h.dim == 0 and act.v_dim == 2 and span.dim == 0
+
+    def test_non_closing_family_rejected(self):
+        # [E12, E21] = diag(1, -1) has zero entries at both pivots of the span
+        e12, e21 = Matrix.from_rows([[0, 1], [0, 0]]), Matrix.from_rows([[0, 0], [1, 0]])
+        with pytest.raises(InvalidActionError, match=r"homomorphism at basis pair \(0, 1\)"):
+            matrix_lie_algebra(2, [e12, e21], "p")
 
 
 class TestThreeProducts:

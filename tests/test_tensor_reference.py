@@ -464,6 +464,14 @@ def test_sigma_checks_match_reference(k):
     assert recovery_check(t) == ref_recovery_check(t)
 
 
+@pytest.mark.parametrize("svals", [(0, Q(1, 2), Q(-2)), (0, 0, 5), (Q(3, 7), Q(3, 7), 1),
+                                   (Q(-2), 0, Q(-2)), (0,), ()])
+@pytest.mark.parametrize("k", range(len(SIGMA_TRIPLES)))
+def test_scaling_check_with_zero_or_repeated_s(k, svals):
+    t = SIGMA_TRIPLES[k]
+    assert scaling_check(t, svals) == ref_scaling_check(t, svals)
+
+
 def test_sigma_triples_reach_every_outcome():
     results = [ref_scaling_check(t) for t in SIGMA_TRIPLES]
     parts = {w[3] for ok, w in results if not ok}
