@@ -113,10 +113,12 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _positive_int(doc: dict, key: str, origin: str) -> int:
+def _positive_int(doc: dict, key: str, origin: str, limit: int | None = None) -> int:
     value = doc[key]
     if not _is_int(value) or value < 1:
         raise CliError(f"{origin}: {key} must be a positive integer")
+    if limit is not None and value > limit:
+        raise CliError(f"{origin}: {key} must be at most {limit}")
     return value
 
 
@@ -140,7 +142,7 @@ def parse_algebra_text(text: str, origin: str = "algebra file") -> StructureAlge
     for key in ("dim", "basis", "products"):
         if key not in doc:
             raise CliError(f"{origin}: missing field {key!r}")
-    dim = _positive_int(doc, "dim", origin)
+    dim = _positive_int(doc, "dim", origin, MAX_ALGEBRA_DIM)
     basis, entries = doc["basis"], doc["products"]
     if (not isinstance(basis, list) or len(basis) != dim
             or any(not isinstance(b, str) for b in basis) or len(set(basis)) != dim):
@@ -202,7 +204,7 @@ def parse_ly_text(text: str, origin: str = "file") -> LieYamaguti:
     doc = _load_json(text, origin)
     if not isinstance(doc, dict) or "dim" not in doc:
         raise CliError(f"{origin}: expected keys dim, binary, ternary")
-    n = _positive_int(doc, "dim", origin)
+    n = _positive_int(doc, "dim", origin, MAX_LY_DIM)
     b = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
     t = [[[[Q(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
 
@@ -657,6 +659,11 @@ def _rational_type(raw: str) -> Fraction:
 MAX_OMNI_DIM = 8
 MAX_VARS = 8
 MAX_SAMPLES = 1000
+# Upper bounds on dim in input files, which are read into dense tensors of dim^3
+# cells (algebra) and dim^4 cells (LY). They admit the dim-72 algebras that
+# omni --dim 8 emits and the LY structure of omni_hemi(6).
+MAX_ALGEBRA_DIM = 128
+MAX_LY_DIM = 42
 
 
 def _count_type(limit: int):

@@ -34,8 +34,6 @@ from .linalg import (
     Vec,
     as_q,
     basis_vec,
-    is_zero_vec,
-    kernel_basis,
     rref,
     vscale,
     vsub,
@@ -72,7 +70,15 @@ class EnvelopeTriple:
 
 def validate_envelope(e: StructureAlgebra, h: StructureAlgebra,
                       action: ModuleAction, f: Matrix) -> EnvelopeTriple:
-    """Check every envelope condition; raise EnvelopeError naming the first failure."""
+    """Check every envelope condition; raise EnvelopeError naming the first failure.
+
+    Three scans decide it: each rho(e_a) is a derivation of E, f is
+    equivariant, and rho(f x) y = x.y. They imply the rest. By equivariance
+    and the third scan, f(x.y) = f(rho(f x) y) = [f x, f y], so f is a
+    homomorphism and ker f is a two-sided ideal; it holds every x.x, since
+    [f x, f x] = 0 in the Lie algebra h, and so the squares ideal. On ker f,
+    lambda(x) = rho(f x) = 0.
+    """
     if h.dim == 0:  # a Matrix with no rows reads cols as 0, so it cannot hold f
         raise EnvelopeError(f"h = E/M is zero, and the 0 x {e.dim} map f has no Matrix form")
     if action.h is not h:
@@ -101,19 +107,6 @@ def validate_envelope(e: StructureAlgebra, h: StructureAlgebra,
         i, j = at
         raise EnvelopeError(
             f"acting by f(e_{i+1}) does not reproduce left multiplication at ({i}, {j})")
-
-    # consequences of the axioms, asserted as a cross-check
-    for i in range(n):
-        for j in range(n):
-            if f.apply(e.c[i][j]) != h.product(f.col(i), f.col(j)):
-                raise EnvelopeError(f"f is not a homomorphism at basis pair ({i}, {j})")
-
-    for v in squares_ideal(e).basis:
-        if not is_zero_vec(f.apply(v)):
-            raise EnvelopeError("squares ideal is not contained in ker f")
-    for v in kernel_basis(f):
-        if not e.left_mul(v).is_zero():
-            raise EnvelopeError("ker f is not contained in ker lambda")
 
     return EnvelopeTriple(e, h, action, f)
 

@@ -72,16 +72,14 @@ class ModuleAction:
     @cached_property
     def sparse(self) -> SparseTensor:
         """Nonzero action coefficients (a, k) -> {m: mats[a][m][k]}."""
-        return SparseTensor(tuple(tuple(m.col(k) for k in range(self.v_dim))
-                                  for m in self.mats), 2)
+        rho = SparseTensor(tuple(tuple(m.col(k) for k in range(self.v_dim))
+                                 for m in self.mats), 2)
+        rho.out_dim = self.v_dim  # h = 0 leaves no cell to read it from
+        return rho
 
     def of(self, hvec: Vec) -> Matrix:
-        """Action matrix of an arbitrary h vector."""
-        out = Matrix.zeros(self.v_dim, self.v_dim)
-        for a, coeff in enumerate(hvec):
-            if coeff != 0:
-                out = out + self.mats[a] * coeff
-        return out
+        """Action matrix of an arbitrary h vector, column k = rho(hvec) e_k."""
+        return Matrix.from_cols([self.sparse.contract(hvec, k) for k in range(self.v_dim)])
 
 
 def matrix_lie_algebra(n: int, mats: Sequence[Matrix], prefix: str, name: str = ""
@@ -150,7 +148,7 @@ def circle_product(h: StructureAlgebra, act: ModuleAction, a: Vec, b: Vec) -> Ve
         raise ValueError("vector length does not match h x V")
     xi, x = a[:hd], a[hd:]
     eta, y = b[:hd], b[hd:]
-    sym = vscale(Q(1, 2), vadd(act.of(xi).apply(y), act.of(eta).apply(x)))
+    sym = vscale(Q(1, 2), vadd(act.sparse.contract(xi, y), act.sparse.contract(eta, x)))
     return vzero(hd) + sym
 
 

@@ -194,31 +194,32 @@ def ly_envelope(ly: LieYamaguti,
     Defaults to h = span of inner derivations with Delta = delta. An explicit
     (h, action, delta) is validated against the three delta conditions first.
     """
-    n = ly.dim
+    n, b = ly.dim, SparseTensor(ly.b, 2)
     if (h is None) != (action is None) or (h is None) != (delta is None):
         raise ValueError("supply h, action and delta together or none of them")
 
     if h is None:
+        deltas = [[delta_matrix(ly, i, j) for j in range(n)] for i in range(n)]
         try:
-            action, span = matrix_lie_algebra(n, inner_derivations(ly)[0], "d")
+            action, span = matrix_lie_algebra(
+                n, [m for i, row in enumerate(deltas) for m in row[i + 1:]], "d")
         except ValueError:
             raise ValueError("inner derivations do not close under commutators") from None
         h = action.h
-        delta_t = tuple(tuple(span.coords(delta_matrix(ly, i, j).flat) for j in range(n))
-                        for i in range(n))
+        delta_t = tuple(tuple(span.coords(m.flat) for m in row) for row in deltas)
         d = SparseTensor(delta_t, 2)
     else:
         delta_t = tuple(tuple(tuple(as_q(x) for x in cell) for cell in row) for row in delta)
         if action.v_dim != n:
             raise ValueError("action matrices do not act on the LY space")
         d = SparseTensor(delta_t, 2)
-        _check_delta(ly, h, action, d)
+        _check_delta(ly, b, h, action, d)
 
     hd = h.dim
     products = action_products(action, 1, -1)
     for (i, j), cell in d.entries.items():
         products[(hd + i, hd + j)] = dict(cell)
-    for (i, j), cell in SparseTensor(ly.b, 2).entries.items():
+    for (i, j), cell in b.entries.items():
         products.setdefault((hd + i, hd + j), {}).update({hd + k: x for k, x in cell.items()})
     names = tuple(h.basis_names) + tuple(f"m{i+1}" for i in range(n))
     g = StructureAlgebra.from_products(hd + n, products, names)
@@ -227,12 +228,11 @@ def ly_envelope(ly: LieYamaguti,
     return LYEnvelope(g, h, action, delta_t)
 
 
-def _check_delta(ly: LieYamaguti, h: StructureAlgebra, action: ModuleAction,
-                 d: SparseTensor) -> None:
+def _check_delta(ly: LieYamaguti, b: SparseTensor, h: StructureAlgebra,
+                 action: ModuleAction, d: SparseTensor) -> None:
     """Delta(x, y) is skew, acts as {x, y, -}, is h-equivariant, and its
-    cyclic sum over the binary vanishes; raises at the first failing tuple."""
-    b, t = ly.sparse()
-    rho = action.sparse  # (a, k) -> rho(e_a) e_k
+    cyclic sum over the binary b vanishes; raises at the first failing tuple."""
+    t, rho = SparseTensor(ly.t, 3), action.sparse  # rho: (a, k) -> rho(e_a) e_k
     at = skew_failure(d)
     if at is not None:
         raise ValueError(f"delta is not skew at {at}")

@@ -93,7 +93,7 @@ def test_criterion_02_scaling():
         if not ok:
             failures.append((name, witness))
     record("02 s-scaling", not failures,
-           f"s in {{1, 1/2, -2, 3/7}} over {len(CORPUS)} algebras")
+           f"every s, decided at s = 1 (the first nonzero default) over {len(CORPUS)} algebras")
     assert not failures, failures
 
 

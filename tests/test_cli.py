@@ -9,7 +9,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from leibniz_forge import cli
 from leibniz_forge.cli import (
+    MAX_ALGEBRA_DIM,
+    MAX_LY_DIM,
     MAX_OMNI_DIM,
     MAX_SAMPLES,
     MAX_VARS,
@@ -645,3 +648,42 @@ class TestIntDigitLimit:
         path = files("a.json", doc)
         witness = self.error_witness(capsys, ["algebra", "check", path])
         assert witness.startswith(f"{path}: ") and "digits" in witness
+
+
+def algebra_dim_text(dim: int) -> str:
+    return json.dumps({"dim": dim, "basis": [f"e{i}" for i in range(dim)], "products": []})
+
+
+def ly_dim_text(dim: int) -> str:
+    return json.dumps({"dim": dim, "binary": [], "ternary": []})
+
+
+class TestFileDimBounds:
+    """dim in an input file is bounded before any tensor is allocated: the
+    readers fill dim^3 (algebra) and dim^4 (LY) cells."""
+
+    @pytest.mark.parametrize("verb, text, bound", [
+        ("algebra", algebra_dim_text(MAX_ALGEBRA_DIM + 1), MAX_ALGEBRA_DIM),
+        ("ly", ly_dim_text(MAX_LY_DIM + 1), MAX_LY_DIM),
+        ("ly", ly_dim_text(10 ** 6), MAX_LY_DIM),
+    ])
+    def test_above_bound_is_an_error_report(self, files, capsys, verb, text, bound):
+        path = files("big.json", text)
+        assert main([verb, "check", path, "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["checks"] == [
+            {"name": "error", "status": "fail", "witness": f"{path}: dim must be at most {bound}"}]
+
+    def test_bound_is_accepted(self, monkeypatch):
+        # small bounds stand in for the real ones, which take seconds to fill
+        monkeypatch.setattr(cli, "MAX_ALGEBRA_DIM", 3)
+        monkeypatch.setattr(cli, "MAX_LY_DIM", 2)
+        assert parse_algebra_text(algebra_dim_text(3)).dim == 3
+        assert parse_ly_text(ly_dim_text(2)).dim == 2
+        with pytest.raises(CliError, match="^f.json: dim must be at most 3$"):
+            parse_algebra_text(algebra_dim_text(4), origin="f.json")
+        with pytest.raises(CliError, match="^f.json: dim must be at most 2$"):
+            parse_ly_text(ly_dim_text(3), origin="f.json")
+
+    def test_bounds_admit_the_largest_documented_inputs(self):
+        # omni --dim 8 emits a dim-72 algebra; omni_hemi(6) has dim 42
+        assert MAX_ALGEBRA_DIM >= 8 * 8 + 8 and MAX_LY_DIM >= 6 * 6 + 6
