@@ -59,6 +59,7 @@ from .loops import LoopContext, loop_context, loop_product, loop_property_check
 from .poly import Poly
 from .products import omni_algebras
 from .sampling import Pcg32, courant_samples, random_one_form
+from .tensor import materialize
 from .yamaguti import LieYamaguti, validate_ly
 
 
@@ -205,13 +206,11 @@ def parse_ly_text(text: str, origin: str = "file") -> LieYamaguti:
     if not isinstance(doc, dict) or "dim" not in doc:
         raise CliError(f"{origin}: expected keys dim, binary, ternary")
     n = _positive_int(doc, "dim", origin, MAX_LY_DIM)
-    b = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
-    t = [[[[Q(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
 
-    def fill(key: str, arity: int, target) -> None:
+    def tensor(key: str, arity: int) -> tuple:
         if not isinstance(doc.get(key, []), list):
             raise CliError(f"{origin}: {key} must be a list of entries")
-        seen: set[tuple] = set()  # the indices of every entry so far, zero values included
+        cells: dict[tuple[int, ...], dict[int, Fraction]] = {}
         for pos, entry in enumerate(doc.get(key, [])):
             where = f"{origin}: {key}[{pos}]"
             if not isinstance(entry, list) or len(entry) != arity + 1:
@@ -219,17 +218,13 @@ def parse_ly_text(text: str, origin: str = "file") -> LieYamaguti:
             idx = entry[:arity]
             if any(not _is_int(i) or not 0 <= i < n for i in idx):
                 raise CliError(f"{where}: indices must lie in [0, {n - 1}]")
-            if tuple(idx) in seen:
+            cell = cells.setdefault(tuple(idx[:-1]), {})  # zero values stay, to catch duplicates
+            if idx[-1] in cell:
                 raise CliError(f"{where}: duplicate entry at {idx}")
-            seen.add(tuple(idx))
-            cursor = target
-            for i in idx[:-1]:
-                cursor = cursor[i]
-            cursor[idx[-1]] = _exact_number(entry[arity], where)
+            cell[idx[-1]] = _exact_number(entry[arity], where)
+        return materialize(n, arity - 1, cells)
 
-    fill("binary", 3, b)
-    fill("ternary", 4, t)
-    return LieYamaguti.from_tensors(b, t)
+    return LieYamaguti(n, tensor("binary", 3), tensor("ternary", 4))
 
 
 # -- polynomial expression grammar -------------------------------------------
@@ -659,9 +654,9 @@ def _rational_type(raw: str) -> Fraction:
 MAX_OMNI_DIM = 8
 MAX_VARS = 8
 MAX_SAMPLES = 1000
-# Upper bounds on dim in input files, which are read into dense tensors of dim^3
-# cells (algebra) and dim^4 cells (LY). They admit the dim-72 algebras that
-# omni --dim 8 emits and the LY structure of omni_hemi(6).
+# Upper bounds on dim in input files: an algebra file is read into a dense tensor
+# of dim^3 cells, and every LY check walks the dim^3 cells of the ternary. They
+# admit the dim-72 algebras that omni --dim 8 emits and the LY structure of omni_hemi(6).
 MAX_ALGEBRA_DIM = 128
 MAX_LY_DIM = 42
 

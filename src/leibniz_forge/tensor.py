@@ -5,7 +5,8 @@ product (i, j) -> e_i . e_j, the ternary bracket (i, j, k) -> {e_i, e_j, e_k},
 an action (a, k) -> rho(e_a) e_k. SparseTensor keeps only the nonzero
 coefficients, key -> {output index: coefficient}, so every contraction and
 every check costs in proportion to them; omni structure constants, for
-example, are 7.4 % nonzero for d = 2 and 3.3 % for d = 3.
+example, are 7.4 % nonzero for d = 2 and 3.3 % for d = 3. The walk skips, unread,
+every cell that is the first all-zero cell: `materialize` shares one per tensor.
 
 An identity is a sum of signed terms, each a tensor applied to basis
 variables, at most one argument being another tensor applied to variables:
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .linalg import _clear
 
@@ -52,9 +53,10 @@ class SparseTensor:
         rows: list[tuple[tuple[int, ...], Sequence]] = [((), dense)]
         for _ in range(arity - 1):
             rows = [(key + (i,), sub) for key, t in rows for i, sub in enumerate(t)]
+        zero = next((cell for _, row in rows for cell in row if not any(cell)), None)
         self.entries: dict[tuple[int, ...], Cell] = {
             key + (i,): {k: x for k, x in enumerate(cell) if x}
-            for key, row in rows for i, cell in enumerate(row) if any(cell)}
+            for key, row in rows for i, cell in enumerate(row) if cell is not zero and any(cell)}
         for _ in range(arity):
             dense = dense[0] if dense else ()
         self.out_dim = len(dense)
@@ -99,8 +101,20 @@ class SparseTensor:
         return tuple(out)
 
 
-def _add(res: Residual, key: tuple[int, ...], cell: dict[int, int], f: int) -> None:
-    """res[key] += f * cell"""
+def materialize(dim: int, arity: int, cells: Mapping[tuple[int, ...], Cell]) -> tuple:
+    """Dense nested tuples over Q^dim with these cells; zero cells and rows are shared."""
+    zero, level = Fraction(0), {key + (k,): x for key, cell in cells.items()
+                                if any(cell.values()) for k, x in cell.items()}
+    for _ in range(arity + 1):  # entries into cells, then cells into rows, up to the tensor
+        rows: dict[tuple[int, ...], list] = {}
+        for key, x in level.items():
+            rows.setdefault(key[:-1], [zero] * dim)[key[-1]] = x
+        level, zero = {key: tuple(row) for key, row in rows.items()}, (zero,) * dim
+    return level.get((), zero)
+
+
+def _add(res: dict, key: tuple[int, ...], cell: Mapping, f) -> None:
+    """res[key] += f * cell, over int or Fraction values"""
     r = res.get(key)
     if r is None:
         res[key] = {m: f * x for m, x in cell.items()}

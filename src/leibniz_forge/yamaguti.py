@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import StructureAlgebra, Subspace
-from .linalg import Matrix, Q, Vec, as_q, basis_vec, is_zero_vec, vneg
+from .linalg import Matrix, Q, Vec, as_q, is_zero_vec
 from .products import ModuleAction, action_products, matrix_lie_algebra
-from .tensor import SparseTensor, first_failure, skew_failure
+from .tensor import SparseTensor, _add, first_failure, materialize, skew_failure
 
 BinTensor = tuple[tuple[Vec, ...], ...]
 TernTensor = tuple[tuple[tuple[Vec, ...], ...], ...]
@@ -47,14 +47,16 @@ class LieYamaguti:
                 or any(len(r) != dim for p in tt for r in p) \
                 or any(len(c) != dim for p in tt for r in p for c in r):
             raise ValueError("ternary tensor is not dim^4")
-        return LieYamaguti(dim, bt, tt)
+        return LieYamaguti(dim, materialize(dim, 2, SparseTensor(bt, 2).entries),
+                           materialize(dim, 3, SparseTensor(tt, 3).entries))
 
     def sparse(self) -> tuple[SparseTensor, SparseTensor]:
         """Nonzero (i, j) -> {k: c} of b and (i, j, k) -> {l: c} of t.
 
         Built per call and not cached: callers keep many structures alive
         (one per perturbation, say) and each validates once, so a cached
-        view would only hold memory.
+        view would only hold memory. The library's structures share one
+        all-zero cell per tensor, which the view skips by identity.
         """
         return SparseTensor(self.b, 2), SparseTensor(self.t, 3)
 
@@ -101,15 +103,15 @@ def ly_from_leibniz(e: StructureAlgebra) -> LieYamaguti:
     ok, witness = e.check_leibniz()
     if not ok:
         raise ValueError(f"not a Leibniz algebra: first failing triple {witness[:3]}")
-    n = e.dim
-    quarter = Q(-1, 4)
-    b = tuple(tuple(e.skew_product(basis_vec(n, i), basis_vec(n, j)) for j in range(n))
-              for i in range(n))
-    t = tuple(tuple(tuple(tuple(quarter * x for x in e.rmul_basis(e.c[i][j], k))
-                          for k in range(n))
-                    for j in range(n))
-              for i in range(n))
-    return LieYamaguti(n, b, t)
+    n, c = e.dim, e.sparse
+    b, t = {}, {}  # cells (i, j) -> {k: x} and (i, j, k) -> {l: x}
+    for (i, j), cell in c.entries.items():
+        _add(b, (i, j), cell, Q(1, 2))
+        _add(b, (j, i), cell, Q(-1, 2))
+        for l, x in cell.items():
+            for (_, k), lk in c.group((0,)).get((l,), ()):
+                _add(t, (i, j, k), lk, Q(-1, 4) * x)
+    return LieYamaguti(n, materialize(n, 2, b), materialize(n, 3, t))
 
 
 def ly_from_decomposition(g: StructureAlgebra,
@@ -145,12 +147,11 @@ def ly_from_decomposition(g: StructureAlgebra,
     # {x, y, z} = [Delta, z] with Delta = sum_a c_a h_a the h-part of [x, y]. Each
     # [h_a, z] lies in m (checked above), so by bilinearity [Delta, z] has no h-part.
     m_zero = (Q(0),) * (n - hd)
-    m = range(hd, n)
-    b = tuple(tuple(c[i][j][hd:] for j in m) for i in m)
-    t = tuple(tuple(tuple(ghm.rmul_basis(c[i][j][:hd] + m_zero, k)[hd:] for k in m)
-                    for j in m)
-              for i in m)
-    return LieYamaguti(n - hd, b, t)
+    pairs = [(i, j) for i, j in ghm.sparse.entries if min(i, j) >= hd]  # nonzero [x, y] in m
+    b = {(i - hd, j - hd): dict(enumerate(c[i][j][hd:])) for i, j in pairs}
+    t = {(i - hd, j - hd, k - hd): dict(enumerate(ghm.rmul_basis(c[i][j][:hd] + m_zero, k)[hd:]))
+         for i, j in pairs for k in range(hd, n)}
+    return LieYamaguti(n - hd, materialize(n - hd, 2, b), materialize(n - hd, 3, t))
 
 
 # -- inner derivations and the envelope ---------------------------------------
@@ -251,6 +252,6 @@ def _check_delta(ly: LieYamaguti, b: SparseTensor, h: StructureAlgebra,
 
 def torsion_curvature(ly: LieYamaguti) -> tuple[BinTensor, TernTensor]:
     """Canonical-connection tensors of the structure: T = -binary, R = -ternary."""
-    tb = tuple(tuple(vneg(cell) for cell in row) for row in ly.b)
-    tt = tuple(tuple(tuple(vneg(cell) for cell in row) for row in plane) for plane in ly.t)
-    return tb, tt
+    return tuple(materialize(ly.dim, s.arity, {key: {k: -x for k, x in cell.items()}
+                                               for key, cell in s.entries.items()})
+                 for s in ly.sparse())

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
 
-from leibniz_forge import cli
+from leibniz_forge import cli, validate_ly
 from leibniz_forge.cli import (
     MAX_ALGEBRA_DIM,
     MAX_LY_DIM,
@@ -660,7 +661,7 @@ def ly_dim_text(dim: int) -> str:
 
 class TestFileDimBounds:
     """dim in an input file is bounded before any tensor is allocated: the
-    readers fill dim^3 (algebra) and dim^4 (LY) cells."""
+    algebra reader fills dim^3 cells, and every LY check walks dim^3 cells."""
 
     @pytest.mark.parametrize("verb, text, bound", [
         ("algebra", algebra_dim_text(MAX_ALGEBRA_DIM + 1), MAX_ALGEBRA_DIM),
@@ -674,7 +675,7 @@ class TestFileDimBounds:
             {"name": "error", "status": "fail", "witness": f"{path}: dim must be at most {bound}"}]
 
     def test_bound_is_accepted(self, monkeypatch):
-        # small bounds stand in for the real ones, which take seconds to fill
+        # small bounds stand in for the real ones; an algebra at the bound takes seconds
         monkeypatch.setattr(cli, "MAX_ALGEBRA_DIM", 3)
         monkeypatch.setattr(cli, "MAX_LY_DIM", 2)
         assert parse_algebra_text(algebra_dim_text(3)).dim == 3
@@ -683,6 +684,17 @@ class TestFileDimBounds:
             parse_algebra_text(algebra_dim_text(4), origin="f.json")
         with pytest.raises(CliError, match="^f.json: dim must be at most 2$"):
             parse_ly_text(ly_dim_text(3), origin="f.json")
+
+    def test_empty_ly_file_at_the_bound_is_small(self):
+        # the LY reader stores zero cells once, so an empty dim-42 structure costs
+        # kilobytes and its check walks dim^3 cells, not dim^4 entries
+        tracemalloc.start()
+        try:
+            report = validate_ly(parse_ly_text(ly_dim_text(MAX_LY_DIM)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and peak < 8 * 2 ** 20
 
     def test_bounds_admit_the_largest_documented_inputs(self):
         # omni --dim 8 emits a dim-72 algebra; omni_hemi(6) has dim 42

@@ -16,9 +16,11 @@ from leibniz_forge import (
     torsion_curvature,
     validate_ly,
 )
+from leibniz_forge.cli import parse_ly_text
 from leibniz_forge.linalg import Matrix, basis_vec, vneg, vscale, vzero
 
 from conftest import make_nl3, make_so3
+from test_tensor import all_cells
 
 
 def zero_bin(n):
@@ -197,3 +199,37 @@ class TestTorsionCurvature:
                 assert tb[i][j] == vneg(ly.b[i][j])
                 for k in range(ly.dim):
                     assert tt[i][j][k] == vneg(ly.t[i][j][k])
+
+
+def zero_cell_ids(tensor, arity: int) -> set[int]:
+    """ids of the all-zero cells of a dense nested-tuple tensor."""
+    return {id(cell) for _, cell in all_cells(tensor, arity) if not any(cell)}
+
+
+class TestSharedZeroCells:
+    """Every producer stores one all-zero cell object per tensor, which the
+    SparseTensor walk reads once."""
+
+    def assert_shared(self, b, t):
+        assert len(zero_cell_ids(b, 2)) == 1 and len(zero_cell_ids(t, 3)) == 1
+
+    def test_ly_from_leibniz_and_torsion_curvature(self, corpus):
+        ly = ly_from_leibniz(corpus["omni_hemi2"])
+        self.assert_shared(ly.b, ly.t)
+        self.assert_shared(*torsion_curvature(ly))
+
+    def test_ly_from_decomposition(self, so3):
+        ly = ly_from_decomposition(so3, [basis_vec(3, 2)], [basis_vec(3, 0), basis_vec(3, 1)])
+        self.assert_shared(ly.b, ly.t)
+
+    def test_from_tensors(self):
+        t = [[[vzero(2) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+        t[0][1][0] = (Q(1), "0")
+        ly = LieYamaguti.from_tensors([[vzero(2), vzero(2)], [(0, 1), (0, 0)]], t)
+        self.assert_shared(ly.b, ly.t)
+        assert ly.t[0][1][0] == (Q(1), Q(0))
+
+    def test_parse_ly_text(self):
+        ly = parse_ly_text('{"dim": 3, "binary": [[0, 1, 2, "1"], [1, 0, 2, "0"]], '
+                           '"ternary": [[0, 1, 2, 0, "1/2"], [2, 2, 2, 2, 0]]}')
+        self.assert_shared(ly.b, ly.t)
