@@ -86,8 +86,6 @@ class StructureAlgebra:
         return SparseTensor(self.c, 2)
 
     def product(self, x: Vec, y: Vec) -> Vec:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector length does not match the algebra dimension")
         return self.sparse.contract(x, y)
 
     def lmul_basis(self, i: int, v: Vec) -> Vec:
@@ -242,10 +240,11 @@ class Subspace:
         checking only off the pivots.
         """
         w = tuple(as_q(x) for x in v)
+        if len(w) != self.ambient_dim:
+            raise ValueError("vector length does not match the ambient dimension")
         out = tuple(w[p] for p in self.pivots)
         terms = [(cf, r) for cf, r in zip(out, self.basis) if cf]
-        if len(w) != self.ambient_dim or any(w[j] != sum(cf * r[j] for cf, r in terms if r[j])
-                                             for j in self.complement_coords):
+        if any(w[j] != sum(cf * r[j] for cf, r in terms if r[j]) for j in self.complement_coords):
             raise ValueError("vector is not in the subspace")
         return out
 

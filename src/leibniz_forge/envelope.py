@@ -16,7 +16,6 @@ h and E as a subalgebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -38,7 +37,7 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .products import ModuleAction, hemisemidirect, matrix_lie_algebra, semidirect_lie
+from .products import ModuleAction, matrix_lie_algebra, semidirect_lie
 from .tensor import SparseTensor, first_failure
 
 
@@ -149,32 +148,46 @@ def projected_bracket_delta(t: EnvelopeTriple, s: Scalar, x: Vec, y: Vec) -> tup
     """(E-projection, h-projection) of [sigma_s x, sigma_s y] in g.
 
     Projections follow the decomposition g = h (+) sigma_s(E): the E part is
-    the plain E block, while the h part of (a, e) is a - s f(e). The first
-    component equals 2s skew(x, y) and the second equals -s^2 f(skew(x, y)).
+    the plain E block, while the h part of (a, e) is a - s f(e). E is abelian
+    in g, so with u = rho(f x) y - rho(f y) x the bracket is (s^2 [f x, f y], s u)
+    and its projections are s u and s^2 ([f x, f y] - f(u)). The first equals
+    2s skew(x, y) and the second -s^2 f(skew(x, y)).
     """
-    sq = as_q(s)
-    sigma = section_sigma(t, sq)
-    return _projections(t, sq, sigma.apply(x), sigma.apply(y))
+    sq, fx, fy = as_q(s), t.f.apply(x), t.f.apply(y)
+    u = vsub(t.action.sparse.contract(fx, y), t.action.sparse.contract(fy, x))
+    return vscale(sq, u), vscale(sq * sq, vsub(t.h.product(fx, fy), t.f.apply(u)))
 
 
-def _projections(t: EnvelopeTriple, sq: Fraction, u: Vec, v: Vec) -> tuple[Vec, Vec]:
-    """projected_bracket_delta for u = sigma_s x and v = sigma_s y."""
-    w, hd = t.g.product(u, v), t.h.dim
-    h_raw, e_part = w[:hd], w[hd:]
-    return e_part, vsub(h_raw, vscale(sq, t.f.apply(e_part)))
+def _section_failures(t: EnvelopeTriple, parts: Sequence[str]) -> list[tuple[tuple, str]]:
+    """Each named part that fails, with its first failing basis pair (i, j).
+    At x = e_i and y = e_j, with u = rho(f x) y - rho(f y) x, the parts are
+
+      bracket  u - 2 skew(x, y)
+      delta    2 ([f x, f y] - f(u) + f(skew(x, y)))
+      left     rho(f x) y - x.y
+      hom      [f x, f y] - f(x.y)
+
+    read through the (a, j) tensors [e_a, f e_j] and f(rho(e_a) e_j).
+    """
+    n, c, rho = t.e.dim, t.e.sparse, t.action.sparse
+    fs = SparseTensor(tuple(t.f.col(i) for i in range(n)), 1)  # i -> f(e_i)
+    hf = SparseTensor(tuple(tuple(t.h.sparse.contract(a, t.f.col(j)) for j in range(n))
+                            for a in range(t.h.dim)), 2)
+    frho = SparseTensor(tuple(tuple(fs.contract(m.col(j)) for j in range(n))
+                              for m in t.action.mats), 2)
+    terms = {"bracket": [(1, rho, "*j", fs, "i"), (-1, rho, "*i", fs, "j"), (-1, c, "ij"),
+                         (1, c, "ji")],
+             "delta": [(2, hf, "*j", fs, "i"), (-2, frho, "*j", fs, "i"),
+                       (2, frho, "*i", fs, "j"), (1, fs, "*", c, "ij"), (-1, fs, "*", c, "ji")],
+             "left": [(1, rho, "*j", fs, "i"), (-1, c, "ij")],
+             "hom": [(1, hf, "*j", fs, "i"), (-1, fs, "*", c, "ij")]}
+    return [(at, part) for part in parts
+            if (at := first_failure(n, "ij", terms[part])) is not None]
 
 
 def recovery_check(t: EnvelopeTriple) -> bool:
     """s = 1/2 recovery: E-projection of the sigma bracket is the skew product."""
-    n = t.e.dim
-    half = Q(1, 2)
-    sigma = section_sigma(t, half)
-    for i in range(n):
-        for j in range(n):
-            e_part, _ = _projections(t, half, sigma.col(i), sigma.col(j))
-            if e_part != t.e.skew_product(basis_vec(n, i), basis_vec(n, j)):
-                return False
-    return True
+    return not _section_failures(t, ["bracket"])
 
 
 DEFAULT_S_VALUES = (Q(1), Q(1, 2), Q(-2), Q(3, 7))
@@ -186,40 +199,24 @@ def scaling_check(t: EnvelopeTriple,
     """Exact s-scaling of the projected bracket over all basis pairs.
 
     The E part must scale as 2s skew(x, y) and the h part as -s^2 f(skew(x, y)).
-    Returns the first failing (s, i, j, which-part) otherwise None.
+    Returns the first failing (s, i, j, which-part), the E part first at a
+    pair, otherwise None.
 
-    One nonzero s decides every s. E is abelian in g, so with
-    u = rho(f x) y - rho(f y) x the bracket [sigma_s x, sigma_s y] is
-    (s^2 [f x, f y], s u): the E-part residual is s (u - 2 skew(x, y)) and the
-    h-part residual is s^2 ([f x, f y] - f(u) + f(skew(x, y))). Each
-    (i, j, part) therefore fails at one nonzero s exactly when it fails at all
-    of them, and nothing fails at s = 0, so the first failure over svals is
-    the first failure at the first nonzero value, the only one evaluated.
+    One nonzero s decides every s. By projected_bracket_delta the E-part
+    residual is s (u - 2 skew(x, y)) and the h-part residual is
+    s^2 ([f x, f y] - f(u) + f(skew(x, y))), so each (i, j, part) fails at one
+    nonzero s exactly when it fails at all of them, and nothing fails at s = 0:
+    the first failure over svals is the first failure at the first nonzero value.
     """
     sq = next((as_q(s) for s in svals if as_q(s)), None)
-    if sq is None:
+    fails = _section_failures(t, ["bracket", "delta"]) if sq is not None else []
+    if not fails:
         return True, None
-    n = t.e.dim
-    sigma = section_sigma(t, sq)
-    for i in range(n):
-        for j in range(n):
-            e_part, delta = _projections(t, sq, sigma.col(i), sigma.col(j))
-            br = t.e.skew_product(basis_vec(n, i), basis_vec(n, j))
-            if e_part != vscale(2 * sq, br):
-                return False, (str(sq), i, j, "bracket")
-            if delta != vscale(-(sq * sq), t.f.apply(br)):
-                return False, (str(sq), i, j, "delta")
-    return True, None
+    (i, j), part = min(fails)
+    return False, (str(sq), i, j, part)
 
 
 def sigma_one_embed_check(t: EnvelopeTriple) -> bool:
-    """sigma_1 is a morphism into the hemisemidirect product of h and E."""
-    hemi = hemisemidirect(t.h, t.action)
-    sigma = section_sigma(t, 1)
-    n = t.e.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = hemi.product(sigma.apply(basis_vec(n, i)), sigma.apply(basis_vec(n, j)))
-            if lhs != sigma.apply(t.e.c[i][j]):
-                return False
-    return True
+    """sigma_1 is a morphism into the hemisemidirect product of h and E:
+    sigma_1 x . sigma_1 y = ([f x, f y], rho(f x) y) is sigma_1(x.y) = (f(x.y), x.y)."""
+    return not _section_failures(t, ["left", "hom"])

@@ -131,6 +131,13 @@ def _coerce(mode: str, v: Sequence) -> tuple:
     return tuple(as_q(c) for c in v) if mode == "exact" else tuple(float(c) for c in v)
 
 
+def _vectors(mode: str, n: int, *vs: Sequence) -> list[tuple]:
+    """The vectors coerced for mode; each must have n entries."""
+    if any(len(v) != n for v in vs):
+        raise ValueError("vector length does not match the dimension")
+    return [_coerce(mode, v) for v in vs]
+
+
 def _exp_matrix(mode: str, tol: float,
                 m: Matrix | ScaledMatrix | FloatMatrix) -> Matrix | FloatMatrix:
     return mat_exp_exact(m) if mode == "exact" else mat_exp_float(m, tol=min(tol, 1e-12))
@@ -201,22 +208,22 @@ class _Loop:
 
 def loop_product(ctx: LoopContext, x: Sequence, y: Sequence):
     """x <> y = x + exp(s lambda(x)) y."""
-    return _Loop(ctx).product(_coerce(ctx.mode, x), _coerce(ctx.mode, y))
+    return _Loop(ctx).product(*_vectors(ctx.mode, ctx.algebra.dim, x, y))
 
 
 def left_inverse(ctx: LoopContext, x: Sequence):
     """The unique x' with x <> x' = 0: x' = -exp(-s lambda(x)) x."""
-    return _Loop(ctx).inverse(_coerce(ctx.mode, x))
+    return _Loop(ctx).inverse(*_vectors(ctx.mode, ctx.algebra.dim, x))
 
 
 def left_divide(ctx: LoopContext, a: Sequence, b: Sequence):
     """a \\ b, the solution of a <> z = b: exp(-s lambda(a)) (b - a)."""
-    return _Loop(ctx).divide(_coerce(ctx.mode, a), _coerce(ctx.mode, b))
+    return _Loop(ctx).divide(*_vectors(ctx.mode, ctx.algebra.dim, a, b))
 
 
 def left_inner_mapping(ctx: LoopContext, a: Sequence, b: Sequence):
     """L(a,b) = exp(-s lambda(a<>b)) exp(s lambda(a)) exp(s lambda(b)) as a matrix."""
-    a, b = _coerce(ctx.mode, a), _coerce(ctx.mode, b)
+    a, b = _vectors(ctx.mode, ctx.algebra.dim, a, b)
     ab = loop_product(ctx, a, b)
     exp = partial(_exp_matrix, ctx.mode, ctx.tol)
     return exp(_s_lambda(ctx, ab, -1)) @ exp(_s_lambda(ctx, a, 1)) @ exp(_s_lambda(ctx, b, 1))
@@ -299,10 +306,11 @@ def hemi_loop_closed_form(action: ModuleAction, s: Scalar,
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    sq, xq = as_q(s), _coerce("exact", xi)
+    sq, (xq,) = as_q(s), _vectors("exact", action.h.dim, xi)
 
     def block(m: Matrix, base: Sequence, v: Sequence) -> tuple:
-        return vadd(_coerce(mode, base), _exp_apply(mode, tol, m * sq)(_coerce(mode, v)))
+        base, v = _vectors(mode, m.rows, base, v)
+        return vadd(base, _exp_apply(mode, tol, m * sq)(v))
 
     return block(action.h.left_mul(xq), xi, eta), block(action.of(xq), x, y)
 

@@ -74,7 +74,7 @@ class ModuleAction:
         """Nonzero action coefficients (a, k) -> {m: mats[a][m][k]}."""
         rho = SparseTensor(tuple(tuple(m.col(k) for k in range(self.v_dim))
                                  for m in self.mats), 2)
-        rho.out_dim = self.v_dim  # h = 0 leaves no cell to read it from
+        rho.shape, rho.out_dim = (self.h.dim, self.v_dim), self.v_dim  # h = 0 hides them
         return rho
 
     def of(self, hvec: Vec) -> Matrix:

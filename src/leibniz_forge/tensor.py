@@ -38,7 +38,7 @@ from .linalg import _clear
 Cell = dict[int, Fraction]
 Residual = dict[tuple[int, ...], dict[int, int]]
 # (sign, outer, outer variables) or
-# (sign, outer, outer variables with one "*", inner, inner variables); sign is 1 or -1
+# (sign, outer, outer variables with one "*", inner, inner variables); sign is an integer weight
 Term = Union[tuple[int, "SparseTensor", str],
              tuple[int, "SparseTensor", str, "SparseTensor", str]]
 
@@ -57,9 +57,11 @@ class SparseTensor:
         self.entries: dict[tuple[int, ...], Cell] = {
             key + (i,): {k: x for k, x in enumerate(cell) if x}
             for key, row in rows for i, cell in enumerate(row) if cell is not zero and any(cell)}
+        shape = []  # axis lengths read along the first cells; an empty axis hides the rest
         for _ in range(arity):
+            shape.append(len(dense))
             dense = dense[0] if dense else ()
-        self.out_dim = len(dense)
+        self.shape, self.out_dim = tuple(shape), len(dense)
 
     @cached_property
     def scaled(self) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
@@ -82,8 +84,10 @@ class SparseTensor:
 
         An int argument i stands for the basis vector e_i and selects the
         entries with that index instead of multiplying by it; at least one
-        argument is a vector.
+        argument is a vector, as long as its axis.
         """
+        if any(len(a) != n for a, n in zip(args, self.shape) if not isinstance(a, int)):
+            raise ValueError("vector length does not match the dimension")
         fixed = tuple(p for p, a in enumerate(args) if isinstance(a, int))
         (p0, a0), *free = [(p, a) for p, a in enumerate(args) if not isinstance(a, int)]
         entries = (self.group(fixed).get(tuple(args[p] for p in fixed), ())

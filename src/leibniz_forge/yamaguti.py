@@ -192,14 +192,18 @@ def ly_envelope(ly: LieYamaguti,
 
         [xi + x, eta + y] = ([xi, eta] + Delta(x, y)) + (xi y - eta x + <<x, y>>)
 
-    Defaults to h = span of inner derivations with Delta = delta. An explicit
-    (h, action, delta) is validated against the three delta conditions first.
+    Defaults to h = span of inner derivations with Delta = delta, once the
+    ternary is skew in its first two slots. An explicit (h, action, delta) is
+    validated against the three delta conditions first.
     """
-    n, b = ly.dim, SparseTensor(ly.b, 2)
+    n, b, t = ly.dim, SparseTensor(ly.b, 2), SparseTensor(ly.t, 3)
     if (h is None) != (action is None) or (h is None) != (delta is None):
         raise ValueError("supply h, action and delta together or none of them")
 
     if h is None:
+        at = skew_failure(t)
+        if at is not None:
+            raise ValueError(f"delta is not skew at {at}")
         deltas = [[delta_matrix(ly, i, j) for j in range(n)] for i in range(n)]
         try:
             action, span = matrix_lie_algebra(
@@ -214,7 +218,7 @@ def ly_envelope(ly: LieYamaguti,
         if action.v_dim != n:
             raise ValueError("action matrices do not act on the LY space")
         d = SparseTensor(delta_t, 2)
-        _check_delta(ly, b, h, action, d)
+        _check_delta(ly, b, t, h, action, d)
 
     hd = h.dim
     products = action_products(action, 1, -1)
@@ -229,11 +233,11 @@ def ly_envelope(ly: LieYamaguti,
     return LYEnvelope(g, h, action, delta_t)
 
 
-def _check_delta(ly: LieYamaguti, b: SparseTensor, h: StructureAlgebra,
+def _check_delta(ly: LieYamaguti, b: SparseTensor, t: SparseTensor, h: StructureAlgebra,
                  action: ModuleAction, d: SparseTensor) -> None:
-    """Delta(x, y) is skew, acts as {x, y, -}, is h-equivariant, and its
+    """Delta(x, y) is skew, acts as the ternary t, is h-equivariant, and its
     cyclic sum over the binary b vanishes; raises at the first failing tuple."""
-    t, rho = SparseTensor(ly.t, 3), action.sparse  # rho: (a, k) -> rho(e_a) e_k
+    rho = action.sparse  # rho: (a, k) -> rho(e_a) e_k
     at = skew_failure(d)
     if at is not None:
         raise ValueError(f"delta is not skew at {at}")

@@ -200,6 +200,11 @@ class TestSubspace:
             rebuilt = vadd(rebuilt, vscale(c, row))
         assert rebuilt == v
 
+    @pytest.mark.parametrize("v", [(1, 2), (1, 2, 3, 4)])
+    def test_coords_of_a_wrong_length_vector(self, v):
+        with pytest.raises(ValueError, match="vector length does not match the ambient dimension"):
+            Subspace.whole(3).coords(v)
+
     def test_add_and_containment(self):
         a = Subspace.span(3, [(1, 0, 0)])
         b = Subspace.span(3, [(0, 1, 0)])

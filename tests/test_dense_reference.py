@@ -310,5 +310,9 @@ def test_subspace_coords_match_dense_rebuild(n, data):
     outside = vadd(inside, data.draw(st.tuples(*[sparse_rationals] * n)))
     short, long = inside[:-1], inside + (data.draw(sparse_rationals),)
     for v in (inside, outside, short, long, tuple(int(x) for x in inside if x.denominator == 1)):
-        assert coords_outcome(Subspace.coords, space, v) == coords_outcome(ref_coords, space, v)
+        got = coords_outcome(Subspace.coords, space, v)
+        if len(v) == n:
+            assert got == coords_outcome(ref_coords, space, v)
+        else:  # the dense rebuild read the pivots of a short vector first
+            assert got == (ValueError, "vector length does not match the ambient dimension")
     assert Subspace.coords(space, inside) == ref_coords(space, inside)

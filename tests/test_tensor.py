@@ -5,10 +5,26 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leibniz_forge import StructureAlgebra, loop_context, omni_algebras
+from leibniz_forge import (
+    LoopContext,
+    ModuleAction,
+    Pcg32,
+    StructureAlgebra,
+    gl_action,
+    hemi_loop_closed_form,
+    left_divide,
+    left_inner_mapping,
+    left_inverse,
+    loop_context,
+    loop_product,
+    ly_from_leibniz,
+    omni_algebras,
+    random_nilpotent_leibniz,
+)
 from leibniz_forge.tensor import SparseTensor, first_failure, materialize
 
 
@@ -106,3 +122,51 @@ def test_a_distinct_zero_cell_after_the_shared_one_is_read():
     one = (Q(1), Q(0))
     assert SparseTensor(((one, one), (z, one)), 2).entries == {
         (0, 0): {0: Q(1)}, (0, 1): {0: Q(1)}, (1, 1): {0: Q(1)}}
+
+
+# -- vector lengths -------------------------------------------------------------
+
+NIL6 = random_nilpotent_leibniz(Pcg32(13), 6)
+HEMI2 = omni_algebras(2)[0]
+GL2 = gl_action(2)
+LY3 = ly_from_leibniz(omni_algebras(1)[0])
+
+
+def vec(n: int) -> tuple:
+    return tuple(Q(k + 1) for k in range(n))
+
+
+WRONG_LENGTHS = {
+    "product": lambda: HEMI2.product(vec(6), vec(5)),
+    "left_mul short": lambda: HEMI2.left_mul(vec(5)),
+    "left_mul long": lambda: HEMI2.left_mul(vec(7)),
+    "lmul_basis": lambda: HEMI2.lmul_basis(0, vec(7)),
+    "rmul_basis": lambda: HEMI2.rmul_basis(vec(5), 0),
+    "action.of short": lambda: GL2.of(vec(3)),
+    "action.of long": lambda: GL2.of(vec(5)),
+    "binary": lambda: LY3.binary(vec(2), vec(1)),
+    "ternary": lambda: LY3.ternary(vec(2), vec(2), vec(3)),
+    "loop_product": lambda: loop_product(LoopContext(NIL6, Q(1, 2), "exact"), vec(6), vec(7)),
+    "left_inverse exact": lambda: left_inverse(LoopContext(NIL6, Q(1, 2), "exact"), vec(7)),
+    "left_inverse float": lambda: left_inverse(LoopContext(NIL6, Q(1, 2), "float"), vec(5)),
+    "left_divide": lambda: left_divide(LoopContext(NIL6, Q(1, 2), "exact"), vec(5), vec(6)),
+    "left_inner_mapping": lambda: left_inner_mapping(LoopContext(NIL6, Q(1, 2), "exact"),
+                                                     vec(6), vec(7)),
+    "closed form short xi": lambda: hemi_loop_closed_form(GL2, Q(1, 2), vec(3), vec(2),
+                                                          vec(4), vec(2)),
+    "closed form long y": lambda: hemi_loop_closed_form(GL2, Q(1, 2), vec(4), vec(2),
+                                                        vec(4), vec(3), mode="float"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_LENGTHS)
+def test_wrong_length_vectors_are_value_errors(case):
+    with pytest.raises(ValueError, match="vector length does not match the dimension"):
+        WRONG_LENGTHS[case]()
+
+
+def test_action_axes_are_set_for_a_zero_h():
+    act = ModuleAction(StructureAlgebra.abelian(0), (), space_dim=3)
+    assert act.sparse.shape == (0, 3) and act.sparse.out_dim == 3
+    with pytest.raises(ValueError, match="vector length"):
+        act.of(vec(1))

@@ -13,8 +13,11 @@ identity carry different denominators, so that each term is scaled by its own
 factor. Known-valid structures scaled by a rational and perturbed in one cell
 fail deep in the scan, not at its first tuple.
 
-The s-scaling and recovery checks, which rebuild sigma_s for each basis pair
-in the code kept here, are pinned the same way: equal results and witnesses.
+The sigma_s checks scan identities on f, rho and the structure constants.
+The code kept here builds sigma_s as a matrix and multiplies its columns in
+the semidirect sum g, or in the hemisemidirect product for sigma_1; the
+s-scaling, recovery and sigma_1 checks and projected_bracket_delta are pinned
+to it the same way: equal results and witnesses.
 """
 
 from __future__ import annotations
@@ -38,16 +41,18 @@ from leibniz_forge import (
     ly_envelope,
     ly_from_leibniz,
     omni_algebras,
+    projected_bracket_delta,
     random_nilpotent_leibniz,
     recovery_check,
     scaling_check,
-    section_sigma,
+    sigma_one_embed_check,
     squares_ideal,
     validate_ly,
 )
-from leibniz_forge import tensor
+from leibniz_forge import envelope, products, tensor
 from leibniz_forge.envelope import DEFAULT_S_VALUES
 from leibniz_forge.linalg import Matrix, as_q, basis_vec, vscale, vsub
+from leibniz_forge.products import hemisemidirect, semidirect_lie
 from leibniz_forge.tensor import SparseTensor
 
 from conftest import make_broken3, make_heisenberg3, make_leibniz2, make_nl3, make_so3
@@ -394,10 +399,28 @@ def test_small_and_zero_tensors_match(n, value):
 
 # -- sigma_s checks, kept verbatim -----------------------------------------------
 
+def ref_section_sigma(t, s) -> Matrix:
+    """Matrix of sigma_s: E -> g, x -> (s f(x), x)."""
+    sq = as_q(s)
+    top = (t.f * sq).entries
+    bottom = Matrix.identity(t.e.dim).entries
+    return Matrix(top + bottom)
+
+
+_REF_G: dict[int, tuple] = {}
+
+
+def ref_g(t) -> StructureAlgebra:
+    """The semidirect sum g of h and E, built once per triple (the triple is kept alive)."""
+    if id(t) not in _REF_G:
+        _REF_G[id(t)] = (t, semidirect_lie(t.h, t.action))
+    return _REF_G[id(t)][1]
+
+
 def ref_projected_bracket_delta(t, s, x, y):
     sq = as_q(s)
-    sigma = section_sigma(t, sq)
-    w = t.g.product(sigma.apply(x), sigma.apply(y))
+    sigma = ref_section_sigma(t, sq)
+    w = ref_g(t).product(sigma.apply(x), sigma.apply(y))
     hd = t.h.dim
     h_raw, e_part = w[:hd], w[hd:]
     delta = vsub(h_raw, vscale(sq, t.f.apply(e_part)))
@@ -411,6 +434,18 @@ def ref_recovery_check(t) -> bool:
         for j in range(n):
             e_part, _ = ref_projected_bracket_delta(t, half, basis_vec(n, i), basis_vec(n, j))
             if e_part != t.e.skew_product(basis_vec(n, i), basis_vec(n, j)):
+                return False
+    return True
+
+
+def ref_sigma_one_embed_check(t) -> bool:
+    hemi = hemisemidirect(t.h, t.action)
+    sigma = ref_section_sigma(t, 1)
+    n = t.e.dim
+    for i in range(n):
+        for j in range(n):
+            lhs = hemi.product(sigma.apply(basis_vec(n, i)), sigma.apply(basis_vec(n, j)))
+            if lhs != sigma.apply(t.e.c[i][j]):
                 return False
     return True
 
@@ -462,6 +497,7 @@ def test_sigma_checks_match_reference(k):
     assert scaling_check(t) == ref_scaling_check(t)
     assert scaling_check(t, svals) == ref_scaling_check(t, svals)
     assert recovery_check(t) == ref_recovery_check(t)
+    assert sigma_one_embed_check(t) == ref_sigma_one_embed_check(t)
 
 
 @pytest.mark.parametrize("svals", [(0, Q(1, 2), Q(-2)), (0, 0, 5), (Q(3, 7), Q(3, 7), 1),
@@ -478,3 +514,35 @@ def test_sigma_triples_reach_every_outcome():
     assert (True, None) in results and parts == {"bracket", "delta"}
     assert results[-1] == (False, ("1", 0, 1, "delta"))
     assert {ref_recovery_check(t) for t in SIGMA_TRIPLES} == {True, False}
+    assert {ref_sigma_one_embed_check(t) for t in SIGMA_TRIPLES} == {True, False}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(range(len(SIGMA_TRIPLES))), st.one_of(st.just(0), rationals()), st.data())
+def test_projected_bracket_delta_matches_reference(k, s, data):
+    t = SIGMA_TRIPLES[k]
+    x, y = (tuple(data.draw(st.lists(rationals(), min_size=t.e.dim, max_size=t.e.dim)))
+            for _ in range(2))
+    assert projected_bracket_delta(t, s, x, y) == ref_projected_bracket_delta(t, s, x, y)
+
+
+def test_sigma_checks_read_no_dense_g_sigma_or_algebra(monkeypatch):
+    """The checks scan f, rho and the structure constants: with every dense
+    path patched to raise they still give the reference results."""
+    refs = [(ref_recovery_check(t), ref_scaling_check(t), ref_sigma_one_embed_check(t),
+             ref_projected_bracket_delta(t, Q(2, 3), (1,) * t.e.dim, (0,) + (1,) * (t.e.dim - 1)))
+            for t in SIGMA_TRIPLES]
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a sigma_s check read a dense g, sigma_s or algebra")
+
+    monkeypatch.setattr(EnvelopeTriple, "g", property(dense))
+    monkeypatch.setattr(envelope, "section_sigma", dense)
+    monkeypatch.setattr(envelope, "hemisemidirect", dense, raising=False)
+    monkeypatch.setattr(products, "hemisemidirect", dense)
+    monkeypatch.setattr(StructureAlgebra, "from_constants", staticmethod(dense))
+    monkeypatch.setattr(StructureAlgebra, "from_products", staticmethod(dense))
+    for t, ref in zip(SIGMA_TRIPLES, refs):
+        n = t.e.dim
+        assert (recovery_check(t), scaling_check(t), sigma_one_embed_check(t),
+                projected_bracket_delta(t, Q(2, 3), (1,) * n, (0,) + (1,) * (n - 1))) == ref

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -180,6 +181,15 @@ class TestEnvelope:
         floats = [[[float(x) for x in cell] for cell in row] for row in env.delta]
         with pytest.raises(TypeError, match="not an exact scalar"):
             ly_envelope(ly, h=env.h, action=env.action, delta=floats)
+
+    @pytest.mark.parametrize("cell, at", [((0, 0, 1, 0), (0, 0, 1)),    # delta(e0, e0) != 0
+                                          ((1, 0, 0, 1), (0, 1, 0))])   # delta(e1, e0) != -delta(e0, e1)
+    def test_non_skew_ternary_is_named(self, cell, at):
+        t = [[[list(c) for c in row] for row in plane] for plane in zero_tern(2)]
+        i, j, k, m = cell
+        t[i][j][k][m] = Q(1)
+        with pytest.raises(ValueError, match=re.escape(f"delta is not skew at {at}")):
+            ly_envelope(LieYamaguti.from_tensors(zero_bin(2), t))
 
     def test_inner_derivation_span(self, so3):
         h = [basis_vec(3, 2)]
