@@ -65,7 +65,8 @@ class StructureAlgebra:
                       basis_names: Sequence[str] | None = None,
                       name: str = "") -> "StructureAlgebra":
         """Sparse constructor: omitted basis products are zero."""
-        c = [[[Q(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        zero = Q(0)  # one object for every zero entry, which the sparse walk skips by identity
+        c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j), result in products.items():
             for k, coeff in result.items():
                 c[i][j][k] = as_q(coeff)
@@ -98,6 +99,8 @@ class StructureAlgebra:
 
     def left_mul(self, x: Vec) -> Matrix:
         """Matrix of lambda(x): y -> x . y in the algebra basis."""
+        if len(x) != self.dim:
+            raise ValueError("vector length does not match the dimension")
         cols = [self.rmul_basis(x, j) for j in range(self.dim)]
         return Matrix.from_cols(cols)
 

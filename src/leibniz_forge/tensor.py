@@ -6,7 +6,7 @@ an action (a, k) -> rho(e_a) e_k. SparseTensor keeps only the nonzero
 coefficients, key -> {output index: coefficient}, so every contraction and
 every check costs in proportion to them; omni structure constants, for
 example, are 7.4 % nonzero for d = 2 and 3.3 % for d = 3. The walk skips, unread,
-every cell that is the first all-zero cell: `materialize` shares one per tensor.
+the first all-zero cell and its zero wherever they recur (`materialize` shares both).
 
 An identity is a sum of signed terms, each a tensor applied to basis
 variables, at most one argument being another tensor applied to variables:
@@ -19,7 +19,7 @@ inner value goes. first_failure walks the leading variable in order, builds
 that slice's residual from the nonzero entries alone, and returns the least
 failing tuple of the first failing slice: the lexicographically first
 failing basis tuple, as a dense scan would report it, without scanning past
-it.
+it. skew_failure finds it by partner lookup, the first two indices swapped.
 
 Scans add integers: `scaled` holds a tensor's numerators over its lcm
 denominator (1 when empty), and each term is brought to the identity's common
@@ -31,9 +31,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
-
-from .linalg import _clear
 
 Cell = dict[int, Fraction]
 Residual = dict[tuple[int, ...], dict[int, int]]
@@ -54,9 +53,10 @@ class SparseTensor:
         for _ in range(arity - 1):
             rows = [(key + (i,), sub) for key, t in rows for i, sub in enumerate(t)]
         zero = next((cell for _, row in rows for cell in row if not any(cell)), None)
+        z = zero[0] if zero else None  # the shared zero entry, tested by identity
         self.entries: dict[tuple[int, ...], Cell] = {
-            key + (i,): {k: x for k, x in enumerate(cell) if x}
-            for key, row in rows for i, cell in enumerate(row) if cell is not zero and any(cell)}
+            key + (i,): nz for key, row in rows for i, cell in enumerate(row)
+            if cell is not zero and (nz := {k: x for k, x in enumerate(cell) if x is not z and x})}
         shape = []  # axis lengths read along the first cells; an empty axis hides the rest
         for _ in range(arity):
             shape.append(len(dense))
@@ -66,28 +66,31 @@ class SparseTensor:
     @cached_property
     def scaled(self) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
         """(cells, den): the entries as integer numerators over den, their lcm denominator."""
-        nums, den = _clear([x for cell in self.entries.values() for x in cell.values()])
-        it = iter(nums)
-        return {key: {m: next(it) for m in cell} for key, cell in self.entries.items()}, den
+        den = math.lcm(*{x.denominator for cell in self.entries.values() for x in cell.values()})
+        return {key: {m: x.numerator * (den // x.denominator) for m, x in cell.items()}
+                for key, cell in self.entries.items()}, den
 
     def group(self, positions: tuple[int, ...], scaled: bool = False) -> dict:
         """Entries, or the scaled cells, by the indices at `positions`, each list in key order."""
         g = self._groups.get((positions, scaled))
         if g is None:
             g = self._groups[positions, scaled] = {}
+            by = itemgetter(*positions) if len(positions) > 1 else lambda k, p=positions[0]: (k[p],)
             for key, cell in (self.scaled[0] if scaled else self.entries).items():
-                g.setdefault(tuple([key[p] for p in positions]), []).append((key, cell))
+                g.setdefault(by(key), []).append((key, cell))
         return g
 
     def contract(self, *args) -> tuple:
         """sum over entries of prod(args[p][key[p]]) * cell.
 
-        An int argument i stands for the basis vector e_i and selects the
-        entries with that index instead of multiplying by it; at least one
-        argument is a vector, as long as its axis.
+        An int argument i, below its axis length, stands for e_i and selects
+        the entries with that index instead of multiplying by it; at least
+        one argument is a vector, as long as its axis.
         """
-        if any(len(a) != n for a, n in zip(args, self.shape) if not isinstance(a, int)):
-            raise ValueError("vector length does not match the dimension")
+        for a, n in zip(args, self.shape):
+            if not (0 <= a < n if isinstance(a, int) else len(a) == n):
+                raise ValueError("basis index out of range" if isinstance(a, int)
+                                 else "vector length does not match the dimension")
         fixed = tuple(p for p, a in enumerate(args) if isinstance(a, int))
         (p0, a0), *free = [(p, a) for p, a in enumerate(args) if not isinstance(a, int)]
         entries = (self.group(fixed).get(tuple(args[p] for p in fixed), ())
@@ -119,10 +122,7 @@ def materialize(dim: int, arity: int, cells: Mapping[tuple[int, ...], Cell]) -> 
 
 def _add(res: dict, key: tuple[int, ...], cell: Mapping, f) -> None:
     """res[key] += f * cell, over int or Fraction values"""
-    r = res.get(key)
-    if r is None:
-        res[key] = {m: f * x for m, x in cell.items()}
-        return
+    r = res.setdefault(key, {})
     for m, x in cell.items():
         r[m] = r.get(m, 0) + f * x
 
@@ -154,9 +154,11 @@ def residual(variables: str, i: int, terms: Sequence[Term]) -> Residual:
         for ikey, icell in ins:
             for l, c in icell.items():
                 fc = f * c
-                for okey, ocell in outs.get((l,) + at, ()):
+                for okey, ocell in outs.get((l,) + at, ()):  # _add, inlined
                     both = ikey + okey
-                    _add(res, tuple([both[q] for q in pick]), ocell, fc)
+                    r = res.setdefault(tuple([both[q] for q in pick]), {})
+                    for m, x in ocell.items():
+                        r[m] = r.get(m, 0) + fc * x
     return res
 
 
@@ -171,6 +173,13 @@ def first_failure(n: int, variables: str, terms: Sequence[Term]) -> tuple[int, .
 
 
 def skew_failure(t: SparseTensor) -> tuple[int, ...] | None:
-    """First tuple at which swapping the first two slots fails to negate t."""
-    args = "ijklm"[:t.arity]
-    return first_failure(t.dim, args, [(1, t, args), (1, t, args[1] + args[0] + args[2:])])
+    """First tuple at which swapping the first two slots fails to negate t.
+
+    By partner lookup: the cell at a key k must be minus the one at s(k), k with
+    its first two indices swapped. The failing tuples are closed under s, and
+    one of k, s(k) is stored when k fails (a cell of the two is nonzero), so
+    first_failure's answer is the least min(k, s(k)) over the stored k that fail.
+    """
+    cells = t.scaled[0]
+    return min((min(k, s) for k, c in cells.items()
+                if cells.get(s := k[1::-1] + k[2:]) != {m: -x for m, x in c.items()}), default=None)

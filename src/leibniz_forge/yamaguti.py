@@ -56,7 +56,8 @@ class LieYamaguti:
         Built per call and not cached: callers keep many structures alive
         (one per perturbation, say) and each validates once, so a cached
         view would only hold memory. The library's structures share one
-        all-zero cell per tensor, which the view skips by identity.
+        all-zero cell and one zero per tensor, which the view skips by
+        identity; validate_ly checks skewness (LY1, LY2) by partner lookup.
         """
         return SparseTensor(self.b, 2), SparseTensor(self.t, 3)
 
@@ -72,8 +73,8 @@ def validate_ly(ly: LieYamaguti) -> LYReport:
 
     With b the binary and t the ternary tensor, on basis elements:
 
-      LY1  b(i, j) + b(j, i) = 0
-      LY2  t(i, j, k) + t(j, i, k) = 0
+      LY1  b(i, j) + b(j, i) = 0          (by partner lookup: skew_failure(b))
+      LY2  t(i, j, k) + t(j, i, k) = 0    (by partner lookup: skew_failure(t))
       LY3  sum over cyclic (x, y, z) of (i, j, k): b(b(x, y), z) + t(x, y, z) = 0
       LY4  sum over cyclic (x, y, z) of (i, j, k): t(b(x, y), z, u) = 0
       LY5  t(i, j, b(u, v)) = b(t(i, j, u), v) + b(u, t(i, j, v))
@@ -81,10 +82,11 @@ def validate_ly(ly: LieYamaguti) -> LYReport:
                                  + t(u, v, t(i, j, w))
     """
     b, t = ly.sparse()
+    for name, tensor in (("LY1", b), ("LY2", t)):
+        if (at := skew_failure(tensor)) is not None:
+            return LYReport(False, name, at)
     cyclic = ("ijk", "jki", "kij")
     for name, variables, terms in (
-            ("LY1", "ij", [(1, b, "ij"), (1, b, "ji")]),
-            ("LY2", "ijk", [(1, t, "ijk"), (1, t, "jik")]),
             ("LY3", "ijk", [term for x, y, z in cyclic
                             for term in ((1, b, "*" + z, b, x + y), (1, t, x + y + z))]),
             ("LY4", "ijku", [(1, t, "*" + z + "u", b, x + y) for x, y, z in cyclic]),
@@ -204,14 +206,15 @@ def ly_envelope(ly: LieYamaguti,
         at = skew_failure(t)
         if at is not None:
             raise ValueError(f"delta is not skew at {at}")
-        deltas = [[delta_matrix(ly, i, j) for j in range(n)] for i in range(n)]
+        gens = {(i, j): delta_matrix(ly, i, j) for i in range(n) for j in range(i + 1, n)}
         try:
-            action, span = matrix_lie_algebra(
-                n, [m for i, row in enumerate(deltas) for m in row[i + 1:]], "d")
+            action, span = matrix_lie_algebra(n, list(gens.values()), "d")
         except ValueError:
             raise ValueError("inner derivations do not close under commutators") from None
         h = action.h
-        delta_t = tuple(tuple(span.coords(m.flat) for m in row) for row in deltas)
+        up = {key: span.coords(m.flat) for key, m in gens.items()}  # t is skew: the rest follow
+        delta_t = tuple(tuple(up[i, j] if i < j else tuple(-x for x in up[j, i]) if j < i
+                              else (Q(0),) * h.dim for j in range(n)) for i in range(n))
         d = SparseTensor(delta_t, 2)
     else:
         delta_t = tuple(tuple(tuple(as_q(x) for x in cell) for cell in row) for row in delta)

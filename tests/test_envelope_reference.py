@@ -41,7 +41,7 @@ from leibniz_forge import (
     squares_ideal,
     validate_envelope,
 )
-from leibniz_forge import envelope
+from leibniz_forge import envelope, yamaguti
 from leibniz_forge.envelope import EnvelopeTriple
 from leibniz_forge.linalg import Matrix, Vec, as_q, is_zero_vec, kernel_basis, vadd, vscale, vzero
 from leibniz_forge.products import action_products, matrix_lie_algebra
@@ -513,3 +513,19 @@ def test_ly_envelope_row_reduces_once(monkeypatch):
                         staticmethod(lambda *args: spans.append(args) or span(*args)))
     ly_envelope(ly)
     assert len(spans) == 1
+
+
+def test_ly_envelope_reads_the_pairs_below_the_diagonal(monkeypatch):
+    """Skewness of the ternary gives delta(e_j, e_i) and delta(e_i, e_i), so only
+    the n(n - 1)/2 pairs i < j are read and given coordinates."""
+    ly = ly_from_leibniz(omni_algebras(2)[0])
+    want = outcome(ref_ly_envelope, ly)
+    calls = {"delta_matrix": 0, "coords": 0}
+    delta, coords = yamaguti.delta_matrix, Subspace.coords
+
+    def counted(name, fn):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+    monkeypatch.setattr(yamaguti, "delta_matrix", counted("delta_matrix", delta))
+    monkeypatch.setattr(Subspace, "coords", counted("coords", coords))
+    assert outcome(ly_envelope, ly) == want
+    assert calls == {"delta_matrix": 15, "coords": 15}

@@ -1,8 +1,10 @@
 """Identity scans of the sparse tensor core against the Fraction scan kept here.
 
-tensor.first_failure and tensor.skew_failure evaluate an identity on the
-integer numerators of each tensor over one denominator per tensor. The scan
-kept verbatim below adds Fraction products cell by cell instead. Every check
+tensor.first_failure evaluates an identity on the integer numerators of each
+tensor over one denominator per tensor, and tensor.skew_failure compares each
+cell with its partner, the cell with the first two indices swapped. The scan
+kept verbatim below adds Fraction products cell by cell instead, and so does
+the scan-based validate_ly kept below (LY1 and LY2 as scans). Every check
 of the package reports the tuple that first_failure returns, so equal tuples
 on every identity the package states pin every witness: Leibniz, Jacobi and
 skew on structure constants, LY1-LY6, the three conditions of
@@ -53,7 +55,8 @@ from leibniz_forge import envelope, products, tensor
 from leibniz_forge.envelope import DEFAULT_S_VALUES
 from leibniz_forge.linalg import Matrix, as_q, basis_vec, vscale, vsub
 from leibniz_forge.products import hemisemidirect, semidirect_lie
-from leibniz_forge.tensor import SparseTensor
+from leibniz_forge.tensor import SparseTensor, materialize
+from leibniz_forge.yamaguti import LYReport
 
 from conftest import make_broken3, make_heisenberg3, make_leibniz2, make_nl3, make_so3
 
@@ -299,6 +302,87 @@ def test_scaled_perturbed_ly_structures_match(which, factor, data):
     ref = next(((name, at) for name, n_, v, terms in ly_identities(n, b, t)
                 if (at := first_failure(n_, v, terms)) is not None), (None, None))
     assert (report.axiom, report.at) == ref
+
+
+SKEW_CASES = {  # cells at keys (i, j), and the first failing pair
+    "nonzero diagonal": ({(0, 1): {0: Q(1)}, (1, 0): {0: Q(-1)}, (2, 2): {1: Q(2, 3)}}, (2, 2)),
+    "missing partner": ({(0, 1): {2: Q(1)}, (1, 0): {2: Q(-1)}, (2, 1): {0: Q(5)}}, (1, 2)),
+    "extra output index": ({(1, 2): {0: Q(1, 2)}, (2, 1): {0: Q(-1, 2), 2: Q(3)}}, (1, 2)),
+    "off by one value": ({(0, 2): {0: Q(1), 1: Q(2)}, (2, 0): {0: Q(-1), 1: Q(-1)},
+                          (2, 1): {1: Q(4)}}, (0, 2)),
+}
+
+
+@pytest.mark.parametrize("case", SKEW_CASES)
+@pytest.mark.parametrize("arity", [2, 3])
+def test_skew_failures_by_hand_match(case, arity):
+    """At arity 3 each cell (i, j) is written at (i, j, 0) and (i, j, 1), and
+    the first failing tuple is (i, j, 0)."""
+    cells, (i, j) = SKEW_CASES[case]
+    if arity == 3:
+        cells = {key + (k,): cell for key, cell in cells.items() for k in (0, 1)}
+    t = SparseTensor(materialize(3, arity, cells), arity)
+    want = (i, j) if arity == 2 else (i, j, 0)
+    assert tensor.skew_failure(t) == skew_failure(t) == want
+
+
+# -- validate_ly, kept verbatim ---------------------------------------------------
+
+def ref_validate_ly(ly: LieYamaguti) -> LYReport:
+    """validate_ly with LY1 and LY2 as slice-by-slice scans, not partner lookups."""
+    b, t = ly.sparse()
+    cyclic = ("ijk", "jki", "kij")
+    for name, variables, terms in (
+            ("LY1", "ij", [(1, b, "ij"), (1, b, "ji")]),
+            ("LY2", "ijk", [(1, t, "ijk"), (1, t, "jik")]),
+            ("LY3", "ijk", [term for x, y, z in cyclic
+                            for term in ((1, b, "*" + z, b, x + y), (1, t, x + y + z))]),
+            ("LY4", "ijku", [(1, t, "*" + z + "u", b, x + y) for x, y, z in cyclic]),
+            ("LY5", "ijuv", [(1, t, "ij*", b, "uv"), (-1, b, "*v", t, "iju"),
+                             (-1, b, "u*", t, "ijv")]),
+            ("LY6", "ijuvw", [(1, t, "ij*", t, "uvw"), (-1, t, "*vw", t, "iju"),
+                              (-1, t, "u*w", t, "ijv"), (-1, t, "uv*", t, "ijw")])):
+        at = first_failure(ly.dim, variables, terms)
+        if at is not None:
+            return LYReport(False, name, at)
+    return LYReport(True)
+
+
+OMNI_LY = {d: ly_from_leibniz(omni_algebras(d)[0]) for d in (2, 3)}
+
+
+def shifted(dense, arity: int, changes):
+    """A copy with new rows and the cells shared, as the omni_tensor benchmark
+    perturbs an LY structure, but for each (key, l, x) in changes, whose cell
+    gets x added at entry l."""
+    rows = ([list(row) for row in dense] if arity == 2
+            else [[list(row) for row in plane] for plane in dense])
+    for key, l, x in changes:
+        row = rows[key[0]] if arity == 2 else rows[key[0]][key[1]]
+        cell = list(row[key[-1]])
+        cell[l] += x
+        row[key[-1]] = tuple(cell)
+    return frozen(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from(["LY1", "LY2", "LY3"]), st.data())
+def test_validate_ly_on_perturbed_omni_copies_matches(d, axiom, data):
+    """A change of b at one pair fails LY1, of t at one triple fails LY2, and
+    of t at a skew pair of triples (i, j, k) and (j, i, k) of distinct
+    indices keeps LY1 and LY2 and fails LY3."""
+    ly = OMNI_LY[d]
+    n = ly.dim
+    i, j, k = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                                 unique=axiom == "LY3"))
+    l, x = data.draw(st.integers(0, n - 1)), data.draw(rationals().filter(bool))
+    if axiom == "LY1":
+        copy = LieYamaguti(n, shifted(ly.b, 2, [((i, j), l, x)]), ly.t)
+    else:
+        pair = [((i, j, k), l, x)] + ([((j, i, k), l, -x)] if axiom == "LY3" else [])
+        copy = LieYamaguti(n, ly.b, shifted(ly.t, 3, pair))
+    report = validate_ly(copy)
+    assert report == ref_validate_ly(copy) and report.axiom == axiom
 
 
 # -- envelope conditions --------------------------------------------------------
