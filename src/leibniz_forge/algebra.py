@@ -18,9 +18,9 @@ from .linalg import (
     Q,
     Scalar,
     Vec,
+    _eliminate,
     as_q,
     basis_vec,
-    is_zero_vec,
     rref,
     vadd,
     vscale,
@@ -194,10 +194,8 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length does not match the ambient dimension")
-        if not rows:
-            return Subspace(ambient_dim, ())
         red, pivots = rref(Matrix(tuple(rows)))
-        return Subspace(ambient_dim, tuple(red.entries[i] for i in range(len(pivots))))
+        return Subspace(ambient_dim, red.entries[:len(pivots)])
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -212,44 +210,39 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
+    def _rows(self) -> dict[int, dict[int, Q]]:
+        """The basis as pivot -> {column: nonzero entry}, built once."""
+        return {min(r): r for r in ({j: x for j, x in enumerate(b) if x} for b in self.basis)}
+
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(r) if x != 0) for r in self.basis)
+        return tuple(self._rows)
 
     @property
     def complement_coords(self) -> tuple[int, ...]:
-        piv = set(self.pivots)
-        return tuple(j for j in range(self.ambient_dim) if j not in piv)
+        return tuple(j for j in range(self.ambient_dim) if j not in self._rows)
 
-    def reduce(self, v: Sequence[Scalar]) -> Vec:
-        """Residual of v after eliminating every pivot coordinate."""
-        w = [as_q(x) for x in v]
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length does not match the ambient dimension")
-        for r, p in zip(self.basis, self.pivots):
-            f = w[p]
-            if f != 0:
-                for j in range(self.ambient_dim):
-                    w[j] -= f * r[j]
-        return tuple(w)
-
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return is_zero_vec(self.reduce(v))
-
-    def coords(self, v: Sequence[Scalar]) -> Vec:
-        """Coefficients of v in the rref basis; v must lie in the span.
-
-        Rref rows carry 1 at their own pivot and 0 at every other pivot, so the
-        coefficient of basis row i is just v[pivot_i], and membership needs
-        checking only off the pivots.
-        """
+    def _residual(self, v: Sequence[Scalar]) -> tuple[Vec, dict[int, Q]]:
+        """v as exact entries, and the nonzero entries left after clearing every pivot."""
         w = tuple(as_q(x) for x in v)
         if len(w) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
-        out = tuple(w[p] for p in self.pivots)
-        terms = [(cf, r) for cf, r in zip(out, self.basis) if cf]
-        if any(w[j] != sum(cf * r[j] for cf, r in terms if r[j]) for j in self.complement_coords):
+        return w, _eliminate({j: x for j, x in enumerate(w) if x}, self._rows)
+
+    def reduce(self, v: Sequence[Scalar]) -> Vec:
+        """Residual of v after eliminating every pivot coordinate."""
+        rest = self._residual(v)[1]
+        return tuple(rest.get(j, Q(0)) for j in range(self.ambient_dim))
+
+    def contains(self, v: Sequence[Scalar]) -> bool:
+        return not self._residual(v)[1]
+
+    def coords(self, v: Sequence[Scalar]) -> Vec:
+        """Coefficients of v in the rref basis (its pivot entries); v must lie in the span."""
+        w, rest = self._residual(v)
+        if rest:
             raise ValueError("vector is not in the subspace")
-        return out
+        return tuple(w[p] for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -281,7 +274,7 @@ def squares_ideal(a: StructureAlgebra) -> Subspace:
             for k in range(a.dim):
                 extra.append(a.lmul_basis(k, v))
                 extra.append(a.rmul_basis(v, k))
-        grown = span.add(Subspace.span(a.dim, extra))
+        grown = Subspace.span(a.dim, span.basis + tuple(extra))
         if grown.dim == span.dim:
             return grown
         span = grown

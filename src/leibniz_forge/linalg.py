@@ -128,7 +128,9 @@ class Matrix:
     @staticmethod
     def from_flat(v: Sequence[Scalar], n: int) -> "Matrix":
         """The n x n matrix with row-major entries v."""
-        return Matrix(tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)))
+        if len(v) != n * n:
+            raise ValueError(f"{len(v)} entries do not fill a {n}x{n} matrix")
+        return Matrix.from_rows([v[i * n:(i + 1) * n] for i in range(n)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -209,33 +211,34 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
+def _eliminate(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
+    """v (column -> nonzero entry) cleared at every pivot of canonical rows, pivot ->
+    {column: nonzero entry} with 1 at its own pivot and 0 at every other."""
+    out = dict(v)
+    for p, f in v.items():
+        for j, y in rows.get(p, {}).items():
+            out[j] = out.get(j, _ZERO) - f * y
+    return {j: x for j, x in out.items() if x}
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
     Canonical: each pivot is 1 with zeros above and below, pivots move strictly
     right, zero rows sink to the bottom. rref is idempotent, so equal row
-    spaces yield identical results.
+    spaces yield identical results. Rows are eliminated one by one on their nonzero entries.
     """
-    rows = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pivot_row = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c] ** -1
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Matrix(tuple(tuple(row) for row in rows)), tuple(pivots)
+    rows: dict[int, dict[int, Fraction]] = {}
+    for r in m.entries:
+        v = _eliminate({j: x for j, x in enumerate(r) if x}, rows)
+        if v:
+            p = min(v)
+            v = {j: x / v[p] for j, x in v.items()}
+            rows.update({q: _eliminate(row, {p: v}) for q, row in rows.items() if p in row})
+            rows[p] = v
+    pivots = tuple(sorted(rows))
+    out = tuple(tuple(rows[p].get(j, _ZERO) for j in range(m.cols)) for p in pivots)
+    return Matrix(out + (vzero(m.cols),) * (m.rows - len(out))), pivots
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:

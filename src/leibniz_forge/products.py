@@ -96,8 +96,9 @@ def matrix_lie_algebra(n: int, mats: Sequence[Matrix], prefix: str, name: str = 
     d = range(span.dim)
     pq = [[[sum(x * q.entries[t][s] for t, x in enumerate(p.entries[r]) if x) for r, s in at]
            for q in basis] for p in basis]  # p_a p_b at the pivots
-    c = [[[x - y for x, y in zip(pq[a][b], pq[b][a])] for b in d] for a in d]
-    h = StructureAlgebra.from_constants(c, [f"{prefix}{a+1}" for a in d], name)
+    c = {(a, b): {k: x - y for k, (x, y) in enumerate(zip(pq[a][b], pq[b][a])) if x != y}
+         for a in d for b in d}
+    h = StructureAlgebra.from_products(span.dim, c, [f"{prefix}{a+1}" for a in d], name)
     return ModuleAction(h, basis, space_dim=n), span
 
 

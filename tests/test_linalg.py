@@ -190,6 +190,19 @@ class TestCommutator:
         assert commutator(a, b) == commutator(b, a) * Q(-1)
 
 
+class TestFromFlat:
+    def test_rejects_entries_that_do_not_fill_the_square(self):
+        for v in ((1, 2, 3), (1, 2, 3, 4, 5), ()):
+            with pytest.raises(ValueError, match="do not fill a 2x2 matrix"):
+                Matrix.from_flat(v, 2)
+
+    def test_entries_are_fractions(self):
+        m = Matrix.from_flat([1, 2, 3, 4], 2)
+        assert m == Matrix.from_rows([[1, 2], [3, 4]])
+        assert all(type(x) is Q for x in m.flat)
+        assert Matrix.from_flat((), 0) == Matrix(())
+
+
 class TestHelpers:
     def test_basis_vec(self):
         assert basis_vec(3, 1) == (Q(0), Q(1), Q(0))
