@@ -211,8 +211,19 @@ class Subspace:
 
     @cached_property
     def _rows(self) -> dict[int, dict[int, Q]]:
-        """The basis as pivot -> {column: nonzero entry}, built once."""
-        return {min(r): r for r in ({j: x for j, x in enumerate(b) if x} for b in self.basis)}
+        """The basis as pivot -> {column: nonzero entry}, built once. The basis must be
+        canonical rref rows of length ambient_dim: pivots of 1 moving strictly right,
+        and 0 in every other row."""
+        rows: dict[int, dict[int, Q]] = {}
+        for b in self.basis:
+            r = {j: x for j, x in enumerate(b) if x}
+            p = min(r, default=-1)
+            if len(b) != self.ambient_dim or p <= next(reversed(rows), -1) or r[p] != 1:
+                break
+            rows[p] = r
+        if len(rows) < len(self.basis) or any(len(rows.keys() & r.keys()) > 1 for r in rows.values()):
+            raise ValueError(f"subspace basis is not canonical rref in Q^{self.ambient_dim}")
+        return rows
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:

@@ -32,10 +32,12 @@ from .poly import Poly
 
 def _dot(nvars: int, ps: Iterable[Poly], qs: Iterable[Poly]) -> Poly:
     """sum_i p_i q_i, the one contraction behind every pairing, derivative and sharp."""
-    out = Poly.zero(nvars)
+    d: dict = {}
     for p, q in zip(ps, qs):
-        out = out + p * q
-    return out
+        if p.nvars != nvars:
+            raise ValueError("variable count mismatch")
+        p._addmul(q, d)
+    return Poly._trusted(nvars, d)
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class TwoForm:
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("2-form or bivector needs an n x n coefficient matrix")
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 if self.entries[i][j] != -self.entries[j][i]:
                     raise ValueError("2-form or bivector coefficients must be antisymmetric")
 
@@ -157,10 +159,9 @@ def d_function(f: Poly) -> OneForm:
 
 
 def d_one_form(theta: OneForm) -> TwoForm:
-    n = theta.nvars
-    rows = [[theta.components[j].partial(i) - theta.components[i].partial(j)
-             for j in range(n)] for i in range(n)]
-    return TwoForm(n, tuple(tuple(r) for r in rows))
+    n, c = theta.nvars, theta.components
+    return TwoForm.from_upper(n, {(i, j): c[j].partial(i) - c[i].partial(j)
+                                  for i in range(n) for j in range(i + 1, n)})
 
 
 def interior_one_form(xi: VectorField, theta: OneForm) -> Poly:
@@ -378,12 +379,12 @@ def homotopy_quotient(theta: OneForm) -> tuple[OneForm, Poly]:
     representative theta - d(potential) vanishes exactly on exact forms and is
     a projection.
     """
-    n = theta.nvars
-    potential = Poly.zero(n)
+    terms: dict = {}
     for i, comp in enumerate(theta.components):
         for mono, coeff in comp.terms:
-            lifted = tuple(e + 1 if j == i else e for j, e in enumerate(mono))
-            potential = potential + Poly.monomial(n, lifted, coeff * Q(1, sum(mono) + 1))
+            lifted, c = mono[:i] + (mono[i] + 1,) + mono[i + 1:], coeff / (sum(mono) + 1)
+            terms[lifted] = terms[lifted] + c if lifted in terms else c
+    potential = Poly.from_dict(theta.nvars, terms)  # exponents made here, so validated
     return theta - d_function(potential), potential
 
 

@@ -233,7 +233,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         v = _eliminate({j: x for j, x in enumerate(r) if x}, rows)
         if v:
             p = min(v)
-            v = {j: x / v[p] for j, x in v.items()}
+            pivot = Q(v[p])  # a Fraction, so int entries divide exactly
+            v = {j: x / pivot for j, x in v.items()}
             rows.update({q: _eliminate(row, {p: v}) for q, row in rows.items() if p in row})
             rows[p] = v
     pivots = tuple(sorted(rows))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .linalg import Q, Scalar, as_q
@@ -25,12 +26,18 @@ class Poly:
     def from_dict(nvars: int, d: Mapping[Monomial, Fraction | int]) -> "Poly":
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in d.items():
-            if len(mono) != nvars or any(e < 0 for e in mono):
+            if len(mono) != nvars or any(not isinstance(e, int) or isinstance(e, bool) or e < 0
+                                         for e in mono):
                 raise ValueError(f"bad exponent tuple {mono!r} for {nvars} variables")
             c = as_q(coeff)
             if c != 0:
                 clean[tuple(mono)] = c
         return Poly(nvars, tuple(sorted(clean.items())))
+
+    @staticmethod
+    def _trusted(nvars: int, d: dict[Monomial, Fraction]) -> "Poly":
+        """A Poly from a dict built by this class: valid exponents, Fraction coefficients."""
+        return Poly(nvars, tuple(sorted((m, c) for m, c in d.items() if c)))
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
@@ -62,24 +69,32 @@ class Poly:
         self._require_same(other)
         d = dict(self.terms)
         for mono, coeff in other.terms:
-            d[mono] = d.get(mono, Q(0)) + coeff
-        return Poly.from_dict(self.nvars, d)
+            d[mono] = d[mono] + coeff if mono in d else coeff
+        return Poly._trusted(self.nvars, d)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._require_same(other)
+        d = dict(self.terms)
+        for mono, coeff in other.terms:
+            d[mono] = d[mono] - coeff if mono in d else -coeff
+        return Poly._trusted(self.nvars, d)
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
 
+    def _addmul(self, other: "Poly", d: dict[Monomial, Fraction]) -> None:
+        """Add self * other into d, so a sum of products is built in one dict."""
+        self._require_same(other)
+        for m1, c1 in self.terms:
+            for m2, c2 in other.terms:
+                mono = tuple(map(add, m1, m2))
+                d[mono] = d[mono] + c1 * c2 if mono in d else c1 * c2
+
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, Poly):
-            self._require_same(other)
             d: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms:
-                for m2, c2 in other.terms:
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    d[mono] = d.get(mono, Q(0)) + c1 * c2
-            return Poly.from_dict(self.nvars, d)
+            self._addmul(other, d)
+            return Poly._trusted(self.nvars, d)
         c = as_q(other)
         if c == 0:
             return Poly.zero(self.nvars)
@@ -89,17 +104,14 @@ class Poly:
         return self * other
 
     def partial(self, i: int) -> "Poly":
-        """Partial derivative with respect to variable i."""
+        """Partial derivative with respect to variable i.
+
+        Lowering exponent i is one-to-one and keeps the sorted order, so each
+        lowered monomial is written once, already in place."""
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
-        d: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms:
-            e = mono[i]
-            if e == 0:
-                continue
-            lowered = tuple(x - 1 if j == i else x for j, x in enumerate(mono))
-            d[lowered] = d.get(lowered, Q(0)) + coeff * e
-        return Poly.from_dict(self.nvars, d)
+        return Poly(self.nvars, tuple((mono[:i] + (e - 1,) + mono[i + 1:], coeff * e)
+                                      for mono, coeff in self.terms if (e := mono[i])))
 
     def constant_term(self) -> Fraction:
         for mono, coeff in self.terms:

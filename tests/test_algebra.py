@@ -214,6 +214,25 @@ class TestSubspace:
         assert Subspace.whole(3).contains_subspace(both)
         assert both.contains_subspace(Subspace.zero(3))
 
+    @pytest.mark.parametrize("basis", [((1, 1), (1, 0)), ((0, 1), (1, 0)), ((1, 1), (0, 1)),
+                                       ((2, 0),), ((0, 0),), ((1, 0), (1, 0)), ((1, 0, 5),),
+                                       ((0, 1), (0, 0, 1))])
+    def test_rejects_a_basis_not_in_canonical_rref(self, basis):
+        s = Subspace(2, basis)
+        for read in (lambda: s.pivots, lambda: s.contains((0, 1)), lambda: s.coords((1, 1)),
+                     lambda: s.complement_coords):
+            with pytest.raises(ValueError, match=r"not canonical rref in Q\^2"):
+                read()
+
+    def test_canonical_bases_unchanged(self):
+        assert Subspace.span(3, [(2, 2, 0), (0, 3, 3), (1, 2, 1)]).basis == (
+            (Q(1), Q(0), Q(-1)), (Q(0), Q(1), Q(1)))
+        assert Subspace.zero(3).basis == () and Subspace.zero(3).pivots == ()
+        assert Subspace.whole(2).basis == ((Q(1), Q(0)), (Q(0), Q(1)))
+        assert Subspace.whole(2).pivots == (0, 1)
+        s = Subspace(3, ((1, 0, 2), (0, 1, -1)))
+        assert s.pivots == (0, 1) and s.contains((1, 1, 1)) and s.coords((2, 3, 1)) == (2, 3)
+
     def test_complement_coords(self):
         s = Subspace.span(3, [(1, 0, 2)])
         assert s.pivots == (0,)

@@ -90,6 +90,20 @@ def r2():
     return x1, x2, d1, d2, dx1, dx2
 
 
+class TestPolyInput:
+    @pytest.mark.parametrize("mono", [(0.5, 1), (True, 0), (0, False), (1, -1), (1,), ("1", 0)])
+    def test_from_dict_rejects_bad_exponents(self, mono):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Poly.from_dict(2, {mono: 1})
+
+    def test_from_dict_accepts_valid_input(self):
+        big = Poly.from_dict(2, {(10**6, 0): 3, (0, 10**6): Q(1, 2), (1, 1): 0})
+        assert big.terms == (((0, 10**6), Q(1, 2)), ((10**6, 0), Q(3)))
+        assert big.partial(0).terms == (((10**6 - 1, 0), Q(3 * 10**6)),)
+        assert (big * big).terms[0] == ((0, 2 * 10**6), Q(1, 4))
+        assert Poly.from_dict(2, {}) == Poly.zero(2)
+
+
 class TestDifferentialOperators:
     def test_d_function(self, r2):
         x1, x2, d1, d2, dx1, dx2 = r2

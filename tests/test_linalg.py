@@ -52,6 +52,14 @@ class TestRref:
         assert r.to_lists() == [[Q(1), Q(2)], [Q(0), Q(0)]]
         assert pivots == (0,)
 
+    def test_int_entries_stay_exact(self):
+        r, pivots = rref(Matrix(((2, 3),)))
+        assert r.entries == ((Q(1), Q(3, 2)),) and pivots == (0,)
+        assert all(type(x) is Q for x in r.entries[0])
+        r, _ = rref(Matrix(((0, 4, 6), (3, 0, 1))))
+        assert r.entries == ((Q(1), Q(0), Q(1, 3)), (Q(0), Q(1), Q(3, 2)))
+        assert all(type(x) is Q for row in r.entries for x in row)
+
     @settings(max_examples=40)
     @given(st.integers(1, 3).flatmap(square))
     def test_idempotent(self, m):

@@ -1,0 +1,231 @@
+"""Poly arithmetic against the validated-rebuild code it replaced.
+
+The references below are the former `Poly.__add__`, `__sub__`, `__mul__`,
+`partial`, `courant._dot` and `homotopy_quotient`, kept verbatim up to the
+renaming of `self` and of the operators they call: every result is rebuilt
+through `Poly.from_dict`, and a sum of k products is k successive additions.
+Equal `Poly` values (the same `terms` tuples, with `Fraction` coefficients)
+and the same errors, on drawn polynomials, cancelling sums, zero polynomials,
+variable-count mismatches and seeded Courant samples, pin the behaviour.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leibniz_forge import OneForm, Poly, courant_samples, homotopy_quotient
+from leibniz_forge.courant import _dot
+from leibniz_forge.linalg import as_q
+
+
+# -- references -----------------------------------------------------------------
+
+def ref_add(self, other):
+    self._require_same(other)
+    d = dict(self.terms)
+    for mono, coeff in other.terms:
+        d[mono] = d.get(mono, Q(0)) + coeff
+    return Poly.from_dict(self.nvars, d)
+
+
+def ref_sub(self, other):
+    return ref_add(self, -other)
+
+
+def ref_mul(self, other):
+    if isinstance(other, Poly):
+        self._require_same(other)
+        d = {}
+        for m1, c1 in self.terms:
+            for m2, c2 in other.terms:
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                d[mono] = d.get(mono, Q(0)) + c1 * c2
+        return Poly.from_dict(self.nvars, d)
+    c = as_q(other)
+    if c == 0:
+        return Poly.zero(self.nvars)
+    return Poly(self.nvars, tuple((m, c * co) for m, co in self.terms))
+
+
+def ref_partial(self, i):
+    if not 0 <= i < self.nvars:
+        raise ValueError(f"variable index {i} out of range")
+    d = {}
+    for mono, coeff in self.terms:
+        e = mono[i]
+        if e == 0:
+            continue
+        lowered = tuple(x - 1 if j == i else x for j, x in enumerate(mono))
+        d[lowered] = d.get(lowered, Q(0)) + coeff * e
+    return Poly.from_dict(self.nvars, d)
+
+
+def ref_dot(nvars, ps, qs):
+    out = Poly.zero(nvars)
+    for p, q in zip(ps, qs):
+        out = ref_add(out, ref_mul(p, q))
+    return out
+
+
+def ref_homotopy_quotient(theta):
+    n = theta.nvars
+    potential = Poly.zero(n)
+    for i, comp in enumerate(theta.components):
+        for mono, coeff in comp.terms:
+            lifted = tuple(e + 1 if j == i else e for j, e in enumerate(mono))
+            potential = ref_add(potential, Poly.monomial(n, lifted, coeff * Q(1, sum(mono) + 1)))
+    rep = tuple(ref_sub(c, ref_partial(potential, i)) for i, c in enumerate(theta.components))
+    return OneForm(n, rep), potential
+
+
+# -- comparison -----------------------------------------------------------------
+
+def outcome(fn, *args):
+    """("ok", value) or ("error", exception type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except (ValueError, TypeError, IndexError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def assert_exact(p):
+    assert all(type(c) is Fraction and c != 0 for _, c in p.terms)
+    assert all(type(e) is int for m, _ in p.terms for e in m)
+    assert list(p.terms) == sorted(p.terms)
+
+
+def assert_same(fn, ref, *args):
+    got, want = outcome(fn, *args), outcome(ref, *args)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got == want
+        return
+    assert got[1].nvars == want[1].nvars and got[1].terms == want[1].terms
+    assert_exact(got[1])
+
+
+def assert_same_quotient(theta):
+    got, want = outcome(homotopy_quotient, theta), outcome(ref_homotopy_quotient, theta)
+    assert got[0] == want[0] == "ok"
+    (rep, pot), (ref_rep, ref_pot) = got[1], want[1]
+    assert pot.terms == ref_pot.terms
+    assert [c.terms for c in rep.components] == [c.terms for c in ref_rep.components]
+    for p in (pot, *rep.components):
+        assert_exact(p)
+
+
+# -- drawn data -------------------------------------------------------------------
+
+# few monomials and coefficients that cancel, so sums often drop terms or vanish
+COEFFS = st.sampled_from([Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-1, 2), Q(3, 4)])
+
+
+def polys(n, max_size=4):
+    monos = st.tuples(*[st.integers(0, 2)] * n)
+    return st.dictionaries(monos, COEFFS, max_size=max_size).map(lambda d: Poly.from_dict(n, d))
+
+
+@st.composite
+def pairs(draw):
+    """Two polynomials over the same variables, or over different counts one time in five."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3)) if draw(st.integers(0, 4)) == 0 else n
+    return draw(polys(n)), draw(polys(m))
+
+
+@st.composite
+def dot_inputs(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4))
+    ps = [draw(polys(n, 3)) for _ in range(k)]
+    qs = [draw(polys(n, 3)) for _ in range(k)]
+    if k and draw(st.booleans()):
+        ps.append(-ps[0])  # this product cancels the first one
+        qs.append(qs[0])
+    if k and draw(st.integers(0, 4)) == 0:
+        qs[-1] = draw(polys(n % 3 + 1, 2))
+    nvars = n if draw(st.integers(0, 5)) else n % 3 + 1
+    return nvars, ps, qs
+
+
+@st.composite
+def one_forms(draw):
+    n = draw(st.integers(1, 3))
+    return OneForm(n, tuple(draw(polys(n)) for _ in range(n)))
+
+
+class TestArithmetic:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs())
+    def test_add_sub_mul(self, ab):
+        a, b = ab
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert_same(Poly.__add__, ref_add, x, y)
+            assert_same(Poly.__sub__, ref_sub, x, y)
+            assert_same(Poly.__mul__, ref_mul, x, y)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs(), COEFFS | st.integers(-3, 3))
+    def test_cancelling_sums_and_scalars(self, ab, c):
+        a, _ = ab
+        zero = Poly.zero(a.nvars)
+        assert_same(Poly.__add__, ref_add, a, -a)
+        assert_same(Poly.__sub__, ref_sub, a, a)
+        assert_same(Poly.__mul__, ref_mul, a, zero)
+        assert_same(Poly.__mul__, ref_mul, zero, a)
+        assert_same(Poly.__add__, ref_add, zero, zero)
+        assert_same(Poly.__mul__, ref_mul, a, c)
+        assert (a - a).terms == () and (a + (-a)).terms == ()
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs(), st.integers(-1, 3))
+    def test_partial(self, ab, i):
+        for p in ab:
+            assert_same(Poly.partial, ref_partial, p, i)
+
+    @settings(max_examples=120, deadline=None)
+    @given(dot_inputs())
+    def test_dot(self, data):
+        nvars, ps, qs = data
+        assert_same(_dot, ref_dot, nvars, ps, qs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_forms())
+    def test_homotopy_quotient(self, theta):
+        assert_same_quotient(theta)
+
+    def test_unequal_variable_counts_raise(self):
+        a, b = Poly.var(2, 0), Poly.var(3, 0)
+        for fn, ref in ((Poly.__add__, ref_add), (Poly.__sub__, ref_sub), (Poly.__mul__, ref_mul)):
+            assert outcome(fn, a, b) == outcome(ref, a, b) == ("error", ValueError, "variable count mismatch")
+        assert outcome(_dot, 3, [a], [a]) == outcome(ref_dot, 3, [a], [a])
+        assert outcome(_dot, 3, [a], [a])[0] == "error"
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("seed", [1, 7, 1009])
+def test_courant_samples(seed, nvars):
+    samples = courant_samples(seed, nvars, 4)
+    for x, y, z in samples.triples:
+        a = x.vf.components + x.form.components
+        b = y.vf.components + y.form.components
+        for p, q in zip(a, b):
+            for fn, ref in ((Poly.__add__, ref_add), (Poly.__sub__, ref_sub), (Poly.__mul__, ref_mul)):
+                assert_same(fn, ref, p, q)
+            for i in range(nvars):
+                assert_same(Poly.partial, ref_partial, p, i)
+        assert_same(_dot, ref_dot, nvars, x.vf.components, y.form.components)
+        assert_same(_dot, ref_dot, nvars, a, b[::-1])
+        assert_same(_dot, ref_dot, nvars, a + a, b + tuple(-q for q in b))  # sums to zero
+        assert_same_quotient(x.form)
+        assert_same_quotient(OneForm(nvars, tuple(y.vf.components)))
+    for f, g in samples.funcs:
+        assert_same(Poly.__mul__, ref_mul, f, g)
+        exact = OneForm(nvars, tuple(ref_partial(f, i) for i in range(nvars)))
+        assert_same_quotient(exact)
+        assert all(c.is_zero() for c in homotopy_quotient(exact)[0].components)
