@@ -28,6 +28,7 @@ from .algebra import (
 )
 from .courant import (
     Bivector,
+    CheckResult,
     OneForm,
     Section,
     TwoForm,
@@ -440,15 +441,7 @@ def parse_twoform_text(text: str, origin: str = "2-form file") -> tuple[tuple[st
 
 # -- reports ------------------------------------------------------------------
 
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    witness: Any = None
-    value: Any = None
-
-
-def _check_doc(c: Check) -> dict:
+def _check_doc(c: CheckResult) -> dict:
     doc: dict[str, Any] = {"name": c.name, "status": "pass" if c.ok else "fail"}
     if c.witness is not None:
         doc["witness"] = c.witness
@@ -489,9 +482,9 @@ def _cmd_algebra_check(args) -> tuple[str, Any]:
         witness = {"at": [i, j, k], "lhs": _vec_doc(lhs), "rhs": _vec_doc(rhs)}
     # reported as values: a non-Leibniz algebra still passes, with its witness
     return "report", [
-        Check("leibniz", True, witness, leib),
-        Check("skew", True, value=a.is_skew),
-        Check("lie", True, value=a.check_lie()),
+        CheckResult("leibniz", True, witness, leib),
+        CheckResult("skew", True, value=a.is_skew),
+        CheckResult("lie", True, value=a.check_lie()),
     ]
 
 
@@ -532,15 +525,15 @@ def _cmd_envelope_verify(args) -> tuple[str, Any]:
     try:
         t = _build_envelope(a, ideal)
     except (EnvelopeError, NotAnIdealError) as e:
-        return "report", [Check("envelope_conditions", False, str(e))]
+        return "report", [CheckResult("envelope_conditions", False, str(e))]
     scaling_ok, wit = scaling_check(t)
     return "report", [
-        Check("envelope_conditions", True),
-        Check("recovery_half", recovery_check(t)),
-        Check("s_scaling", scaling_ok,
-              None if scaling_ok else {"s": wit[0], "at": [wit[1], wit[2]], "part": wit[3]}),
-        Check("sigma1_embedding", sigma_one_embed_check(t)),
-        Check("f_surjective", True, value=t.f_surjective),
+        CheckResult("envelope_conditions", True),
+        CheckResult("recovery_half", recovery_check(t)),
+        CheckResult("s_scaling", scaling_ok,
+                    None if scaling_ok else {"s": wit[0], "at": [wit[1], wit[2]], "part": wit[3]}),
+        CheckResult("sigma1_embedding", sigma_one_embed_check(t)),
+        CheckResult("f_surjective", True, value=t.f_surjective),
     ]
 
 
@@ -548,7 +541,7 @@ def _cmd_ly_check(args) -> tuple[str, Any]:
     ly = parse_ly_text(_read_file(args.file), args.file)
     rep = validate_ly(ly)
     witness = None if rep.ok else {"axiom": rep.axiom, "at": list(rep.at)}
-    return "report", [Check("lie_yamaguti_axioms", rep.ok, witness)]
+    return "report", [CheckResult("lie_yamaguti_axioms", rep.ok, witness)]
 
 
 def _parse_vec_flag(raw: str, dim: int, flag: str) -> Vec:
@@ -579,9 +572,9 @@ def _cmd_loop_verify(args) -> tuple[str, Any]:
     try:
         ctx = loop_context(a, args.s, mode, args.tol)
     except NotNilpotentError as e:
-        return "report", [Check("exact_mode", False, str(e))]
+        return "report", [CheckResult("exact_mode", False, str(e))]
     rep = loop_property_check(ctx, samples=args.samples, seed=args.seed)
-    return "report", [Check(c.name, c.ok, c.witness) for c in rep.checks]
+    return "report", rep.checks
 
 
 def _cmd_omni(args) -> tuple[str, Any]:
@@ -601,9 +594,8 @@ def _cmd_courant_bracket(args) -> tuple[str, Any]:
 
 def _cmd_courant_axioms(args) -> tuple[str, Any]:
     samples = courant_samples(args.seed, args.vars, args.samples)
-    results = list(axiom_suite(samples.triples, samples.funcs))
-    results += dorfman_checks(samples.triples, samples.funcs)
-    return "report", [Check(r.name, r.ok, r.witness) for r in results]
+    return "report", (axiom_suite(samples.triples, samples.funcs)
+                      + dorfman_checks(samples.triples, samples.funcs))
 
 
 # the residual's slot in a graph witness, by graph kind
@@ -626,7 +618,7 @@ def _cmd_courant_graph(args) -> tuple[str, Any]:
         residual = graph_residual(args.kind, data, br)
         witness = {"pair": [i, j], "bracket": section_to_doc(names, br),
                    _OFF_GRAPH_KEY[args.kind]: _components_doc(names, residual)}
-    return "report", [Check("graph_closed", closed, witness)]
+    return "report", [CheckResult("graph_closed", closed, witness)]
 
 
 # -- argument parsing and dispatch --------------------------------------------
@@ -776,7 +768,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         kind, payload = args.handler(args)
     except ValueError as e:  # CliError and every library input error are ValueErrors
-        kind, payload = "report", [Check("error", False, str(e))]
+        kind, payload = "report", [CheckResult("error", False, str(e))]
     timing_ms = round((time.perf_counter() - start) * 1000) if args.timing else None
     text, code = _render(kind, payload, args.format, timing_ms)
     sys.stdout.write(text)

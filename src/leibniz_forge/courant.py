@@ -5,8 +5,11 @@ Conventions, fixed once:
 
     <(xi1, th1), (xi2, th2)> = (i_xi1 th2 + i_xi2 th1) / 2
     D f = (0, df), so <D f, x> = rho(x) f / 2
-    courant(x, y) = ([xi1, xi2], L_xi1 th2 - L_xi2 th1 - d(i_xi1 th2 - i_xi2 th1)/2)
-    dorfman(x, y) = ([xi1, xi2], L_xi1 th2 - i_xi2 dth1)
+    dorfman(x, y) = x . y = ([xi1, xi2], L_xi1 th2 - i_xi2 dth1), written out once
+    courant(x, y) = (x . y - y . x)/2, in Cartan form: one d, two contractions
+                  = ([xi1, xi2], i_xi1 dth2 - i_xi2 dth1 + d(i_xi1 th2 - i_xi2 th1)/2)
+    courant_ternary(x, y, z) = -(x . y) . z / 4
+    h_act((xi, phi), e) = (xi, phi) . e, in the double semidirect product
     bivector sharp: (pi# th)^i = sum_j pi^{ij} th_j
 
 Under the halved pairing the ideal identity for the image of D reads
@@ -22,7 +25,7 @@ Bivector is TwoForm. The slot a value fills says which one it stands for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .linalg import Q, Scalar, as_q
 from .poly import Poly
@@ -187,8 +190,7 @@ def lie_derivative_one_form(xi: VectorField, theta: OneForm) -> OneForm:
 # -- pairing, D, and the two brackets -----------------------------------------
 
 def pairing(x: Section, y: Section) -> Poly:
-    half = Q(1, 2)
-    return (interior_one_form(x.vf, y.form) + interior_one_form(y.vf, x.form)) * half
+    return (interior_one_form(x.vf, y.form) + interior_one_form(y.vf, x.form)) * Q(1, 2)
 
 
 def d_section(f: Poly) -> Section:
@@ -196,11 +198,10 @@ def d_section(f: Poly) -> Section:
 
 
 def courant_bracket(x: Section, y: Section) -> Section:
-    half = Q(1, 2)
-    form = (lie_derivative_one_form(x.vf, y.form)
-            - lie_derivative_one_form(y.vf, x.form)
-            - d_function(interior_one_form(x.vf, y.form)
-                         - interior_one_form(y.vf, x.form)).scale(half))
+    form = (interior_two_form(x.vf, d_one_form(y.form))
+            - interior_two_form(y.vf, d_one_form(x.form))
+            + d_function(interior_one_form(x.vf, y.form)
+                         - interior_one_form(y.vf, x.form)).scale(Q(1, 2)))
     return Section(vf_bracket(x.vf, y.vf), form)
 
 
@@ -211,22 +212,13 @@ def dorfman_product(x: Section, y: Section) -> Section:
 
 
 def t_function(x: Section, y: Section, z: Section) -> Poly:
-    third = Q(1, 3)
-    acc = pairing(courant_bracket(x, y), z)
-    acc = acc + pairing(courant_bracket(y, z), x)
-    acc = acc + pairing(courant_bracket(z, x), y)
-    return acc * third
+    return (pairing(courant_bracket(x, y), z) + pairing(courant_bracket(y, z), x)
+            + pairing(courant_bracket(z, x), y)) * Q(1, 3)
 
 
 def courant_ternary(x: Section, y: Section, z: Section) -> Section:
-    """Closed form of -(x . y) . z / 4 for the Dorfman product."""
-    quarter = Q(-1, 4)
-    inner_vf = vf_bracket(x.vf, y.vf)
-    inner_form = (lie_derivative_one_form(x.vf, y.form)
-                  - lie_derivative_one_form(y.vf, x.form))
-    form = (lie_derivative_one_form(inner_vf, z.form)
-            - interior_two_form(z.vf, d_one_form(inner_form)))
-    return Section(vf_bracket(inner_vf, z.vf), form).scale(quarter)
+    """-(x . y) . z / 4 for the Dorfman product."""
+    return dorfman_product(dorfman_product(x, y), z).scale(Q(-1, 4))
 
 
 # -- axiom and identity suites ------------------------------------------------
@@ -235,7 +227,8 @@ def courant_ternary(x: Section, y: Section, z: Section) -> Section:
 class CheckResult:
     name: str
     ok: bool
-    witness: str | None = None
+    witness: Any = None  # the first failure, as "case k" or as data
+    value: Any = None  # a reported value, shown next to the verdict
 
 
 def _first_failure(name: str, cases: Iterable[tuple], holds: Callable[..., bool]) -> CheckResult:
@@ -244,10 +237,10 @@ def _first_failure(name: str, cases: Iterable[tuple], holds: Callable[..., bool]
     return CheckResult(name, bad is None, None if bad is None else f"case {bad}")
 
 
-def _cycle(items: Sequence, count: int) -> list:
-    if not items:
+def _with_funcs(triples: Sequence[tuple], funcs: Sequence[tuple]) -> list[tuple]:
+    if not funcs:
         raise ValueError("at least one sampled function pair is required")
-    return [items[i % len(items)] for i in range(count)]
+    return [(*t, *funcs[i % len(funcs)]) for i, t in enumerate(triples)]
 
 
 def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
@@ -269,8 +262,7 @@ def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
     def ax2(x, y, _z):
         return (courant_bracket(x, y).vf - vf_bracket(x.vf, y.vf)).is_zero()
 
-    def ax3(triple, fg):
-        (x, y, _), (f, _g) = triple, fg
+    def ax3(x, y, _z, f, _g):
         lhs = courant_bracket(x, y.scale(f))
         rhs = (courant_bracket(x, y).scale(f)
                + y.scale(x.vf.derive(f))
@@ -285,10 +277,9 @@ def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
         rhs = (pairing(dorfman_product(x, y), z) + pairing(y, dorfman_product(x, z)))
         return (lhs - rhs).is_zero()
 
-    with_funcs = list(zip(triples, _cycle(funcs, len(triples))))
     return [_first_failure("axiom1", triples, ax1),
             _first_failure("axiom2", triples, ax2),
-            _first_failure("axiom3", with_funcs, ax3),
+            _first_failure("axiom3", _with_funcs(triples, funcs), ax3),
             _first_failure("axiom4", funcs, ax4),
             _first_failure("axiom5", triples, ax5)]
 
@@ -303,24 +294,21 @@ def dorfman_checks(triples: Sequence[tuple[Section, Section, Section]],
         return (lhs - rhs).is_zero()
 
     def decomposition(x, y, _z):
-        dec = dorfman_product(x, y) - courant_bracket(x, y) - d_section(pairing(x, y))
-        skew = courant_bracket(x, y) - (dorfman_product(x, y) - dorfman_product(y, x)).scale(Q(1, 2))
-        sym = (dorfman_product(x, y) + dorfman_product(y, x)
-               - d_section(pairing(x, y)).scale(2))
-        return dec.is_zero() and skew.is_zero() and sym.is_zero()
+        xy, yx, br, dxy = (dorfman_product(x, y), dorfman_product(y, x),
+                           courant_bracket(x, y), d_section(pairing(x, y)))
+        return ((xy - br - dxy).is_zero() and (br - (xy - yx).scale(Q(1, 2))).is_zero()
+                and (xy + yx - dxy.scale(2)).is_zero())
 
-    def d_image_ideal(triple, fg):
-        (x, _, _), (f, _g) = triple, fg
-        left = dorfman_product(x, d_section(f))
-        mid = d_section(x.vf.derive(f))
-        right = d_section(pairing(x, d_section(f))).scale(2)
-        back = dorfman_product(d_section(f), x)
-        return (left - mid).is_zero() and (left - right).is_zero() and back.is_zero()
+    def d_image_ideal(x, _y, _z, f, _g):
+        df = d_section(f)
+        left = dorfman_product(x, df)
+        return ((left - d_section(x.vf.derive(f))).is_zero()
+                and (left - d_section(pairing(x, df)).scale(2)).is_zero()
+                and dorfman_product(df, x).is_zero())
 
     return [_first_failure("dorfman_leibniz", triples, leibniz),
             _first_failure("skew_symmetric_decomposition", triples, decomposition),
-            _first_failure("d_image_ideal", zip(triples, _cycle(funcs, len(triples))),
-                           d_image_ideal)]
+            _first_failure("d_image_ideal", _with_funcs(triples, funcs), d_image_ideal)]
 
 
 # -- graphs -------------------------------------------------------------------
@@ -333,23 +321,27 @@ def graph_section_twoform(omega: TwoForm, xi: VectorField) -> Section:
     return Section(xi, interior_two_form(xi, omega))
 
 
+_GRAPHS = {
+    "poisson": (graph_section_poisson, lambda pi, s: s.vf - pi.sharp(s.form)),
+    "twoform": (graph_section_twoform, lambda omega, s: s.form - interior_two_form(s.vf, omega)),
+}
+
+
+def _graph_kind(kind: str) -> tuple[Callable, Callable]:
+    if not isinstance(kind, str) or kind not in _GRAPHS:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    return _GRAPHS[kind]
+
+
 def graph_section(kind: str, data: TwoForm, u: OneForm) -> Section:
     """The point of the graph over u: (pi# u, u) for kind "poisson", (u, i_u omega) for "twoform"."""
-    if kind == "poisson":
-        return graph_section_poisson(data, u)
-    if kind == "twoform":
-        return graph_section_twoform(data, u)
-    raise ValueError(f"unknown graph kind {kind!r}")
+    return _graph_kind(kind)[0](data, u)
 
 
 def graph_residual(kind: str, data: TwoForm, s: Section) -> OneForm:
     """How far s is off the graph, zero exactly on it: the vector field
     s.vf - pi# s.form for "poisson", the 1-form s.form - i_(s.vf) omega for "twoform"."""
-    if kind == "poisson":
-        return s.vf - data.sharp(s.form)
-    if kind == "twoform":
-        return s.form - interior_two_form(s.vf, data)
-    raise ValueError(f"unknown graph kind {kind!r}")
+    return _graph_kind(kind)[1](data, s)
 
 
 def graph_closure_check(kind: str, data: "Bivector | TwoForm",
@@ -359,14 +351,13 @@ def graph_closure_check(kind: str, data: "Bivector | TwoForm",
     For a bivector the graph holds (pi# theta, theta); closure fails exactly
     when pi is not Poisson. For a 2-form the graph holds (xi, i_xi omega);
     closure fails exactly when the form is not closed. Returns the first
-    failing input pair as witness.
+    failing input pair as witness. An unknown kind is a ValueError, inputs or not.
     """
-    sections = [graph_section(kind, data, u) for u in inputs]
-    for i, x in enumerate(sections):
-        for j, y in enumerate(sections):
-            if not graph_residual(kind, data, courant_bracket(x, y)).is_zero():
-                return False, (i, j)
-    return True, None
+    section, residual = _graph_kind(kind)
+    sections = [section(data, u) for u in inputs]
+    bad = next(((i, j) for i, x in enumerate(sections) for j, y in enumerate(sections)
+                if not residual(data, courant_bracket(x, y)).is_zero()), None)
+    return bad is None, bad
 
 
 # -- quotient by exact forms and the double semidirect product ----------------
@@ -397,19 +388,15 @@ DoubleElement = tuple[HElement, Section]
 
 
 def h_bracket(a: HElement, b: HElement) -> HElement:
-    """Bracket of the vector-fields-with-form-classes Lie algebra."""
-    xi1, phi1 = a
-    xi2, phi2 = b
-    form = lie_derivative_one_form(xi1, phi2) - lie_derivative_one_form(xi2, phi1)
+    """Bracket of the vector-fields-with-form-classes Lie algebra: the Courant form's class."""
+    (xi1, phi1), (xi2, phi2) = a, b
+    form = interior_two_form(xi1, d_one_form(phi2)) - interior_two_form(xi2, d_one_form(phi1))
     return (vf_bracket(xi1, xi2), form_class(form))
 
 
 def h_act(a: HElement, e: Section) -> Section:
-    """Action on a plain section: Lie derivative plus the nilpotent -i d(phi) part."""
-    xi, phi = a
-    return Section(vf_bracket(xi, e.vf),
-                   lie_derivative_one_form(xi, e.form)
-                   - interior_two_form(e.vf, d_one_form(phi)))
+    """Action on a plain section: the Dorfman product of (xi, phi) with it."""
+    return dorfman_product(Section(*a), e)
 
 
 def double_bracket(a: DoubleElement, b: DoubleElement) -> DoubleElement:
@@ -418,8 +405,7 @@ def double_bracket(a: DoubleElement, b: DoubleElement) -> DoubleElement:
 
 
 def double_equal(a: DoubleElement, b: DoubleElement) -> bool:
-    return (a[0][0] - b[0][0]).is_zero() and (a[0][1] - b[0][1]).is_zero() \
-        and (a[1] - b[1]).is_zero()
+    return all((p - q).is_zero() for p, q in zip((*a[0], a[1]), (*b[0], b[1])))
 
 
 def sigma_double(s: Scalar, x: Section) -> DoubleElement:

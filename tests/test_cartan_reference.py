@@ -1,0 +1,327 @@
+"""The Cartan-form brackets against the formulas they replaced.
+
+The functions below are the earlier `courant_bracket`, `courant_ternary`,
+`h_act`, `h_bracket`, `dorfman_checks` and `graph_closure_check` (with its
+`graph_section` and `graph_residual`), kept verbatim. They wrote the Dorfman
+formula out in each place, as Lie derivatives minus d(i_xi1 th2 - i_xi2 th1)/2.
+The package now derives them all from one Dorfman product and its Cartan form
+i_xi1 d th2 - i_xi2 d th1 + d(i_xi1 th2 - i_xi2 th1)/2. The two agree exactly
+because d d = 0 on polynomials and `form_class` is linear and kills exact
+forms. Equal values, equal (ok, pair) results and equal "case k" witnesses,
+also when the bracket or the Dorfman product is made to fail on chosen cases,
+pin the rewrite.
+"""
+
+from __future__ import annotations
+
+import sys
+from fractions import Fraction as Q
+from typing import Iterable, Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leibniz_forge import Bivector, OneForm, Pcg32, Poly, Section, TwoForm, VectorField
+from leibniz_forge import courant
+from leibniz_forge.courant import (
+    CheckResult,
+    d_function,
+    d_one_form,
+    d_section,
+    dorfman_product,
+    form_class,
+    graph_section_poisson,
+    graph_section_twoform,
+    interior_one_form,
+    interior_two_form,
+    lie_derivative_one_form,
+    pairing,
+    vf_bracket,
+)
+from leibniz_forge.sampling import (
+    courant_samples,
+    random_one_form,
+    random_poly,
+    random_section,
+    random_vector_field,
+)
+
+HERE = sys.modules[__name__]
+
+
+# -- the earlier code, verbatim -----------------------------------------------------
+
+def courant_bracket(x: Section, y: Section) -> Section:
+    half = Q(1, 2)
+    form = (lie_derivative_one_form(x.vf, y.form)
+            - lie_derivative_one_form(y.vf, x.form)
+            - d_function(interior_one_form(x.vf, y.form)
+                         - interior_one_form(y.vf, x.form)).scale(half))
+    return Section(vf_bracket(x.vf, y.vf), form)
+
+
+def courant_ternary(x: Section, y: Section, z: Section) -> Section:
+    """Closed form of -(x . y) . z / 4 for the Dorfman product."""
+    quarter = Q(-1, 4)
+    inner_vf = vf_bracket(x.vf, y.vf)
+    inner_form = (lie_derivative_one_form(x.vf, y.form)
+                  - lie_derivative_one_form(y.vf, x.form))
+    form = (lie_derivative_one_form(inner_vf, z.form)
+            - interior_two_form(z.vf, d_one_form(inner_form)))
+    return Section(vf_bracket(inner_vf, z.vf), form).scale(quarter)
+
+
+def h_bracket(a, b):
+    """Bracket of the vector-fields-with-form-classes Lie algebra."""
+    xi1, phi1 = a
+    xi2, phi2 = b
+    form = lie_derivative_one_form(xi1, phi2) - lie_derivative_one_form(xi2, phi1)
+    return (vf_bracket(xi1, xi2), form_class(form))
+
+
+def h_act(a, e: Section) -> Section:
+    """Action on a plain section: Lie derivative plus the nilpotent -i d(phi) part."""
+    xi, phi = a
+    return Section(vf_bracket(xi, e.vf),
+                   lie_derivative_one_form(xi, e.form)
+                   - interior_two_form(e.vf, d_one_form(phi)))
+
+
+def _first_failure(name: str, cases: Iterable[tuple], holds) -> CheckResult:
+    """Run holds(*case) over the cases in order, stopping at the first that fails."""
+    bad = next((i for i, case in enumerate(cases) if not holds(*case)), None)
+    return CheckResult(name, bad is None, None if bad is None else f"case {bad}")
+
+
+def _cycle(items: Sequence, count: int) -> list:
+    if not items:
+        raise ValueError("at least one sampled function pair is required")
+    return [items[i % len(items)] for i in range(count)]
+
+
+def dorfman_checks(triples, funcs) -> list[CheckResult]:
+    """Dorfman Leibniz rule, the skew/symmetric decomposition, and the D-ideal identity."""
+    def leibniz(x, y, z):
+        lhs = dorfman_product(x, dorfman_product(y, z))
+        rhs = (dorfman_product(dorfman_product(x, y), z)
+               + dorfman_product(y, dorfman_product(x, z)))
+        return (lhs - rhs).is_zero()
+
+    def decomposition(x, y, _z):
+        dec = dorfman_product(x, y) - courant_bracket(x, y) - d_section(pairing(x, y))
+        skew = courant_bracket(x, y) - (dorfman_product(x, y) - dorfman_product(y, x)).scale(Q(1, 2))
+        sym = (dorfman_product(x, y) + dorfman_product(y, x)
+               - d_section(pairing(x, y)).scale(2))
+        return dec.is_zero() and skew.is_zero() and sym.is_zero()
+
+    def d_image_ideal(triple, fg):
+        (x, _, _), (f, _g) = triple, fg
+        left = dorfman_product(x, d_section(f))
+        mid = d_section(x.vf.derive(f))
+        right = d_section(pairing(x, d_section(f))).scale(2)
+        back = dorfman_product(d_section(f), x)
+        return (left - mid).is_zero() and (left - right).is_zero() and back.is_zero()
+
+    return [_first_failure("dorfman_leibniz", triples, leibniz),
+            _first_failure("skew_symmetric_decomposition", triples, decomposition),
+            _first_failure("d_image_ideal", zip(triples, _cycle(funcs, len(triples))),
+                           d_image_ideal)]
+
+
+def graph_section(kind: str, data: TwoForm, u: OneForm) -> Section:
+    """The point of the graph over u: (pi# u, u) for kind "poisson", (u, i_u omega) for "twoform"."""
+    if kind == "poisson":
+        return graph_section_poisson(data, u)
+    if kind == "twoform":
+        return graph_section_twoform(data, u)
+    raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def graph_residual(kind: str, data: TwoForm, s: Section) -> OneForm:
+    """How far s is off the graph, zero exactly on it: the vector field
+    s.vf - pi# s.form for "poisson", the 1-form s.form - i_(s.vf) omega for "twoform"."""
+    if kind == "poisson":
+        return s.vf - data.sharp(s.form)
+    if kind == "twoform":
+        return s.form - interior_two_form(s.vf, data)
+    raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def graph_closure_check(kind: str, data, inputs: Sequence):
+    """Close the graph under the Courant bracket over all input pairs."""
+    sections = [graph_section(kind, data, u) for u in inputs]
+    for i, x in enumerate(sections):
+        for j, y in enumerate(sections):
+            if not graph_residual(kind, data, courant_bracket(x, y)).is_zero():
+                return False, (i, j)
+    return True, None
+
+
+# -- drawn data ---------------------------------------------------------------------
+
+def polys(n):
+    """Polynomials of degree <= 3 in n variables: zero, constants and up to three terms."""
+    monos = st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    drawn = st.dictionaries(monos, coeffs, max_size=3).map(lambda d: Poly.from_dict(n, d))
+    return st.one_of(st.just(Poly.zero(n)), coeffs.map(lambda c: Poly.const(n, c)), drawn)
+
+
+@st.composite
+def sections(draw, count):
+    """count sections in 1-4 variables; their 1-forms are mostly not closed."""
+    n = draw(st.integers(1, 4))
+
+    def comps():
+        return tuple(draw(polys(n)) for _ in range(n))
+
+    return [Section(VectorField(n, comps()), OneForm(n, comps())) for _ in range(count)]
+
+
+def _samples(seed, nvars, count=4):
+    return courant_samples(seed, nvars, count)
+
+
+SAMPLE_RUNS = [(seed, nvars) for seed in (1, 7, 1009) for nvars in (1, 2, 3)]
+
+
+def _assert_same_values(x, y, z):
+    assert courant.courant_bracket(x, y) == courant_bracket(x, y)
+    assert courant.courant_ternary(x, y, z) == courant_ternary(x, y, z)
+    assert courant.h_act((x.vf, x.form), y) == h_act((x.vf, x.form), y)
+    assert courant.h_bracket((x.vf, x.form), (y.vf, y.form)) == h_bracket((x.vf, x.form),
+                                                                         (y.vf, y.form))
+
+
+class TestValues:
+    @settings(max_examples=60, deadline=None)
+    @given(sections(3))
+    def test_drawn_sections(self, xyz):
+        _assert_same_values(*xyz)
+
+    @pytest.mark.parametrize("seed, nvars", SAMPLE_RUNS)
+    def test_courant_samples(self, seed, nvars):
+        for x, y, z in _samples(seed, nvars).triples:
+            _assert_same_values(x, y, z)
+
+    def test_degree_three_samples(self):
+        for x, y, z in courant_samples(1009, 3, 2, max_degree=3).triples:
+            _assert_same_values(x, y, z)
+
+    @pytest.mark.parametrize("rng_seed, nvars", [(14, 2), (7, 3)])
+    def test_double_recovery_pairs(self, rng_seed, nvars):
+        rng = Pcg32(rng_seed)
+        half = Q(1, 2)
+        for _ in range(6):
+            x, y = random_section(rng, nvars), random_section(rng, nvars)
+            a, b = courant.sigma_double(half, x), courant.sigma_double(half, y)
+            got = courant.double_bracket(a, b)
+            assert got[0] == h_bracket(a[0], b[0])
+            assert got[1] == h_act(a[0], b[1]) - h_act(b[0], a[1])
+            assert courant.double_recovery_check(x, y)
+            assert (got[1] - courant_bracket(x, y)).is_zero()
+
+
+# -- suites and their witnesses -------------------------------------------------------
+
+def _bump(n):
+    one = Poly.const(n, 1)
+    return Section(VectorField(n, (one,) + tuple(Poly.zero(n) for _ in range(n - 1))),
+                   OneForm(n, (one,) + tuple(Poly.zero(n) for _ in range(n - 1))))
+
+
+def _perturb(monkeypatch, name, triples, cases):
+    """Make <name>(x, y) wrong, in the package and in the copies above, exactly
+    when (x, y) are the first two sections of one of the chosen cases."""
+    targets = [(triples[k][0], triples[k][1]) for k in cases]
+    bump = _bump(triples[0][0].nvars)
+
+    def perturbed(real):
+        def wrapped(x, y):
+            out = real(x, y)
+            if any(x is a and y is b for a, b in targets):
+                out = out + bump
+            return out
+        return wrapped
+
+    monkeypatch.setattr(courant, name, perturbed(getattr(courant, name)))
+    monkeypatch.setattr(HERE, name, perturbed(getattr(HERE, name)))
+
+
+class TestDorfmanChecks:
+    @settings(max_examples=25, deadline=None)
+    @given(sections(3), st.data())
+    def test_drawn_sections(self, xyz, data):
+        n = xyz[0].nvars
+        funcs = [(data.draw(polys(n)), data.draw(polys(n)))]
+        triples = [tuple(xyz), (xyz[1], xyz[2], xyz[0])]
+        assert courant.dorfman_checks(triples, funcs) == dorfman_checks(triples, funcs)
+
+    @pytest.mark.parametrize("seed, nvars", SAMPLE_RUNS)
+    def test_courant_samples(self, seed, nvars):
+        s = _samples(seed, nvars)
+        got = courant.dorfman_checks(s.triples, s.funcs)
+        assert got == dorfman_checks(s.triples, s.funcs)
+        assert all(r.ok for r in got)
+
+    @pytest.mark.parametrize("name", ["courant_bracket", "dorfman_product"])
+    @pytest.mark.parametrize("seed, nvars, cases", [
+        (1, 1, [0]), (7, 2, [2]), (1009, 2, [1, 3]), (7, 3, [3]), (1, 3, [1, 2]),
+    ])
+    def test_perturbed_cases(self, monkeypatch, name, seed, nvars, cases):
+        s = _samples(seed, nvars)
+        _perturb(monkeypatch, name, s.triples, cases)
+        got = courant.dorfman_checks(s.triples, s.funcs)
+        assert got == dorfman_checks(s.triples, s.funcs)
+        assert any(r.witness == f"case {cases[0]}" for r in got)
+
+
+# -- graph closure --------------------------------------------------------------------
+
+X = [Poly.var(3, i) for i in range(3)]
+GRAPHS = [
+    ("poisson", Bivector.from_upper(3, {(0, 1): X[2], (0, 2): X[1] * Q(-1), (1, 2): X[0]})),
+    ("poisson", Bivector.from_upper(3, {(0, 1): Poly.const(3, 1), (0, 2): X[0]})),
+    ("poisson", Bivector.from_upper(2, {(0, 1): Poly.const(2, 1)})),
+    ("twoform", TwoForm.from_upper(3, {(0, 1): X[2]})),
+    ("twoform", TwoForm.from_upper(2, {(0, 1): Poly.var(2, 0)})),
+    ("twoform", TwoForm.from_upper(1, {})),
+]
+
+
+class TestGraphs:
+    @pytest.mark.parametrize("kind, data", GRAPHS)
+    @pytest.mark.parametrize("seed", [1, 7, 1009])
+    def test_known_graphs(self, kind, data, seed):
+        rng = Pcg32(seed)
+        draw = random_one_form if kind == "poisson" else random_vector_field
+        inputs = [draw(rng, data.nvars, max_degree=1) for _ in range(4)]
+        assert courant.graph_closure_check(kind, data, inputs) == graph_closure_check(kind, data,
+                                                                                    inputs)
+        assert courant.graph_closure_check(kind, data, []) == graph_closure_check(kind, data, [])
+        for u in inputs:
+            point = courant.graph_section(kind, data, u)
+            assert point == graph_section(kind, data, u)
+            assert courant.graph_residual(kind, data, point) == graph_residual(kind, data, point)
+
+    @pytest.mark.parametrize("kind", ["poisson", "twoform"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 7, 1009])
+    def test_seeded_skew_matrices(self, kind, n, seed):
+        rng = Pcg32(seed)
+        upper = {(i, j): random_poly(rng, n, 1) for i in range(n) for j in range(i + 1, n)}
+        data = (Bivector if kind == "poisson" else TwoForm).from_upper(n, upper)
+        draw = random_one_form if kind == "poisson" else random_vector_field
+        inputs = [draw(rng, n, max_degree=1) for _ in range(3)]
+        assert courant.graph_closure_check(kind, data, inputs) == graph_closure_check(kind, data,
+                                                                                    inputs)
+        s = random_section(rng, n)
+        assert courant.graph_residual(kind, data, s) == graph_residual(kind, data, s)
+
+    @pytest.mark.parametrize("name", ["graph_section", "graph_residual"])
+    def test_unknown_kind_message(self, name):
+        data = TwoForm.from_upper(2, {})
+        arg = OneForm.zero(2) if name == "graph_section" else Section.zero(2)
+        with pytest.raises(ValueError, match="unknown graph kind 'bogus'"):
+            getattr(courant, name)("bogus", data, arg)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -44,6 +45,7 @@ from leibniz_forge import (
     t_function,
     vf_bracket,
 )
+from leibniz_forge import courant
 
 
 def lie_derivative_one_form_coord(xi: VectorField, theta: OneForm) -> OneForm:
@@ -198,6 +200,20 @@ class TestBracketOracles:
         direct = dorfman_product(dorfman_product(x, y), z).scale(Q(-1, 4))
         assert (out - direct).is_zero()
 
+    def test_contractions_per_bracket(self, monkeypatch):
+        # the Cartan form i_x dth2 - i_y dth1 + d(i_x th2 - i_y th1)/2 takes one d
+        # of a function and two 1-form contractions per bracket
+        calls = {"interior_one_form": 0, "d_function": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(courant, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(courant, name, counted)
+        triples = courant_samples(seed=1, nvars=3, count=4).triples
+        for x, y, _z in triples:
+            courant.courant_bracket(x, y)
+        assert calls == {"interior_one_form": 2 * len(triples), "d_function": len(triples)}
+
     def test_pairing_is_halved(self, r2):
         x1, x2, d1, d2, dx1, dx2 = r2
         x = Section(d1, dx1)
@@ -282,6 +298,13 @@ class TestGraphs:
         d2 = VectorField(3, (Poly.zero(3), one3, Poly.zero(3)))
         ok, witness = graph_closure_check("twoform", omega, [d1, d2])
         assert not ok and witness == (0, 1)
+
+    @pytest.mark.parametrize("kind", ["bogus", None, ["twoform"]])
+    @pytest.mark.parametrize("inputs", [[], [VectorField.zero(2)]])
+    def test_unknown_kind_rejected(self, kind, inputs):
+        omega = TwoForm.from_upper(2, {(0, 1): Poly.var(2, 0)})
+        with pytest.raises(ValueError, match=f"unknown graph kind {re.escape(repr(kind))}"):
+            graph_closure_check(kind, omega, inputs)
 
     def test_graph_sections_shape(self):
         pi = Bivector.from_upper(2, {(0, 1): Poly.const(2, 1)})
