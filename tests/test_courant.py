@@ -80,6 +80,18 @@ def zero_p(n):
     return Poly.zero(n)
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls of courant.<name> from here on."""
+    calls = [0]
+    real = getattr(courant, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+    monkeypatch.setattr(courant, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def r2():
     # handy generators on R^2: coordinates, unit fields, unit forms
@@ -203,16 +215,12 @@ class TestBracketOracles:
     def test_contractions_per_bracket(self, monkeypatch):
         # the Cartan form i_x dth2 - i_y dth1 + d(i_x th2 - i_y th1)/2 takes one d
         # of a function and two 1-form contractions per bracket
-        calls = {"interior_one_form": 0, "d_function": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(courant, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(courant, name, counted)
+        contractions = _count_calls(monkeypatch, "interior_one_form")
+        ds = _count_calls(monkeypatch, "d_function")
         triples = courant_samples(seed=1, nvars=3, count=4).triples
         for x, y, _z in triples:
             courant.courant_bracket(x, y)
-        assert calls == {"interior_one_form": 2 * len(triples), "d_function": len(triples)}
+        assert (contractions[0], ds[0]) == (2 * len(triples), len(triples))
 
     def test_pairing_is_halved(self, r2):
         x1, x2, d1, d2, dx1, dx2 = r2
@@ -249,6 +257,15 @@ class TestAxiomSuite:
         names = [r.name for r in dorfman_checks(samples.triples, samples.funcs)]
         assert names == ["dorfman_leibniz", "skew_symmetric_decomposition",
                          "d_image_ideal"]
+
+    @pytest.mark.parametrize("seed, nvars, count", [(1, 3, 4), (7, 2, 6), (1009, 1, 5)])
+    def test_brackets_per_triple(self, monkeypatch, seed, nvars, count):
+        # [x,y], [y,z], [z,x] once each, the three outer brackets of axiom1, and
+        # [x, f y]: 7 per triple, where computing each where it is used takes 12
+        samples = courant_samples(seed, nvars, count)
+        calls = _count_calls(monkeypatch, "courant_bracket")
+        assert all(r.ok for r in axiom_suite(samples.triples, samples.funcs))
+        assert calls[0] == 7 * count
 
 
 class TestGraphs:
@@ -299,12 +316,49 @@ class TestGraphs:
         ok, witness = graph_closure_check("twoform", omega, [d1, d2])
         assert not ok and witness == (0, 1)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 6])
+    def test_brackets_per_closed_graph(self, monkeypatch, k):
+        # a closed graph with k inputs takes one bracket per pair i < j, not k^2
+        x1, x2, x3 = (Poly.var(3, i) for i in range(3))
+        pi = Bivector.from_upper(3, {(0, 1): x3, (0, 2): x2 * Q(-1), (1, 2): x1})
+        rng = Pcg32(4)
+        inputs = [random_one_form(rng, 3, max_degree=1) for _ in range(k)]
+        calls = _count_calls(monkeypatch, "courant_bracket")
+        assert graph_closure_check("poisson", pi, inputs) == (True, None)
+        assert calls[0] == k * (k - 1) // 2
+
     @pytest.mark.parametrize("kind", ["bogus", None, ["twoform"]])
     @pytest.mark.parametrize("inputs", [[], [VectorField.zero(2)]])
     def test_unknown_kind_rejected(self, kind, inputs):
         omega = TwoForm.from_upper(2, {(0, 1): Poly.var(2, 0)})
         with pytest.raises(ValueError, match=f"unknown graph kind {re.escape(repr(kind))}"):
             graph_closure_check(kind, omega, inputs)
+
+    def test_from_upper_matches_checked_construction(self):
+        x1, x2 = Poly.var(3, 0), Poly.var(3, 1)
+        form = TwoForm.from_upper(3, {(0, 1): x1, (1, 2): x2 * Q(-2), (0, 2): Poly.zero(3)})
+        assert form == TwoForm(3, form.entries) == Bivector(3, form.entries)
+        assert form.entries[1][0] == -x1 and form.entries[2][1] == x2 * Q(2)
+        assert all(form.entries[i][i].is_zero() for i in range(3))
+
+    @pytest.mark.parametrize("upper", [{(1, 0): Poly.const(2, 1)}, {(0, 0): Poly.zero(2)},
+                                       {(0, 2): Poly.const(2, 1)}, {(-1, 1): Poly.const(2, 1)}])
+    def test_from_upper_rejects_bad_index(self, upper):
+        for cls in (TwoForm, Bivector):
+            with pytest.raises(ValueError, match="upper-triangular index expected"):
+                cls.from_upper(2, upper)
+
+    def test_direct_construction_still_checked(self):
+        one, zero = Poly.const(2, 1), Poly.zero(2)
+        for cls in (TwoForm, Bivector):
+            for entries in [((zero, one),), ((zero, one), (one,)),
+                            ((zero, one), (one, zero), (zero, zero))]:
+                with pytest.raises(ValueError, match="n x n coefficient matrix"):
+                    cls(2, entries)
+            for entries in [((zero, one), (one, zero)), ((one, zero), (zero, zero)),
+                            ((zero, one), (zero, zero))]:
+                with pytest.raises(ValueError, match="must be antisymmetric"):
+                    cls(2, entries)
 
     def test_graph_sections_shape(self):
         pi = Bivector.from_upper(2, {(0, 1): Poly.const(2, 1)})
@@ -347,6 +401,14 @@ class TestDoubleSemidirect:
             x = random_section(rng, 2)
             y = random_section(rng, 2)
             assert double_recovery_check(x, y)
+
+    def test_recovery_builds_no_h_bracket(self, monkeypatch):
+        # the check reads only the E part of the double bracket
+        rng = Pcg32(14)
+        pairs = [(random_section(rng, 3), random_section(rng, 3)) for _ in range(4)]
+        calls = _count_calls(monkeypatch, "h_bracket")
+        assert all(double_recovery_check(x, y) for x, y in pairs)
+        assert calls[0] == 0
 
     def test_h_bracket_jacobi_samples(self):
         rng = Pcg32(16)
