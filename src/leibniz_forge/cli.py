@@ -110,6 +110,15 @@ def _load_object(text: str, origin: str) -> dict:
     return doc
 
 
+def _known_keys(doc: dict, origin: str, *keys: str) -> dict:
+    """doc, once each of its top-level keys is one of keys: a misspelled key
+    must not read as an absent, empty field."""
+    unknown = next((key for key in doc if key not in keys), None)
+    if unknown is not None:
+        raise CliError(f"{origin}: unknown key {unknown!r}; expected {', '.join(keys)}")
+    return doc
+
+
 def _is_int(value: Any) -> bool:
     # JSON true and false load as bool, which Python counts as int
     return isinstance(value, int) and not isinstance(value, bool)
@@ -206,6 +215,7 @@ def parse_ly_text(text: str, origin: str = "file") -> LieYamaguti:
     doc = _load_json(text, origin)
     if not isinstance(doc, dict) or "dim" not in doc:
         raise CliError(f"{origin}: expected keys dim, binary, ternary")
+    _known_keys(doc, origin, "dim", "binary", "ternary")
     n = _positive_int(doc, "dim", origin, MAX_LY_DIM)
 
     def tensor(key: str, arity: int) -> tuple:
@@ -384,7 +394,7 @@ def _parse_components(doc: dict, key: str, names: Sequence[str], origin: str) ->
 
 
 def parse_section_text(text: str, origin: str = "section file") -> NamedSection:
-    doc = _load_object(text, origin)
+    doc = _known_keys(_load_object(text, origin), origin, "vars", "vector_field", "one_form")
     names = _parse_vars(doc, origin)
     vf = VectorField(len(names), _parse_components(doc, "vector_field", names, origin))
     form = OneForm(len(names), _parse_components(doc, "one_form", names, origin))
@@ -404,7 +414,7 @@ def section_to_doc(names: Sequence[str], s: Section) -> dict:
 
 def parse_skew_matrix_text(text: str, origin: str) -> tuple[tuple[str, ...], dict]:
     """Shared reader for bivector and 2-form files: {"vars", "entries": [[i,j,expr]]}."""
-    doc = _load_object(text, origin)
+    doc = _known_keys(_load_object(text, origin), origin, "vars", "entries")
     names = _parse_vars(doc, origin)
     n = len(names)
     upper: dict[tuple[int, int], Poly] = {}

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .linalg import Q, Scalar, as_q
 
 Monomial = tuple[int, ...]
+IntView = tuple[list[tuple[Monomial, int]], int]  # (monomial, numerator) pairs, denominator
 
 
 @dataclass(frozen=True)
@@ -82,19 +84,10 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
 
-    def _addmul(self, other: "Poly", d: dict[Monomial, Fraction]) -> None:
-        """Add self * other into d, so a sum of products is built in one dict."""
-        self._require_same(other)
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                mono = tuple(map(add, m1, m2))
-                d[mono] = d[mono] + c1 * c2 if mono in d else c1 * c2
-
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, Poly):
-            d: dict[Monomial, Fraction] = {}
-            self._addmul(other, d)
-            return Poly._trusted(self.nvars, d)
+            self._require_same(other)
+            return _contract(self.nvars, [(1, _ints(self), _ints(other), None)])
         c = as_q(other)
         if c == 0:
             return Poly.zero(self.nvars)
@@ -118,3 +111,30 @@ class Poly:
             if all(e == 0 for e in mono):
                 return coeff
         return Q(0)
+
+
+def _ints(p: Poly) -> IntView:
+    """p as (monomial, integer numerator) pairs over the lcm of its denominators."""
+    den = lcm(*(c.denominator for _, c in p.terms))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms], den
+
+
+def _contract(nvars: int, items: Iterable[tuple[Scalar, IntView, IntView, int | None]]) -> Poly:
+    """sum w a d_i b over the items (w, a, b, i), i None for the plain product a b:
+    integer sums over the lcm of the items' denominators, one Fraction per term."""
+    parts, den = [], 1
+    for w, (at, ad), (bt, bd), i in items:
+        if i is not None:
+            bt = [(m[:i] + (e - 1,) + m[i + 1:], c * e) for m, c in bt if (e := m[i])]
+        if at and bt:
+            parts.append((w.numerator, w.denominator * ad * bd, at, bt))
+            den = lcm(den, parts[-1][1])
+    acc: dict[Monomial, int] = {}
+    for wn, d, at, bt in parts:
+        scale = wn * (den // d)
+        for ma, ca in at:
+            ca *= scale
+            for mb, cb in bt:
+                mono = tuple(map(add, ma, mb))
+                acc[mono] = acc[mono] + ca * cb if mono in acc else ca * cb
+    return Poly(nvars, tuple((m, Fraction(c, den)) for m, c in sorted(acc.items()) if c))

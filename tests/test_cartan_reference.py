@@ -21,12 +21,25 @@ the pairs i < j. Its witnesses are pinned on graphs that truly fail, drawn
 and seeded skew matrices most of which are not Poisson or not closed, and
 never with a bracket perturbed only at (x, y): the i < j scan relies on the
 exact skewness [y, x] = -[x, y], which such a perturbation breaks.
+
+Last, the `ref_` functions are the Poly-level code that summed products of
+`Fraction` coefficients in one dict (`Poly.__mul__` with its `_addmul` and
+`_trusted`, `courant._dot`, `OneForm.derive`, `vf_bracket`,
+`lie_derivative_one_form`, `courant_bracket`, `dorfman_product`, and the
+interior products, d and sharp they called), kept verbatim up to the renaming
+of `self` and of the functions they call. The package now computes each
+output component as one integer contraction. Equal `terms` tuples (`Fraction`
+coefficients, `int` exponents, sorted order) on drawn sections in 1-4
+variables with zero and constant components, on sums that cancel to zero and
+on seeded Courant samples pin the swap.
 """
 
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from fractions import Fraction as Q
+from operator import add
 from typing import Iterable, Sequence
 
 import pytest
@@ -37,6 +50,7 @@ from leibniz_forge import Bivector, OneForm, Pcg32, Poly, Section, TwoForm, Vect
 from leibniz_forge import courant
 from leibniz_forge.courant import (
     CheckResult,
+    _dot,
     d_function,
     d_one_form,
     d_section,
@@ -51,6 +65,7 @@ from leibniz_forge.courant import (
     sigma_double,
     vf_bracket,
 )
+from leibniz_forge.linalg import as_q
 from leibniz_forge.sampling import (
     courant_samples,
     random_one_form,
@@ -232,6 +247,98 @@ def double_recovery_check(x: Section, y: Section) -> bool:
     half = Q(1, 2)
     _, e_part = double_bracket(sigma_double(half, x), sigma_double(half, y))
     return (e_part - courant_bracket(x, y)).is_zero()
+
+
+# -- the dict-accumulating Poly code, verbatim --------------------------------------
+
+def ref_addmul(self, other, d):
+    """Add self * other into d, so a sum of products is built in one dict."""
+    self._require_same(other)
+    for m1, c1 in self.terms:
+        for m2, c2 in other.terms:
+            mono = tuple(map(add, m1, m2))
+            d[mono] = d[mono] + c1 * c2 if mono in d else c1 * c2
+
+
+def ref_trusted(nvars, d):
+    """A Poly from a dict built by this class: valid exponents, Fraction coefficients."""
+    return Poly(nvars, tuple(sorted((m, c) for m, c in d.items() if c)))
+
+
+def ref_mul(self, other):
+    if isinstance(other, Poly):
+        d = {}
+        ref_addmul(self, other, d)
+        return ref_trusted(self.nvars, d)
+    c = as_q(other)
+    if c == 0:
+        return Poly.zero(self.nvars)
+    return Poly(self.nvars, tuple((m, c * co) for m, co in self.terms))
+
+
+def ref_dot(nvars, ps, qs):
+    """sum_i p_i q_i, the one contraction behind every pairing, derivative and sharp."""
+    d = {}
+    for p, q in zip(ps, qs):
+        if p.nvars != nvars:
+            raise ValueError("variable count mismatch")
+        ref_addmul(p, q, d)
+    return ref_trusted(nvars, d)
+
+
+def ref_derive(self, p):
+    """Directional derivative rho(xi) p = sum_i xi_i d_i p."""
+    return ref_dot(self.nvars, self.components, (p.partial(i) for i in range(self.nvars)))
+
+
+def ref_sharp(self, theta):
+    return VectorField(self.nvars, tuple(ref_dot(self.nvars, row, theta.components)
+                                         for row in self.entries))
+
+
+def ref_d_function(f):
+    return OneForm(f.nvars, tuple(f.partial(i) for i in range(f.nvars)))
+
+
+def ref_d_one_form(theta):
+    n, c = theta.nvars, theta.components
+    return TwoForm.from_upper(n, {(i, j): c[j].partial(i) - c[i].partial(j)
+                                  for i in range(n) for j in range(i + 1, n)})
+
+
+def ref_interior_one_form(xi, theta):
+    return ref_dot(xi.nvars, xi.components, theta.components)
+
+
+def ref_interior_two_form(xi, omega):
+    """(i_xi omega)_j = sum_i xi_i omega_ij."""
+    return OneForm(xi.nvars, tuple(ref_dot(xi.nvars, xi.components, column)
+                                   for column in zip(*omega.entries)))
+
+
+def ref_vf_bracket(a, b):
+    return VectorField(a.nvars, tuple(ref_derive(a, bk) - ref_derive(b, ak)
+                                      for ak, bk in zip(a.components, b.components)))
+
+
+def ref_lie_derivative_one_form(xi, theta):
+    """Cartan formula i_xi d theta + d i_xi theta."""
+    return (ref_interior_two_form(xi, ref_d_one_form(theta))
+            + ref_d_function(ref_interior_one_form(xi, theta)))
+
+
+def ref_courant_bracket(x, y):
+    form = (ref_interior_two_form(x.vf, ref_d_one_form(y.form))
+            - ref_interior_two_form(y.vf, ref_d_one_form(x.form))
+            + ref_d_function(ref_interior_one_form(x.vf, y.form)
+                             - ref_interior_one_form(y.vf, x.form)).scale(Q(1, 2)))
+    return Section(ref_vf_bracket(x.vf, y.vf), form)
+
+
+def ref_dorfman_product(x, y):
+    form = (ref_lie_derivative_one_form(x.vf, y.form)
+            - ref_interior_two_form(y.vf, ref_d_one_form(x.form)))
+    return Section(ref_vf_bracket(x.vf, y.vf), form)
 
 
 # -- drawn data ---------------------------------------------------------------------
@@ -509,3 +616,85 @@ class TestGraphWitnesses:
         # the data fail often, and not only at the first pair
         assert sum(w is not None for w in witnesses) >= 3
         assert any(w not in (None, (0, 1)) for w in witnesses)
+
+
+# -- the integer contraction against the dict-accumulating code -----------------------
+
+def _assert_same_terms(got, want):
+    """Equal terms, Fraction by Fraction and exponent by exponent, in sorted order."""
+    if isinstance(got, Section):
+        _assert_same_terms(got.vf, want.vf)
+        _assert_same_terms(got.form, want.form)
+        return
+    if isinstance(got, OneForm):
+        assert got.nvars == want.nvars
+        for g, w in zip(got.components, want.components, strict=True):
+            _assert_same_terms(g, w)
+        return
+    assert got.nvars == want.nvars and got.terms == want.terms
+    assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
+    assert all(type(e) is int for m, _ in got.terms for e in m)
+    assert list(got.terms) == sorted(got.terms)
+
+
+def _assert_same_kernels(x, y, f):
+    """Every function that became one contraction per output component, on x, y and f."""
+    n = x.nvars
+    _assert_same_terms(courant.courant_bracket(x, y), ref_courant_bracket(x, y))
+    _assert_same_terms(courant.dorfman_product(x, y), ref_dorfman_product(x, y))
+    _assert_same_terms(courant.vf_bracket(x.vf, y.vf), ref_vf_bracket(x.vf, y.vf))
+    _assert_same_terms(courant.lie_derivative_one_form(x.vf, y.form),
+                       ref_lie_derivative_one_form(x.vf, y.form))
+    _assert_same_terms(x.vf.derive(f), ref_derive(x.vf, f))
+    _assert_same_terms(interior_one_form(x.vf, y.form), ref_interior_one_form(x.vf, y.form))
+    omega = d_one_form(y.form)
+    _assert_same_terms(interior_two_form(x.vf, omega), ref_interior_two_form(x.vf, omega))
+    _assert_same_terms(omega.sharp(x.form), ref_sharp(omega, x.form))
+    a, b = x.vf.components + x.form.components, y.vf.components + y.form.components
+    _assert_same_terms(_dot(n, a, b), ref_dot(n, a, b))
+    for p, q in zip(a, b):
+        _assert_same_terms(p * q, ref_mul(p, q))
+        _assert_same_terms(p * f, ref_mul(p, f))
+
+
+def _assert_cancelling(x, f):
+    """Sums that cancel to zero: the brackets of x with itself, and a dot whose
+    second half undoes its first."""
+    n = x.nvars
+    for got, want in ((courant.courant_bracket(x, x), ref_courant_bracket(x, x)),
+                      (courant.vf_bracket(x.vf, x.vf), ref_vf_bracket(x.vf, x.vf))):
+        _assert_same_terms(got, want)
+        assert got.is_zero()
+    ps = x.vf.components + tuple(-c for c in x.vf.components)
+    qs = x.form.components * 2
+    _assert_same_terms(_dot(n, ps, qs), ref_dot(n, ps, qs))
+    assert _dot(n, ps, qs).is_zero()
+    const = Poly.const(n, Q(-3, 2))
+    _assert_same_terms(x.vf.derive(const), ref_derive(x.vf, const))
+    assert x.vf.derive(const).is_zero()
+    _assert_same_terms(f * Poly.zero(n), ref_mul(f, Poly.zero(n)))
+
+
+class TestIntegerContraction:
+    @settings(max_examples=80, deadline=None)
+    @given(sections(2), st.data())
+    def test_drawn_sections(self, xy, data):
+        x, y = xy
+        f = data.draw(polys(x.nvars))
+        _assert_same_kernels(x, y, f)
+        _assert_same_kernels(y, x, f)
+        _assert_cancelling(x, f)
+
+    @pytest.mark.parametrize("seed, nvars", SAMPLE_RUNS)
+    def test_courant_samples(self, seed, nvars):
+        s = _samples(seed, nvars)
+        for x, y, z, f, g in _with_funcs(s.triples, s.funcs):
+            for u, v, h in ((x, y, f), (y, z, g), (z, x, f)):
+                _assert_same_kernels(u, v, h)
+            _assert_cancelling(x, g)
+
+    def test_degree_three_samples(self):
+        s = courant_samples(1009, 3, 2, max_degree=3)
+        for x, y, z in s.triples:
+            _assert_same_kernels(x, y, s.funcs[0][0])
+            _assert_same_kernels(z, courant.courant_bracket(x, y), s.funcs[0][1])

@@ -651,6 +651,63 @@ class TestIntDigitLimit:
         assert witness.startswith(f"{path}: ") and "digits" in witness
 
 
+class TestUnknownKeys:
+    """A top-level key a reader does not know is an input error that names the
+    file and the key. A misspelled key used to read as an absent field, so a
+    misspelled bivector was the zero bivector and passed, and a misspelled
+    section bracketed as zero."""
+
+    NON_JACOBI = {"vars": ["x1", "x2", "x3"], "entrys": [[0, 1, "1"], [0, 2, "x1"]]}
+
+    def error_witness(self, capsys, argv):
+        code = main([*argv, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [(c["name"], c["status"]) for c in doc["checks"]] == [("error", "fail")]
+        return doc["checks"][0]["witness"]
+
+    @pytest.mark.parametrize("kind", ["poisson", "twoform"])
+    def test_graph_data(self, files, capsys, kind):
+        path = files("pi.json", json.dumps(self.NON_JACOBI))
+        witness = self.error_witness(capsys, ["courant", "graph", "--kind", kind, "--data", path])
+        assert witness == f"{path}: unknown key 'entrys'; expected vars, entries"
+
+    def test_spelled_right_the_bivector_fails(self, files, capsys):
+        doc = {"vars": self.NON_JACOBI["vars"], "entries": self.NON_JACOBI["entrys"]}
+        path = files("pi.json", json.dumps(doc))
+        assert main(["courant", "graph", "--kind", "poisson", "--data", path]) == 1
+        assert "[fail] graph_closed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_section_files(self, files, capsys, slot):
+        good = files("good.json", SECTION_Z)
+        bad = files("bad.json", json.dumps({"vars": ["x1", "x2"], "vf": {"x1": "x2"},
+                                            "form": {"x2": "x1"}}))
+        argv = ["courant", "bracket", *((bad, good) if slot == 0 else (good, bad))]
+        witness = self.error_witness(capsys, argv)
+        assert witness == f"{bad}: unknown key 'vf'; expected vars, vector_field, one_form"
+
+    def test_ly_file(self, files, capsys):
+        path = files("ly.json", '{"dim": 2, "binary": [], "ternery": [[0, 1, 0, 1, "1"]]}')
+        witness = self.error_witness(capsys, ["ly", "check", path])
+        assert witness == f"{path}: unknown key 'ternery'; expected dim, binary, ternary"
+
+    @pytest.mark.parametrize("parse, text, key", [
+        (parse_section_text, '{"vars": ["x"], "one_form": {}, "name": "s"}', "name"),
+        (parse_bivector_text, '{"vars": ["x"], "entries": [], "Entries": []}', "Entries"),
+        (parse_twoform_text, '{"entries": [], "var": ["x"]}', "var"),
+        (parse_ly_text, '{"dim": 1, "binary": [], "": []}', ""),
+    ])
+    def test_readers(self, parse, text, key):
+        with pytest.raises(CliError, match=f"^f.json: unknown key {key!r}; expected "):
+            parse(text, "f.json")
+
+    def test_known_keys_may_be_left_out(self):
+        assert parse_section_text('{"vars": ["x"]}').section.is_zero()
+        assert parse_bivector_text('{"vars": ["x"]}')[1].is_zero()
+        assert parse_ly_text('{"dim": 1}').dim == 1
+
+
 def algebra_dim_text(dim: int) -> str:
     return json.dumps({"dim": dim, "basis": [f"e{i}" for i in range(dim)], "products": []})
 

@@ -213,14 +213,16 @@ class TestBracketOracles:
         assert (out - direct).is_zero()
 
     def test_contractions_per_bracket(self, monkeypatch):
-        # the Cartan form i_x dth2 - i_y dth1 + d(i_x th2 - i_y th1)/2 takes one d
-        # of a function and two 1-form contractions per bracket
-        contractions = _count_calls(monkeypatch, "interior_one_form")
-        ds = _count_calls(monkeypatch, "d_function")
+        # the bracket is written from its coordinate formula: one integer
+        # contraction per output component, 2n per bracket, and no d or interior product
+        kernels = _count_calls(monkeypatch, "_contract")
+        others = [_count_calls(monkeypatch, name)
+                  for name in ("d_one_form", "interior_one_form", "d_function")]
         triples = courant_samples(seed=1, nvars=3, count=4).triples
         for x, y, _z in triples:
             courant.courant_bracket(x, y)
-        assert (contractions[0], ds[0]) == (2 * len(triples), len(triples))
+        assert kernels[0] == 2 * 3 * len(triples)
+        assert [calls[0] for calls in others] == [0, 0, 0]
 
     def test_pairing_is_halved(self, r2):
         x1, x2, d1, d2, dx1, dx2 = r2
@@ -266,6 +268,15 @@ class TestAxiomSuite:
         calls = _count_calls(monkeypatch, "courant_bracket")
         assert all(r.ok for r in axiom_suite(samples.triples, samples.funcs))
         assert calls[0] == 7 * count
+
+    @pytest.mark.parametrize("seed, nvars, count", [(1, 3, 4), (7, 2, 6), (1009, 1, 5)])
+    def test_dorfman_products_per_triple(self, monkeypatch, seed, nvars, count):
+        # x . y once for both the Leibniz rule and the decomposition: 9 per triple,
+        # 36 on courant_samples(1, 3, 4), where computing it in each takes 10
+        samples = courant_samples(seed, nvars, count)
+        calls = _count_calls(monkeypatch, "dorfman_product")
+        assert all(r.ok for r in dorfman_checks(samples.triples, samples.funcs))
+        assert calls[0] == 9 * count
 
 
 class TestGraphs:
