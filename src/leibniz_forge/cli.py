@@ -111,8 +111,7 @@ def _load_object(text: str, origin: str) -> dict:
 
 
 def _known_keys(doc: dict, origin: str, *keys: str) -> dict:
-    """doc, once each of its top-level keys is one of keys: a misspelled key
-    must not read as an absent, empty field."""
+    """doc, if each top-level key is one of keys: a misspelled key must not read as empty."""
     unknown = next((key for key in doc if key not in keys), None)
     if unknown is not None:
         raise CliError(f"{origin}: unknown key {unknown!r}; expected {', '.join(keys)}")

@@ -11,10 +11,9 @@ Conventions, fixed once:
     h_act((xi, phi), e) = (xi, phi) . e, in the double semidirect product
     bivector sharp: (pi# th)^i = sum_j pi^{ij} th_j
 
-Each component of a bracket, Lie derivative, contraction or sharp is one call
-of the kernel poly._contract, a sum of terms w a d_i b over integer numerators
-on one common denominator, written from its coordinate formula. With
-x = (xi, th) and y = (eta, phi), and d_i the partial derivative in variable i:
+Each component of a bracket, Lie derivative, contraction or sharp is one call of
+poly._contract, a sum of terms w a d_i b (d_i the partial in variable i) over integer
+numerators on one common denominator; with x = (xi, th) and y = (eta, phi):
 
     [xi, eta]_k    = sum_i xi_i d_i eta_k - eta_i d_i xi_k
     (L_xi th)_j    = sum_i xi_i d_i th_j + th_i d_j xi_i
@@ -25,9 +24,10 @@ Under the halved pairing the ideal identity for the image of D reads
 x . D f = D(rho(x) f) = 2 D<x, D f>; the un-halved convention would absorb
 the factor 2. All checks here use the halved forms exactly.
 
-A vector field and a 1-form are both one polynomial per variable, and a
-bivector and a 2-form both an antisymmetric polynomial matrix, so VectorField
-is OneForm and Bivector is TwoForm; the slot a value fills says which it is.
+In coordinates a vector field and a 1-form are both one polynomial per
+variable, and a bivector and a 2-form both an antisymmetric polynomial matrix,
+so each pair is one class under two names: VectorField is OneForm, and
+Bivector is TwoForm. The slot a value fills says which one it stands for.
 """
 
 from __future__ import annotations
@@ -38,24 +38,17 @@ from typing import Any, Callable, Iterable, Sequence
 from .linalg import Q, Scalar, as_q
 from .poly import Poly, _contract, _ints
 
-HALF = Q(1, 2)
-
 
 # -- graded pieces ------------------------------------------------------------
 
-def _dot(nvars: int, ps: Iterable[Poly], qs: Iterable[Poly]) -> Poly:
+def _views(nvars: int, *args: "Poly | Sequence[Poly]") -> list:
+    """Integer views of polynomials and of sequences of them, made once per public call."""
+    return [_ints(a, nvars) if isinstance(a, Poly) else [_ints(p, nvars) for p in a] for a in args]
+
+
+def _dot(nvars: int, ps: Sequence[Poly], qs: Sequence[Poly]) -> Poly:
     """sum_i p_i q_i, one contraction: the interior products and sharp."""
-    pairs = list(zip(ps, qs))
-    if any(p.nvars != nvars or q.nvars != nvars for p, q in pairs):
-        raise ValueError("variable count mismatch")
-    return _contract(nvars, [(1, _ints(p), _ints(q), None) for p, q in pairs])
-
-
-def _views(*args: "Poly | OneForm") -> list:
-    """Integer views of polynomials and of fields' components, made once per public call."""
-    if any(a.nvars != args[0].nvars for a in args):
-        raise ValueError("variable count mismatch")
-    return [_ints(a) if isinstance(a, Poly) else list(map(_ints, a.components)) for a in args]
+    return _contract(nvars, [(1, p, q, None) for p, q in zip(*_views(nvars, ps, qs))])
 
 
 def _field(nvars: int, items: Callable[[int], list]) -> "OneForm":
@@ -96,7 +89,7 @@ class OneForm:
 
     def derive(self, p: Poly) -> Poly:
         """Directional derivative rho(xi) p = sum_i xi_i d_i p."""
-        a, b = _views(self, p)
+        a, b = _views(self.nvars, self.components, p)
         return _contract(self.nvars, [(1, ai, b, i) for i, ai in enumerate(a)])
 
 
@@ -198,21 +191,29 @@ def interior_two_form(xi: VectorField, omega: TwoForm) -> OneForm:
 
 
 def vf_bracket(a: VectorField, b: VectorField) -> VectorField:
-    n, (u, v) = a.nvars, _views(a, b)
+    n, (u, v) = a.nvars, _views(a.nvars, a.components, b.components)
     return _field(n, lambda k: [t for i in range(n)
                                 for t in ((1, u[i], v[k], i), (-1, v[i], u[k], i))])
 
 
 def lie_derivative_one_form(xi: VectorField, theta: OneForm) -> OneForm:
-    n, (a, t) = xi.nvars, _views(xi, theta)
+    n, (a, t) = xi.nvars, _views(xi.nvars, xi.components, theta.components)
     return _field(n, lambda j: [u for i in range(n)
                                 for u in ((1, a[i], t[j], i), (1, t[i], a[i], j))])
+
+
+def _i_d(nvars: int, *terms: tuple[int, VectorField, OneForm]) -> OneForm:
+    """sum w i_xi d th over the terms (w, xi, th), by the coordinate formula
+    (i_xi d th)_j = sum_i xi_i d_i th_j - xi_i d_j th_i."""
+    views = [(w, *_views(nvars, xi.components, th.components)) for w, xi, th in terms]
+    return _field(nvars, lambda j: [u for w, a, t in views for i in range(nvars)
+                                    for u in ((w, a[i], t[j], i), (-w, a[i], t[i], j))])
 
 
 # -- pairing, D, and the two brackets -----------------------------------------
 
 def pairing(x: Section, y: Section) -> Poly:
-    return (interior_one_form(x.vf, y.form) + interior_one_form(y.vf, x.form)) * HALF
+    return (interior_one_form(x.vf, y.form) + interior_one_form(y.vf, x.form)) * Q(1, 2)
 
 
 def d_section(f: Poly) -> Section:
@@ -221,20 +222,18 @@ def d_section(f: Poly) -> Section:
 
 def courant_bracket(x: Section, y: Section) -> Section:
     """[x, y], its 1-form by the courant form_j of the module docstring."""
-    n, (xi, th, eta, phi) = x.nvars, _views(x.vf, x.form, y.vf, y.form)
+    n, h = x.nvars, Q(1, 2)
+    xi, th, eta, phi = _views(n, *(f.components for f in (x.vf, x.form, y.vf, y.form)))
     form = _field(n, lambda j: [t for i in range(n) for t in (
-        (1, xi[i], phi[j], i), (-1, eta[i], th[j], i), (HALF, phi[i], xi[i], j),
-        (-HALF, xi[i], phi[i], j), (-HALF, th[i], eta[i], j), (HALF, eta[i], th[i], j))])
+        (1, xi[i], phi[j], i), (-1, eta[i], th[j], i), (h, phi[i], xi[i], j),
+        (-h, xi[i], phi[i], j), (-h, th[i], eta[i], j), (h, eta[i], th[i], j))])
     return Section(vf_bracket(x.vf, y.vf), form)
 
 
 def dorfman_product(x: Section, y: Section) -> Section:
-    """x . y, whose 1-form is L_xi phi - i_eta dth for x = (xi, th) and y = (eta, phi),
-    with (i_eta dth)_j = sum_i eta_i d_i th_j - eta_i d_j th_i."""
-    n, (eta, th) = x.nvars, _views(y.vf, x.form)
-    i_eta_dth = _field(n, lambda j: [t for i in range(n)
-                                     for t in ((1, eta[i], th[j], i), (-1, eta[i], th[i], j))])
-    return Section(vf_bracket(x.vf, y.vf), lie_derivative_one_form(x.vf, y.form) - i_eta_dth)
+    """x . y = ([xi, eta], L_xi phi - i_eta dth) for x = (xi, th) and y = (eta, phi)."""
+    form = lie_derivative_one_form(x.vf, y.form) - _i_d(x.nvars, (1, y.vf, x.form))
+    return Section(vf_bracket(x.vf, y.vf), form)
 
 
 def _t_value(x: Section, y: Section, z: Section, xy: Section, yz: Section, zx: Section) -> Poly:
@@ -267,8 +266,7 @@ def _first_failure(name: str, cases: Iterable[tuple], holds: Callable[..., bool]
 
 
 def _once(product: Callable[[Section, Section], Section]) -> Callable[[Section, Section], Section]:
-    """product, computed once per pair for the call of a suite. Keyed by identity,
-    as a Section hashes slowly, so only for sections the caller keeps alive."""
+    """product, once per pair of live sections, keyed by identity: a Section hashes slowly."""
     seen: dict[tuple[int, int], Section] = {}
     return lambda u, v: (seen[key] if (key := (id(u), id(v))) in seen
                          else seen.setdefault(key, product(u, v)))
@@ -325,9 +323,8 @@ def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
 
 def dorfman_checks(triples: Sequence[tuple[Section, Section, Section]],
                    funcs: Sequence[tuple[Poly, Poly]]) -> list[CheckResult]:
-    """Dorfman Leibniz rule, the skew/symmetric decomposition, and the D-ideal identity,
-    with x . y computed once per triple for the first two: 9 products per triple."""
-    x_dot_y = _once(dorfman_product)  # kept for the call: only x . y is read twice
+    """Dorfman Leibniz rule, the skew/symmetric decomposition, and the D-ideal identity."""
+    x_dot_y = _once(dorfman_product)  # read by the first two: 9 products per triple
 
     def leibniz(x, y, z):
         lhs = dorfman_product(x, dorfman_product(y, z))
@@ -338,7 +335,7 @@ def dorfman_checks(triples: Sequence[tuple[Section, Section, Section]],
     def decomposition(x, y, _z):
         xy, yx, br, dxy = (x_dot_y(x, y), dorfman_product(y, x),
                            courant_bracket(x, y), d_section(pairing(x, y)))
-        return ((xy - br - dxy).is_zero() and (br - (xy - yx).scale(HALF)).is_zero()
+        return ((xy - br - dxy).is_zero() and (br - (xy - yx).scale(Q(1, 2))).is_zero()
                 and (xy + yx - dxy.scale(2)).is_zero())
 
     def d_image_ideal(x, _y, _z, f, _g):
@@ -435,8 +432,7 @@ DoubleElement = tuple[HElement, Section]
 def h_bracket(a: HElement, b: HElement) -> HElement:
     """Bracket of the vector-fields-with-form-classes Lie algebra: the Courant form's class."""
     (xi1, phi1), (xi2, phi2) = a, b
-    form = interior_two_form(xi1, d_one_form(phi2)) - interior_two_form(xi2, d_one_form(phi1))
-    return (vf_bracket(xi1, xi2), form_class(form))
+    return (vf_bracket(xi1, xi2), form_class(_i_d(xi1.nvars, (1, xi1, phi2), (-1, xi2, phi1))))
 
 
 def h_act(a: HElement, e: Section) -> Section:
@@ -460,5 +456,5 @@ def sigma_double(s: Scalar, x: Section) -> DoubleElement:
 
 def double_recovery_check(x: Section, y: Section) -> bool:
     """The E part of the sigma_(1/2) bracket, h_act(a, y) - h_act(b, x), is [x, y]."""
-    (a, _), (b, _) = sigma_double(HALF, x), sigma_double(HALF, y)
+    (a, _), (b, _) = sigma_double(Q(1, 2), x), sigma_double(Q(1, 2), y)
     return (h_act(a, y) - h_act(b, x) - courant_bracket(x, y)).is_zero()

@@ -16,7 +16,6 @@ from typing import Iterable, Mapping
 from .linalg import Q, Scalar, as_q
 
 Monomial = tuple[int, ...]
-IntView = tuple[list[tuple[Monomial, int]], int]  # (monomial, numerator) pairs, denominator
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, Poly):
-            self._require_same(other)
-            return _contract(self.nvars, [(1, _ints(self), _ints(other), None)])
+            n = self.nvars
+            return _contract(n, [(1, _ints(self, n), _ints(other, n), None)])
         c = as_q(other)
         if c == 0:
             return Poly.zero(self.nvars)
@@ -113,13 +112,15 @@ class Poly:
         return Q(0)
 
 
-def _ints(p: Poly) -> IntView:
+def _ints(p: Poly, nvars: int) -> tuple[list[tuple[Monomial, int]], int]:
     """p as (monomial, integer numerator) pairs over the lcm of its denominators."""
+    if p.nvars != nvars:
+        raise ValueError("variable count mismatch")
     den = lcm(*(c.denominator for _, c in p.terms))
     return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms], den
 
 
-def _contract(nvars: int, items: Iterable[tuple[Scalar, IntView, IntView, int | None]]) -> Poly:
+def _contract(nvars: int, items: Iterable[tuple]) -> Poly:
     """sum w a d_i b over the items (w, a, b, i), i None for the plain product a b:
     integer sums over the lcm of the items' denominators, one Fraction per term."""
     parts, den = [], 1

@@ -25,9 +25,9 @@ exact skewness [y, x] = -[x, y], which such a perturbation breaks.
 Last, the `ref_` functions are the Poly-level code that summed products of
 `Fraction` coefficients in one dict (`Poly.__mul__` with its `_addmul` and
 `_trusted`, `courant._dot`, `OneForm.derive`, `vf_bracket`,
-`lie_derivative_one_form`, `courant_bracket`, `dorfman_product`, and the
-interior products, d and sharp they called), kept verbatim up to the renaming
-of `self` and of the functions they call. The package now computes each
+`lie_derivative_one_form`, `courant_bracket`, `dorfman_product`, `h_bracket`,
+and the interior products, d and sharp they called), kept verbatim up to the
+renaming of `self` and of the functions they call. The package now computes each
 output component as one integer contraction. Equal `terms` tuples (`Fraction`
 coefficients, `int` exponents, sorted order) on drawn sections in 1-4
 variables with zero and constant components, on sums that cancel to zero and
@@ -341,6 +341,14 @@ def ref_dorfman_product(x, y):
     return Section(ref_vf_bracket(x.vf, y.vf), form)
 
 
+def ref_h_bracket(a, b):
+    """Bracket of the vector-fields-with-form-classes Lie algebra: the Courant form's class."""
+    (xi1, phi1), (xi2, phi2) = a, b
+    form = (ref_interior_two_form(xi1, ref_d_one_form(phi2))
+            - ref_interior_two_form(xi2, ref_d_one_form(phi1)))
+    return (ref_vf_bracket(xi1, xi2), form_class(form))
+
+
 # -- drawn data ---------------------------------------------------------------------
 
 def polys(n):
@@ -642,6 +650,9 @@ def _assert_same_kernels(x, y, f):
     n = x.nvars
     _assert_same_terms(courant.courant_bracket(x, y), ref_courant_bracket(x, y))
     _assert_same_terms(courant.dorfman_product(x, y), ref_dorfman_product(x, y))
+    for got, want in zip(courant.h_bracket((x.vf, x.form), (y.vf, y.form)),
+                         ref_h_bracket((x.vf, x.form), (y.vf, y.form)), strict=True):
+        _assert_same_terms(got, want)
     _assert_same_terms(courant.vf_bracket(x.vf, y.vf), ref_vf_bracket(x.vf, y.vf))
     _assert_same_terms(courant.lie_derivative_one_form(x.vf, y.form),
                        ref_lie_derivative_one_form(x.vf, y.form))
@@ -661,8 +672,10 @@ def _assert_cancelling(x, f):
     """Sums that cancel to zero: the brackets of x with itself, and a dot whose
     second half undoes its first."""
     n = x.nvars
+    h = (x.vf, x.form)
     for got, want in ((courant.courant_bracket(x, x), ref_courant_bracket(x, x)),
-                      (courant.vf_bracket(x.vf, x.vf), ref_vf_bracket(x.vf, x.vf))):
+                      (courant.vf_bracket(x.vf, x.vf), ref_vf_bracket(x.vf, x.vf)),
+                      (courant.h_bracket(h, h)[1], ref_h_bracket(h, h)[1])):
         _assert_same_terms(got, want)
         assert got.is_zero()
     ps = x.vf.components + tuple(-c for c in x.vf.components)

@@ -224,6 +224,17 @@ class TestBracketOracles:
         assert kernels[0] == 2 * 3 * len(triples)
         assert [calls[0] for calls in others] == [0, 0, 0]
 
+    def test_contractions_per_h_bracket(self, monkeypatch):
+        # i_xi1 dphi2 - i_xi2 dphi1 takes the path of the Dorfman product's i_eta dth:
+        # one contraction per form component, as the vector field bracket makes
+        kernels = _count_calls(monkeypatch, "_contract")
+        others = [_count_calls(monkeypatch, name) for name in ("d_one_form", "interior_two_form")]
+        triples = courant_samples(seed=1, nvars=3, count=4).triples
+        for x, y, _z in triples:
+            courant.h_bracket((x.vf, x.form), (y.vf, y.form))
+        assert kernels[0] == 2 * 3 * len(triples)
+        assert [calls[0] for calls in others] == [0, 0]
+
     def test_pairing_is_halved(self, r2):
         x1, x2, d1, d2, dx1, dx2 = r2
         x = Section(d1, dx1)
