@@ -336,26 +336,14 @@ def parse_poly_expr(text: str, names: Sequence[str]) -> Poly:
 
 def poly_to_str(p: Poly, names: Sequence[str]) -> str:
     """Canonical rendering; parse_poly_expr(poly_to_str(p)) reproduces p."""
-    if not p.terms:
-        return "0"
-    pieces = []
+    out = ""
     for expo, coeff in p.terms:
-        vars_part = "*".join(
-            f"{names[i]}^{e}" if e > 1 else names[i]
-            for i, e in enumerate(expo) if e > 0)
-        mag = abs(coeff)
-        if not vars_part:
-            body = _rational_text(mag)
-        elif mag == 1:
-            body = vars_part
-        else:
-            body = f"{_rational_text(mag)}*{vars_part}"
-        pieces.append((coeff < 0, body))
-    neg, body = pieces[0]
-    out = ("-" if neg else "") + body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+        vars_part = "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
+                             for i, e in enumerate(expo) if e > 0)
+        mag = "" if vars_part and abs(coeff) == 1 else _rational_text(abs(coeff))
+        sign = (" - " if coeff < 0 else " + ") if out else ("-" if coeff < 0 else "")
+        out += sign + "*".join(filter(None, (mag, vars_part)))
+    return out or "0"
 
 
 # -- section / bivector / 2-form files ----------------------------------------

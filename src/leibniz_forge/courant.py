@@ -12,8 +12,8 @@ Conventions, fixed once:
     bivector sharp: (pi# th)^i = sum_j pi^{ij} th_j
 
 Each component of a bracket, Lie derivative, contraction or sharp is one call of
-poly._contract, a sum of terms w a d_i b (d_i the partial in variable i) over integer
-numerators on one common denominator; with x = (xi, th) and y = (eta, phi):
+poly._contract, a sum of terms w a d_i b (d_i the partial in variable i) read straight
+from the operands' stored integer numerators; with x = (xi, th) and y = (eta, phi):
 
     [xi, eta]_k    = sum_i xi_i d_i eta_k - eta_i d_i xi_k
     (L_xi th)_j    = sum_i xi_i d_i th_j + th_i d_j xi_i
@@ -35,20 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .linalg import Q, Scalar, as_q
-from .poly import Poly, _contract, _ints
+from .linalg import Q, Scalar
+from .poly import Poly, _contract
 
 
 # -- graded pieces ------------------------------------------------------------
 
-def _views(nvars: int, *args: "Poly | Sequence[Poly]") -> list:
-    """Integer views of polynomials and of sequences of them, made once per public call."""
-    return [_ints(a, nvars) if isinstance(a, Poly) else [_ints(p, nvars) for p in a] for a in args]
-
-
 def _dot(nvars: int, ps: Sequence[Poly], qs: Sequence[Poly]) -> Poly:
     """sum_i p_i q_i, one contraction: the interior products and sharp."""
-    return _contract(nvars, [(1, p, q, None) for p, q in zip(*_views(nvars, ps, qs))])
+    return _contract(nvars, [(1, p, q, None) for p, q in zip(ps, qs)])
 
 
 def _field(nvars: int, items: Callable[[int], list]) -> "OneForm":
@@ -81,16 +76,14 @@ class OneForm:
         return OneForm(self.nvars, tuple(-a for a in self.components))
 
     def scale(self, f: "Poly | Scalar") -> "OneForm":
-        return OneForm(self.nvars, tuple(c * f if isinstance(f, Poly) else c * as_q(f)
-                                         for c in self.components))
+        return OneForm(self.nvars, tuple(c * f for c in self.components))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
     def derive(self, p: Poly) -> Poly:
         """Directional derivative rho(xi) p = sum_i xi_i d_i p."""
-        a, b = _views(self.nvars, self.components, p)
-        return _contract(self.nvars, [(1, ai, b, i) for i, ai in enumerate(a)])
+        return _contract(self.nvars, [(1, a, p, i) for i, a in enumerate(self.components)])
 
 
 VectorField = OneForm
@@ -110,6 +103,8 @@ class TwoForm:
         n = self.nvars
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError("2-form or bivector needs an n x n coefficient matrix")
+        if any(not isinstance(p, Poly) or p.nvars != n for r in self.entries for p in r):
+            raise ValueError(f"2-form or bivector coefficients must be Polys in {n} variables")
         if any(self.entries[i][j] != -self.entries[j][i] for i in range(n) for j in range(i, n)):
             raise ValueError("2-form or bivector coefficients must be antisymmetric")
 
@@ -119,8 +114,10 @@ class TwoForm:
         for (i, j), p in upper.items():
             if not 0 <= i < j < nvars:
                 raise ValueError(f"upper-triangular index expected, got ({i}, {j})")
+            if not isinstance(p, Poly) or p.nvars != nvars:
+                raise ValueError(f"entry ({i}, {j}) is not a Poly in {nvars} variables")
             rows[i][j], rows[j][i] = p, -p
-        form = object.__new__(TwoForm)  # antisymmetric as built: no pairwise check
+        form = object.__new__(TwoForm)  # checked and antisymmetric as built
         form.__dict__.update(nvars=nvars, entries=tuple(tuple(r) for r in rows))
         return form
 
@@ -191,13 +188,13 @@ def interior_two_form(xi: VectorField, omega: TwoForm) -> OneForm:
 
 
 def vf_bracket(a: VectorField, b: VectorField) -> VectorField:
-    n, (u, v) = a.nvars, _views(a.nvars, a.components, b.components)
+    n, u, v = a.nvars, a.components, b.components
     return _field(n, lambda k: [t for i in range(n)
                                 for t in ((1, u[i], v[k], i), (-1, v[i], u[k], i))])
 
 
 def lie_derivative_one_form(xi: VectorField, theta: OneForm) -> OneForm:
-    n, (a, t) = xi.nvars, _views(xi.nvars, xi.components, theta.components)
+    n, a, t = xi.nvars, xi.components, theta.components
     return _field(n, lambda j: [u for i in range(n)
                                 for u in ((1, a[i], t[j], i), (1, t[i], a[i], j))])
 
@@ -205,8 +202,8 @@ def lie_derivative_one_form(xi: VectorField, theta: OneForm) -> OneForm:
 def _i_d(nvars: int, *terms: tuple[int, VectorField, OneForm]) -> OneForm:
     """sum w i_xi d th over the terms (w, xi, th), by the coordinate formula
     (i_xi d th)_j = sum_i xi_i d_i th_j - xi_i d_j th_i."""
-    views = [(w, *_views(nvars, xi.components, th.components)) for w, xi, th in terms]
-    return _field(nvars, lambda j: [u for w, a, t in views for i in range(nvars)
+    comps = [(w, xi.components, th.components) for w, xi, th in terms]
+    return _field(nvars, lambda j: [u for w, a, t in comps for i in range(nvars)
                                     for u in ((w, a[i], t[j], i), (-w, a[i], t[i], j))])
 
 
@@ -222,11 +219,11 @@ def d_section(f: Poly) -> Section:
 
 def courant_bracket(x: Section, y: Section) -> Section:
     """[x, y], its 1-form by the courant form_j of the module docstring."""
-    n, h = x.nvars, Q(1, 2)
-    xi, th, eta, phi = _views(n, *(f.components for f in (x.vf, x.form, y.vf, y.form)))
+    n, h, mh = x.nvars, Q(1, 2), Q(-1, 2)
+    xi, th, eta, phi = (f.components for f in (x.vf, x.form, y.vf, y.form))
     form = _field(n, lambda j: [t for i in range(n) for t in (
         (1, xi[i], phi[j], i), (-1, eta[i], th[j], i), (h, phi[i], xi[i], j),
-        (-h, xi[i], phi[i], j), (-h, th[i], eta[i], j), (h, eta[i], th[i], j))])
+        (mh, xi[i], phi[i], j), (mh, th[i], eta[i], j), (h, eta[i], th[i], j))])
     return Section(vf_bracket(x.vf, y.vf), form)
 
 
@@ -450,8 +447,7 @@ def double_equal(a: DoubleElement, b: DoubleElement) -> bool:
 
 
 def sigma_double(s: Scalar, x: Section) -> DoubleElement:
-    sq = as_q(s)
-    return ((x.vf.scale(sq), form_class(x.form.scale(sq))), x)
+    return ((x.vf.scale(s), form_class(x.form.scale(s))), x)
 
 
 def double_recovery_check(x: Section, y: Section) -> bool:

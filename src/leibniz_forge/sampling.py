@@ -125,13 +125,13 @@ def random_nilpotent_leibniz(rng: Pcg32, dim: int) -> StructureAlgebra:
 def random_poly(rng: Pcg32, nvars: int, max_degree: int = 2,
                 max_terms: int = 2, allow_zero: bool = True) -> Poly:
     lo = 0 if allow_zero else 1
-    out = Poly.zero(nvars)
+    terms = []
     for _ in range(rng.randint(lo, max_terms)):
         expo = [0] * nvars
         for _ in range(rng.randrange(max_degree + 1)):
             expo[rng.randrange(nvars)] += 1
-        out = out + Poly.monomial(nvars, tuple(expo), rng.rational_nonzero())
-    return out
+        terms.append((tuple(expo), rng.rational_nonzero()))
+    return Poly(nvars, terms)
 
 
 def random_one_form(rng: Pcg32, nvars: int, max_degree: int = 2) -> OneForm:

@@ -32,6 +32,12 @@ output component as one integer contraction. Equal `terms` tuples (`Fraction`
 coefficients, `int` exponents, sorted order) on drawn sections in 1-4
 variables with zero and constant components, on sums that cancel to zero and
 on seeded Courant samples pin the swap.
+
+Every result is also checked in the stored form of `Poly`: one positive
+denominator with integer numerators in lowest terms over it, sorted monomials
+and no zero term, rebuilt equal and equally hashed from its `terms`. Sections
+with large coprime denominators (10^30/7, 1/(2^61 - 1)) and sums whose
+denominators cancel (1/6 + 1/3 stores 2) exercise the integer kernel.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from fractions import Fraction as Q
+from math import gcd
 from operator import add
 from typing import Iterable, Sequence
 
@@ -351,21 +358,27 @@ def ref_h_bracket(a, b):
 
 # -- drawn data ---------------------------------------------------------------------
 
-def polys(n):
+M61 = 2**61 - 1
+BIG_COEFFS = st.sampled_from([Q(10**30, 7), Q(-10**30, 7), Q(1, M61), Q(-3, M61), Q(M61, 10**30),
+                              Q(1, 6), Q(1, 3), Q(-1, 2), Q(5, 6)])
+
+
+def polys(n, coeffs=None):
     """Polynomials of degree <= 3 in n variables: zero, constants and up to three terms."""
     monos = st.tuples(*[st.integers(0, 3)] * n).filter(lambda m: sum(m) <= 3)
-    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if coeffs is None:
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     drawn = st.dictionaries(monos, coeffs, max_size=3).map(lambda d: Poly.from_dict(n, d))
     return st.one_of(st.just(Poly.zero(n)), coeffs.map(lambda c: Poly.const(n, c)), drawn)
 
 
 @st.composite
-def sections(draw, count):
+def sections(draw, count, coeffs=None):
     """count sections in 1-4 variables; their 1-forms are mostly not closed."""
     n = draw(st.integers(1, 4))
 
     def comps():
-        return tuple(draw(polys(n)) for _ in range(n))
+        return tuple(draw(polys(n, coeffs)) for _ in range(n))
 
     return [Section(VectorField(n, comps()), OneForm(n, comps())) for _ in range(count)]
 
@@ -643,6 +656,21 @@ def _assert_same_terms(got, want):
     assert all(type(c) is Fraction and c != 0 for _, c in got.terms)
     assert all(type(e) is int for m, _ in got.terms for e in m)
     assert list(got.terms) == sorted(got.terms)
+    _assert_stored(got)
+
+
+def _assert_stored(p):
+    """den > 0, gcd(den, numerators) = 1, sorted distinct monomials, no zero numerator;
+    rebuilt from its terms, p is equal and hashes alike."""
+    den, nums = p.den, p.nums
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for _, c in nums)
+    assert gcd(den, *(c for _, c in nums)) == 1
+    monos = [m for m, _ in nums]
+    assert monos == sorted(set(monos))
+    assert p.terms == tuple((m, Fraction(c, den)) for m, c in nums)
+    again = Poly(p.nvars, p.terms[::-1])
+    assert again == p and hash(again) == hash(p)
 
 
 def _assert_same_kernels(x, y, f):
@@ -711,3 +739,28 @@ class TestIntegerContraction:
         for x, y, z in s.triples:
             _assert_same_kernels(x, y, s.funcs[0][0])
             _assert_same_kernels(z, courant.courant_bracket(x, y), s.funcs[0][1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(sections(2, BIG_COEFFS), st.data())
+    def test_large_coprime_denominators(self, xy, data):
+        x, y = xy
+        f = data.draw(polys(x.nvars, BIG_COEFFS))
+        _assert_same_kernels(x, y, f)
+        _assert_same_kernels(y, x, f)
+        _assert_cancelling(x, f)
+
+    def test_cancelling_denominators(self):
+        """Items over 6 and 3 whose sum is over 2, and a big prime that cancels."""
+        x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+        xi = VectorField(2, (x1 * Q(1, 6), x2 * Q(1, 3)))
+        eta = VectorField(2, (x1 * Q(1, M61), x2 * Q(M61)))
+        theta = OneForm(2, (Poly.const(2, 1), Poly.const(2, 1)))
+        half = interior_one_form(xi, OneForm(2, (x2, x1)))
+        assert (half.den, half.nums) == (2, (((1, 1), 1),))
+        _assert_same_terms(half, ref_interior_one_form(xi, OneForm(2, (x2, x1))))
+        assert interior_one_form(eta, theta) == x1 * Q(1, M61) + x2 * M61
+        for a, b in ((xi, eta), (eta, xi), (xi, xi)):
+            _assert_same_terms(courant.vf_bracket(a, b), ref_vf_bracket(a, b))
+            x, y = Section(a, theta), Section(b, OneForm(2, b.components))
+            _assert_same_terms(courant.courant_bracket(x, y), ref_courant_bracket(x, y))
+            _assert_same_terms(courant.dorfman_product(x, y), ref_dorfman_product(x, y))

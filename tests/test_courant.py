@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 from fractions import Fraction as Q
 
@@ -105,10 +107,13 @@ def r2():
 
 
 class TestPolyInput:
-    @pytest.mark.parametrize("mono", [(0.5, 1), (True, 0), (0, False), (1, -1), (1,), ("1", 0)])
+    @pytest.mark.parametrize("mono", [(0.5, 1), (True, 0), (0, False), (1, -1), (1,), ("1", 0),
+                                      (0, 0, 0)])
     def test_from_dict_rejects_bad_exponents(self, mono):
-        with pytest.raises(ValueError, match="bad exponent tuple"):
-            Poly.from_dict(2, {mono: 1})
+        """The public constructor Poly(nvars, terms) raises the same error."""
+        for build in (lambda: Poly.from_dict(2, {mono: 1}), lambda: Poly(2, [(mono, 1)])):
+            with pytest.raises(ValueError, match="bad exponent tuple"):
+                build()
 
     def test_from_dict_accepts_valid_input(self):
         big = Poly.from_dict(2, {(10**6, 0): 3, (0, 10**6): Q(1, 2), (1, 1): 0})
@@ -116,6 +121,34 @@ class TestPolyInput:
         assert big.partial(0).terms == (((10**6 - 1, 0), Q(3 * 10**6)),)
         assert (big * big).terms[0] == ((0, 2 * 10**6), Q(1, 4))
         assert Poly.from_dict(2, {}) == Poly.zero(2)
+
+    def test_constructor_drops_zero_coefficients(self):
+        p = Poly(2, (((0, 0), Q(0)),))
+        assert p.is_zero() and p == Poly.zero(2) and hash(p) == hash(Poly.zero(2))
+        assert Poly(2, (((1, 0), Q(1, 3)), ((0, 1), 0))) == Poly.var(2, 0) * Q(1, 3)
+
+    def test_constructor_sorts_terms(self):
+        terms = (((1, 0), Q(1, 2)), ((0, 0), Q(-3)), ((0, 2), Q(5, 7)))
+        p, q = Poly(2, terms), Poly(2, sorted(terms))
+        assert p == q and hash(p) == hash(q) and p.terms == tuple(sorted(terms))
+        assert p == Poly.from_dict(2, dict(terms))
+
+    def test_constructor_adds_repeated_monomials(self):
+        p = Poly(1, (((1,), Q(1, 6)), ((1,), Q(1, 3)), ((0,), 1), ((0,), -1)))
+        assert p.terms == (((1,), Q(1, 2)),) and (p.den, p.nums) == (2, (((1,), 1),))
+
+    @pytest.mark.parametrize("coeff", [0.5, 1.0, None, 1j])
+    def test_constructor_rejects_inexact_coefficients(self, coeff):
+        for build in (lambda: Poly(2, (((1, 0), coeff),)),
+                      lambda: Poly.from_dict(2, {(1, 0): coeff})):
+            with pytest.raises(TypeError, match="not an exact scalar"):
+                build()
+
+    def test_copy_and_pickle_round_trip(self):
+        p = Poly.from_dict(2, {(1, 0): Q(10**30, 7), (0, 3): Q(-1, 2**61 - 1)})
+        for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert again == p and type(again) is Poly and again.terms == p.terms
+        assert eval(repr(p), {"Poly": Poly, "Fraction": Q}) == p
 
 
 class TestDifferentialOperators:
@@ -370,6 +403,14 @@ class TestGraphs:
             with pytest.raises(ValueError, match="upper-triangular index expected"):
                 cls.from_upper(2, upper)
 
+    @pytest.mark.parametrize("nvars, upper", [(3, {(0, 1): Poly.var(2, 0)}), (2, {(0, 1): 5}),
+                                              (2, {(0, 1): Q(1, 2)}), (2, {(0, 1): "x1"}),
+                                              (3, {(0, 2): Poly.zero(3), (0, 1): None})])
+    def test_from_upper_rejects_values_that_are_not_polys_over_nvars(self, nvars, upper):
+        for cls in (TwoForm, Bivector):
+            with pytest.raises(ValueError, match=r"entry \(0, 1\) is not a Poly in \d variables"):
+                cls.from_upper(nvars, upper)
+
     def test_direct_construction_still_checked(self):
         one, zero = Poly.const(2, 1), Poly.zero(2)
         for cls in (TwoForm, Bivector):
@@ -380,6 +421,11 @@ class TestGraphs:
             for entries in [((zero, one), (one, zero)), ((one, zero), (zero, zero)),
                             ((zero, one), (zero, zero))]:
                 with pytest.raises(ValueError, match="must be antisymmetric"):
+                    cls(2, entries)
+            x = Poly.var(3, 0)
+            for entries in [((zero, 5), (-5, zero)), ((zero, x), (-x, zero)),
+                            ((zero, Q(1)), (-1, zero))]:
+                with pytest.raises(ValueError, match="must be Polys in 2 variables"):
                     cls(2, entries)
 
     def test_graph_sections_shape(self):

@@ -7,12 +7,18 @@ through `Poly.from_dict`, and a sum of k products is k successive additions.
 Equal `Poly` values (the same `terms` tuples, with `Fraction` coefficients)
 and the same errors, on drawn polynomials, cancelling sums, zero polynomials,
 variable-count mismatches and seeded Courant samples, pin the behaviour.
+
+Every result is also checked in its stored form: one positive denominator,
+integer numerators in lowest terms over it, sorted monomials, no zero term.
+Coefficients with large coprime denominators, and sums whose denominators
+cancel, exercise the integer arithmetic behind that form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -93,10 +99,25 @@ def outcome(fn, *args):
         return ("error", type(exc), str(exc))
 
 
+def assert_stored(p):
+    """den > 0, gcd(den, numerators) = 1, sorted distinct monomials, no zero numerator;
+    terms reads the same value, and rebuilding from it gives an equal, equally hashed Poly."""
+    den, nums = p.den, p.nums
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for _, c in nums)
+    assert gcd(den, *(c for _, c in nums)) == 1
+    monos = [m for m, _ in nums]
+    assert monos == sorted(set(monos))
+    assert p.terms == tuple((m, Fraction(c, den)) for m, c in nums)
+    again = Poly(p.nvars, p.terms[::-1])
+    assert again == p and hash(again) == hash(p)
+
+
 def assert_exact(p):
     assert all(type(c) is Fraction and c != 0 for _, c in p.terms)
     assert all(type(e) is int for m, _ in p.terms for e in m)
     assert list(p.terms) == sorted(p.terms)
+    assert_stored(p)
 
 
 def assert_same(fn, ref, *args):
@@ -123,19 +144,23 @@ def assert_same_quotient(theta):
 
 # few monomials and coefficients that cancel, so sums often drop terms or vanish
 COEFFS = st.sampled_from([Q(1), Q(-1), Q(2), Q(-2), Q(1, 2), Q(-1, 2), Q(3, 4)])
+# large coprime denominators, and thirds and sixths whose sums cancel denominators
+M61 = 2**61 - 1
+BIG_COEFFS = st.sampled_from([Q(10**30, 7), Q(-10**30, 7), Q(1, M61), Q(-3, M61), Q(M61, 10**30),
+                              Q(1, 6), Q(1, 3), Q(-1, 2), Q(5, 6)])
 
 
-def polys(n, max_size=4):
+def polys(n, max_size=4, coeffs=COEFFS):
     monos = st.tuples(*[st.integers(0, 2)] * n)
-    return st.dictionaries(monos, COEFFS, max_size=max_size).map(lambda d: Poly.from_dict(n, d))
+    return st.dictionaries(monos, coeffs, max_size=max_size).map(lambda d: Poly.from_dict(n, d))
 
 
 @st.composite
-def pairs(draw):
+def pairs(draw, coeffs=COEFFS):
     """Two polynomials over the same variables, or over different counts one time in five."""
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3)) if draw(st.integers(0, 4)) == 0 else n
-    return draw(polys(n)), draw(polys(m))
+    return draw(polys(n, coeffs=coeffs)), draw(polys(m, coeffs=coeffs))
 
 
 @st.composite
@@ -205,6 +230,48 @@ class TestArithmetic:
             assert outcome(fn, a, b) == outcome(ref, a, b) == ("error", ValueError, "variable count mismatch")
         assert outcome(_dot, 3, [a], [a]) == outcome(ref_dot, 3, [a], [a])
         assert outcome(_dot, 3, [a], [a])[0] == "error"
+
+
+class TestStoredForm:
+    @settings(max_examples=120, deadline=None)
+    @given(pairs(BIG_COEFFS), BIG_COEFFS)
+    def test_large_coprime_denominators(self, ab, c):
+        a, b = ab
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert_same(Poly.__add__, ref_add, x, y)
+            assert_same(Poly.__sub__, ref_sub, x, y)
+            assert_same(Poly.__mul__, ref_mul, x, y)
+        assert_same(Poly.__mul__, ref_mul, a, c)
+        for i in range(a.nvars):
+            assert_same(Poly.partial, ref_partial, a, i)
+        if a.nvars == b.nvars:
+            assert_same(_dot, ref_dot, a.nvars, [a, b, -a], [b, a, b])
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs(BIG_COEFFS), pairs())
+    def test_equal_values_hash_alike(self, ab, pq):
+        (a, b), (p, _) = ab, pq
+        for x in (a, p):
+            for same in (x * Q(2) * Q(1, 2), -(-x), x * Q(10**30, 7) * Q(7, 10**30),
+                         Poly(x.nvars, x.terms[::-1]), Poly.from_dict(x.nvars, dict(x.terms))):
+                assert same == x and hash(same) == hash(x)
+                assert_stored(same)
+        if a.nvars == b.nvars:
+            assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+    def test_cancelling_denominators(self):
+        sixth, third = Poly.const(1, Q(1, 6)), Poly.const(1, Q(1, 3))
+        half = sixth + third
+        assert (half.den, half.nums) == (2, (((0,), 1),))
+        assert half.terms == ref_add(sixth, third).terms == (((0,), Q(1, 2)),)
+        x = Poly.var(2, 0)
+        s = x * Q(1, 6) + x * Q(5, 6) - Poly.const(2, Q(1, M61)) * M61
+        assert (s.den, s.nums) == (1, (((0, 0), -1), ((1, 0), 1)))
+        assert_same(Poly.__sub__, ref_sub, x * Q(1, 6) + x * Q(5, 6), Poly.const(2, 1))
+        for zero in (x * Q(1, M61) - x * Q(1, M61), Poly.const(2, Q(10**30, 7)) * 0):
+            assert (zero.den, zero.nums) == (1, ()) and zero == Poly.zero(2)
+        assert (x * x * Q(3, 2)).partial(0).terms == (((1, 0), Q(3)),)
+        assert (x * x * Q(3, 2)).partial(0).den == 1
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
