@@ -48,7 +48,10 @@ def _dot(nvars: int, ps: Sequence[Poly], qs: Sequence[Poly]) -> Poly:
 
 def _field(nvars: int, items: Callable[[int], list]) -> "OneForm":
     """The field whose k-th component is the contraction of the items items(k)."""
-    return OneForm(nvars, tuple(_contract(nvars, items(k)) for k in range(nvars)))
+    comps = tuple(_contract(nvars, items(k)) for k in range(nvars))
+    field = object.__new__(OneForm)  # checked as built: each _contract is a Poly in nvars variables
+    field.__dict__.update(nvars=nvars, components=comps)
+    return field
 
 
 @dataclass(frozen=True)

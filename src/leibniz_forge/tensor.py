@@ -22,8 +22,10 @@ failing basis tuple, as a dense scan would report it, without scanning past
 it. skew_failure finds it by partner lookup, the first two indices swapped.
 
 Scans add integers: `scaled` holds a tensor's numerators over its lcm
-denominator (1 when empty), and each term is brought to the identity's common
-denominator, so no sum takes a gcd. Public values stay Fraction.
+denominator (1 when empty), built in the walk that makes the view, and each
+term is brought to the identity's common denominator, so no sum takes a gcd.
+Public values stay Fraction. A term whose leading variable is only in the outer
+tensor reads the inner one through its by-output index, l -> [(key, numerator)].
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Mapping, Sequence, Union
 
 Cell = dict[int, Fraction]
@@ -54,9 +56,15 @@ class SparseTensor:
             rows = [(key + (i,), sub) for key, t in rows for i, sub in enumerate(t)]
         zero = next((cell for _, row in rows for cell in row if not any(cell)), None)
         z = zero[0] if zero else None  # the shared zero entry, tested by identity
-        self.entries: dict[tuple[int, ...], Cell] = {
-            key + (i,): nz for key, row in rows for i, cell in enumerate(row)
-            if cell is not zero and (nz := {k: x for k, x in enumerate(cell) if x is not z and x})}
+        flat = [(key + (i,), k, x) for key, row in rows for i, cell in enumerate(row)
+                if cell is not zero for k, x in enumerate(cell) if x is not z and x]
+        den = math.lcm(*{x.denominator for _, _, x in flat})
+        self.entries: dict[tuple[int, ...], Cell] = {}
+        cells: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, k, x in flat:
+            self.entries.setdefault(key, {})[k] = x
+            cells.setdefault(key, {})[k] = x.numerator * (den // x.denominator)
+        self.scaled = cells, den  # the entries as integer numerators over their lcm denominator
         shape = []  # axis lengths read along the first cells; an empty axis hides the rest
         for _ in range(arity):
             shape.append(len(dense))
@@ -64,18 +72,20 @@ class SparseTensor:
         self.shape, self.out_dim = tuple(shape), len(dense)
 
     @cached_property
-    def scaled(self) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
-        """(cells, den): the entries as integer numerators over den, their lcm denominator."""
-        den = math.lcm(*{x.denominator for cell in self.entries.values() for x in cell.values()})
-        return {key: {m: x.numerator * (den // x.denominator) for m, x in cell.items()}
-                for key, cell in self.entries.items()}, den
+    def _by_output(self) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+        """l -> [(key, numerator)]: the scaled entries with output index l, in key order."""
+        out: dict[int, list] = {}
+        for key, cell in self.scaled[0].items():
+            for l, c in cell.items():
+                out.setdefault(l, []).append((key, c))
+        return out
 
     def group(self, positions: tuple[int, ...], scaled: bool = False) -> dict:
         """Entries, or the scaled cells, by the indices at `positions`, each list in key order."""
         g = self._groups.get((positions, scaled))
         if g is None:
             g = self._groups[positions, scaled] = {}
-            by = itemgetter(*positions) if len(positions) > 1 else lambda k, p=positions[0]: (k[p],)
+            by = _pick(positions)
             for key, cell in (self.scaled[0] if scaled else self.entries).items():
                 g.setdefault(by(key), []).append((key, cell))
         return g
@@ -120,6 +130,11 @@ def materialize(dim: int, arity: int, cells: Mapping[tuple[int, ...], Cell]) -> 
     return level.get((), zero)
 
 
+def _pick(p: Sequence[int]):
+    """key -> tuple(key[q] for q in p) in one C call; itemgetter(q) alone returns key[q] bare."""
+    return itemgetter(*p) if len(p) > 1 else itemgetter(slice(p[0], p[0] + 1) if p else slice(0))
+
+
 def _add(res: dict, key: tuple[int, ...], cell: Mapping, f) -> None:
     """res[key] += f * cell, over int or Fraction values"""
     r = res.setdefault(key, {})
@@ -138,27 +153,28 @@ def residual(variables: str, i: int, terms: Sequence[Term]) -> Residual:
     for (sign, outer, oargs, *inner), den in zip(terms, dens):
         f = sign * (scale // den)
         if not inner:
-            pick = [oargs.index(v) for v in rest]
+            pick = _pick([oargs.index(v) for v in rest])
             for key, cell in outer.group((oargs.index(lead),), True).get((i,), ()):
-                _add(res, tuple([key[q] for q in pick]), cell, f)
+                _add(res, pick(key), cell, f)
             continue
         tensor, iargs = inner
         slot = oargs.index("*")
-        pick = [(iargs + oargs).index(v) for v in rest]
-        if lead in iargs:
-            ins = tensor.group((iargs.index(lead),), True).get((i,), ())
-            outs, at = outer.group((slot,), True), ()
-        else:
-            ins = tensor.scaled[0].items()
-            outs, at = outer.group((slot, oargs.index(lead)), True), (i,)
-        for ikey, icell in ins:
-            for l, c in icell.items():
-                fc = f * c
-                for okey, ocell in outs.get((l,) + at, ()):  # _add, inlined
-                    both = ikey + okey
-                    r = res.setdefault(tuple([both[q] for q in pick]), {})
-                    for m, x in ocell.items():
-                        r[m] = r.get(m, 0) + fc * x
+        pick = _pick([(iargs + oargs).index(v) for v in rest])
+        if lead in iargs:  # each inner entry at i meets the outer cells at its output
+            outs = outer.group((slot,), True)
+            products = ((ikey, c, okey, ocell)
+                        for ikey, icell in tensor.group((iargs.index(lead),), True).get((i,), ())
+                        for l, c in icell.items() for okey, ocell in outs.get((l,), ()))
+        else:  # each outer cell at i meets the inner entries whose output is at its slot
+            ins = tensor._by_output
+            products = ((ikey, c, okey, ocell)
+                        for okey, ocell in outer.group((oargs.index(lead),), True).get((i,), ())
+                        for ikey, c in ins.get(okey[slot], ()))
+        for ikey, c, okey, ocell in products:  # _add, inlined
+            fc = f * c
+            r = res.setdefault(pick(ikey + okey), {})
+            for m, x in ocell.items():
+                r[m] = r.get(m, 0) + fc * x
     return res
 
 
@@ -176,10 +192,13 @@ def skew_failure(t: SparseTensor) -> tuple[int, ...] | None:
     """First tuple at which swapping the first two slots fails to negate t.
 
     By partner lookup: the cell at a key k must be minus the one at s(k), k with
-    its first two indices swapped. The failing tuples are closed under s, and
-    one of k, s(k) is stored when k fails (a cell of the two is nonzero), so
-    first_failure's answer is the least min(k, s(k)) over the stored k that fail.
+    its first two indices swapped. A pair {k, s(k)} fails or holds as one, and
+    first_failure's answer is the least min(k, s(k)) over the failing pairs, so
+    each pair is compared once: at k when k is stored and k0 <= k1 (a stored
+    diagonal cell is nonzero, so it fails), else at its stored key k, k0 > k1,
+    where it fails exactly when s(k) is not stored (a nonzero cell against 0).
     """
-    cells = t.scaled[0]
-    return min((min(k, s) for k, c in cells.items()
-                if cells.get(s := k[1::-1] + k[2:]) != {m: -x for m, x in c.items()}), default=None)
+    cells, swap = t.scaled[0], itemgetter(1, 0, *range(2, t.arity))
+    return min((min(k, s) for k, c in cells.items() for s in [swap(k)]
+                if (s not in cells if k[0] > k[1]
+                    else cells.get(s) != dict(zip(c, map(neg, c.values()))))), default=None)

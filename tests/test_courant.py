@@ -178,6 +178,30 @@ class TestDifferentialOperators:
         assert b.components == (Poly.zero(2), Poly.const(2, 1))
         assert vf_bracket(d1, d2).components == (Poly.zero(2), Poly.zero(2))
 
+    def test_kernel_fields_are_built_checked(self, monkeypatch):
+        """Brackets and Lie derivatives skip the construction check, and each
+        equals the field that the checked construction makes of its components."""
+        rng = Pcg32(7)
+        xi, eta = random_vector_field(rng, 3), random_vector_field(rng, 3)
+        theta = random_one_form(rng, 3)
+        checks = []
+        post_init = OneForm.__post_init__
+        monkeypatch.setattr(OneForm, "__post_init__", lambda f: checks.append(f) or post_init(f))
+        fields = [vf_bracket(xi, eta), lie_derivative_one_form(xi, theta),
+                  courant_bracket(Section(xi, theta), Section(eta, theta)).form]
+        assert checks == []
+        for f in fields:
+            assert f == OneForm(3, f.components) == VectorField(3, f.components)
+            assert len(f.components) == 3 and all(p.nvars == 3 for p in f.components)
+        assert len(checks) == 2 * len(fields)
+
+    @pytest.mark.parametrize("nvars, comps", [(2, (Poly.zero(2),)), (2, (Poly.var(3, 0),) * 2),
+                                              (3, (Poly.zero(3), Poly.zero(3), Poly.zero(2)))])
+    def test_direct_fields_still_checked(self, nvars, comps):
+        for cls in (OneForm, VectorField):
+            with pytest.raises(ValueError, match="one polynomial per variable"):
+                cls(nvars, comps)
+
     def test_cartan_vs_coordinate_lie_derivative(self):
         rng = Pcg32(5)
         for _ in range(12):

@@ -29,10 +29,10 @@ from leibniz_forge import (
 from leibniz_forge.tensor import SparseTensor, first_failure, materialize
 
 
-def test_view_is_built_on_first_use_over_the_lcm_denominator():
+def test_view_is_built_in_the_walk_over_the_lcm_denominator():
     t = SparseTensor(((((Q(1, 2), Q(0)), (Q(0), Q(-2, 3))),
                       ((Q(0), Q(0)), (Q(5, 4), Q(0))))), 2)
-    assert "scaled" not in vars(t) and t._groups == {}
+    assert t._groups == {}  # no group index before the first scan
     assert t.entries == {(0, 0): {0: Q(1, 2)}, (0, 1): {1: Q(-2, 3)}, (1, 1): {0: Q(5, 4)}}
     assert first_failure(t.dim, "ij", [(1, t, "ij"), (1, t, "ji")]) == (0, 0)
     assert t.scaled == ({(0, 0): {0: 6}, (0, 1): {1: -8}, (1, 1): {0: 15}}, 12)

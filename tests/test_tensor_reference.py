@@ -10,6 +10,15 @@ on every identity the package states pin every witness: Leibniz, Jacobi and
 skew on structure constants, LY1-LY6, the three conditions of
 validate_envelope and the delta conditions of ly_envelope.
 
+The integer scan core before the one-walk rewrite is kept verbatim too, as
+RefSparseTensor and the ref_ functions: the view built in one walk, the
+terms whose leading variable is only in the outer tensor read through the
+by-output index, and skew_failure comparing each partner pair once are
+pinned to it slice by slice (equal entries, the very Fraction objects of the
+dense tensor, equal scaled cells, equal nonzero residuals and equal first
+failures), on tensors whose zero cells and zeros are shared, distinct per
+entry, or in rows rebuilt as the omni_tensor benchmark perturbs them.
+
 Entries are rationals p/q with |p| <= 60 and q <= 7, and the tensors of one
 identity carry different denominators, so that each term is scaled by its own
 factor. Known-valid structures scaled by a rational and perturbed in one cell
@@ -24,8 +33,11 @@ to it the same way: equal results and witnesses.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from fractions import Fraction as Q
+from functools import cached_property
+from operator import itemgetter
 from typing import Sequence
 
 import pytest
@@ -479,6 +491,262 @@ def test_small_and_zero_tensors_match(n, value):
     assert_same_scans(ly_identities(n, b, t) + ly_identities(n, full, t), skew=[t])
     assert_same_scans(envelope_identities(n, 1, full, h1, rho, f1))
     assert_same_scans(delta_identities(n, 1, full, t, h1, rho, d), skew=[d])
+
+
+# -- the integer scan of the parent, kept verbatim ---------------------------------
+
+class RefSparseTensor:
+    """Nonzero cells of a dense nested-tuple tensor of the given arity."""
+
+    def __init__(self, dense: Sequence, arity: int) -> None:
+        self.arity = arity
+        self.dim = len(dense)
+        self._groups: dict[tuple[tuple[int, ...], bool], dict] = {}
+        rows: list[tuple[tuple[int, ...], Sequence]] = [((), dense)]
+        for _ in range(arity - 1):
+            rows = [(key + (i,), sub) for key, t in rows for i, sub in enumerate(t)]
+        zero = next((cell for _, row in rows for cell in row if not any(cell)), None)
+        z = zero[0] if zero else None  # the shared zero entry, tested by identity
+        self.entries: dict[tuple[int, ...], Cell] = {
+            key + (i,): nz for key, row in rows for i, cell in enumerate(row)
+            if cell is not zero and (nz := {k: x for k, x in enumerate(cell) if x is not z and x})}
+        shape = []  # axis lengths read along the first cells; an empty axis hides the rest
+        for _ in range(arity):
+            shape.append(len(dense))
+            dense = dense[0] if dense else ()
+        self.shape, self.out_dim = tuple(shape), len(dense)
+
+    @cached_property
+    def scaled(self) -> tuple[dict[tuple[int, ...], dict[int, int]], int]:
+        """(cells, den): the entries as integer numerators over den, their lcm denominator."""
+        den = math.lcm(*{x.denominator for cell in self.entries.values() for x in cell.values()})
+        return {key: {m: x.numerator * (den // x.denominator) for m, x in cell.items()}
+                for key, cell in self.entries.items()}, den
+
+    def group(self, positions: tuple[int, ...], scaled: bool = False) -> dict:
+        """Entries, or the scaled cells, by the indices at `positions`, each list in key order."""
+        g = self._groups.get((positions, scaled))
+        if g is None:
+            g = self._groups[positions, scaled] = {}
+            by = itemgetter(*positions) if len(positions) > 1 else lambda k, p=positions[0]: (k[p],)
+            for key, cell in (self.scaled[0] if scaled else self.entries).items():
+                g.setdefault(by(key), []).append((key, cell))
+        return g
+
+
+def ref_add(res: dict, key: tuple[int, ...], cell, f) -> None:
+    """res[key] += f * cell, over int or Fraction values"""
+    r = res.setdefault(key, {})
+    for m, x in cell.items():
+        r[m] = r.get(m, 0) + f * x
+
+
+def ref_residual(variables: str, i: int, terms) -> dict:
+    """The identity's value at every basis tuple whose leading variable is i,
+    keyed by the values of the other variables (zero keys may be absent), times
+    L: term t is scaled by L / (den_outer * den_inner), L the lcm over the terms."""
+    lead, rest = variables[0], variables[1:]
+    dens = [math.prod([t.scaled[1] for t in term[1::2]]) for term in terms]
+    scale = math.lcm(*dens)
+    res: dict = {}
+    for (sign, outer, oargs, *inner), den in zip(terms, dens):
+        f = sign * (scale // den)
+        if not inner:
+            pick = [oargs.index(v) for v in rest]
+            for key, cell in outer.group((oargs.index(lead),), True).get((i,), ()):
+                ref_add(res, tuple([key[q] for q in pick]), cell, f)
+            continue
+        tensor, iargs = inner
+        slot = oargs.index("*")
+        pick = [(iargs + oargs).index(v) for v in rest]
+        if lead in iargs:
+            ins = tensor.group((iargs.index(lead),), True).get((i,), ())
+            outs, at = outer.group((slot,), True), ()
+        else:
+            ins = tensor.scaled[0].items()
+            outs, at = outer.group((slot, oargs.index(lead)), True), (i,)
+        for ikey, icell in ins:
+            for l, c in icell.items():
+                fc = f * c
+                for okey, ocell in outs.get((l,) + at, ()):  # _add, inlined
+                    both = ikey + okey
+                    r = res.setdefault(tuple([both[q] for q in pick]), {})
+                    for m, x in ocell.items():
+                        r[m] = r.get(m, 0) + fc * x
+    return res
+
+
+def ref_first_failure(n: int, variables: str, terms) -> tuple[int, ...] | None:
+    """Lexicographically first basis tuple, leading index below n, at which
+    the identity fails; None if it holds everywhere."""
+    for i in range(n):
+        bad = [key for key, r in ref_residual(variables, i, terms).items() if any(r.values())]
+        if bad:
+            return (i,) + min(bad)
+    return None
+
+
+def ref_skew_failure(t: RefSparseTensor) -> tuple[int, ...] | None:
+    """First tuple at which swapping the first two slots fails to negate t.
+
+    By partner lookup: the cell at a key k must be minus the one at s(k), k with
+    its first two indices swapped. The failing tuples are closed under s, and
+    one of k, s(k) is stored when k fails (a cell of the two is nonzero), so
+    first_failure's answer is the least min(k, s(k)) over the stored k that fail.
+    """
+    cells = t.scaled[0]
+    return min((min(k, s) for k, c in cells.items()
+                if cells.get(s := k[1::-1] + k[2:]) != {m: -x for m, x in c.items()}), default=None)
+
+
+# -- the scan core against the parent's, slice by slice ------------------------------
+
+def nonzero(res: dict) -> dict:
+    """A residual without its zero values and keys."""
+    return {key: {m: x for m, x in r.items() if x} for key, r in res.items() if any(r.values())}
+
+
+def assert_as_parent(identities, *parts) -> None:
+    """Views of each (dense, arity) part, by the scan core and by the parent's:
+    equal entries (the very Fraction objects of dense) and scaled cells; for each
+    identity, equal nonzero residuals on every slice and the same first failure;
+    and the same skew failure of every part of arity 2 or more."""
+    views, refs = [], []
+    for dense, arity in parts:
+        view, ref = SparseTensor(dense, arity), RefSparseTensor(dense, arity)
+        assert view.entries == ref.entries and view.scaled == ref.scaled
+        assert all(x is ref.entries[key][m] for key, cell in view.entries.items()
+                   for m, x in cell.items())
+        views.append(view)
+        refs.append(ref)
+    for (name, n, variables, terms), (_, _, _, ref_terms) in zip(identities(*views),
+                                                                  identities(*refs)):
+        for i in range(n):
+            assert nonzero(tensor.residual(variables, i, terms)) \
+                == nonzero(ref_residual(variables, i, ref_terms)), (name, i)
+        assert tensor.first_failure(n, variables, terms) \
+            == ref_first_failure(n, variables, ref_terms), name
+    for view, ref in zip(views, refs):
+        if view.arity > 1:
+            assert tensor.skew_failure(view) == ref_skew_failure(ref)
+
+
+ZERO_STYLES = ("shared", "distinct")
+
+
+def dense_of(shape: Sequence[int], cells: dict, style: str):
+    """Nested tuples of the given shape, the last axis that of the cells, with
+    cells {key: {k: x}}. shared: every all-zero cell is one tuple and every zero
+    entry one Fraction, as materialize leaves them, but each row is its own
+    tuple, as perfbench/workloads.py::_perturb_ly rebuilds rows; distinct: a new
+    tuple per cell and a new Fraction(0) per zero entry, as from_constants and
+    change_basis make."""
+    zero = Q(0)
+    empty = (zero,) * shape[-1]
+
+    def build(key):
+        if len(key) < len(shape) - 1:
+            return tuple(build(key + (i,)) for i in range(shape[len(key)]))
+        cell = cells.get(key, {})
+        if style == "shared":
+            return tuple(cell.get(k, zero) for k in range(shape[-1])) if cell else empty
+        return tuple(cell[k] if k in cell else Q(0) for k in range(shape[-1]))
+
+    return build(())
+
+
+def cells_of(data, shape: Sequence[int], den: int | None = None) -> dict:
+    """A few cells of a tensor of the given shape; some entries are zero values."""
+    if 0 in shape:
+        return {}
+    idx = st.tuples(*[st.integers(0, d - 1) for d in shape])
+    value = st.one_of(st.just(Q(0)), rationals(den))
+    cells: dict = {}
+    for at, x in data.draw(st.lists(st.tuples(idx, value), max_size=14)):
+        cells.setdefault(at[:-1], {})[at[-1]] = x
+    return cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.sampled_from(ZERO_STYLES), st.data())
+def test_algebra_scans_match_the_parent(n, style, data):
+    """Leibniz leads with i in the outer tensor only, Jacobi with *i."""
+    den = data.draw(st.sampled_from([None, 1, 6]))
+    c = dense_of((n, n, n), cells_of(data, (n, n, n), den), style)
+    assert_as_parent(algebra_identities, (c, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(ZERO_STYLES), st.data())
+def test_ly_scans_match_the_parent(n, style, data):
+    """LY4 leads with *i and LY5, LY6 with ij*: the lead in the outer tensor only."""
+    b = dense_of((n, n, n), cells_of(data, (n, n, n)), style)
+    t = dense_of((n,) * 4, cells_of(data, (n,) * 4), style)
+    assert_as_parent(lambda b, t: ly_identities(n, b, t), (b, 2), (t, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.sampled_from(ZERO_STYLES), st.data())
+def test_envelope_and_delta_scans_match_the_parent(n, hd, style, data):
+    shapes = ((n, n, n), (hd, hd, hd), (hd, n, n), (n, hd), (n, n, n, n), (n, n, hd))
+    c, hs, rho, fs, t, d = (dense_of(shape, cells_of(data, shape), style) for shape in shapes)
+    assert_as_parent(lambda c, hs, rho, fs: envelope_identities(n, hd, c, hs, rho, fs),
+                     (c, 2), (hs, 2), (rho, 2), (fs, 1))
+    assert_as_parent(lambda b, t, hs, rho, d: delta_identities(n, hd, b, t, hs, rho, d),
+                     (c, 2), (t, 3), (hs, 2), (rho, 2), (d, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["LY1", "LY2", "LY3"]), st.data())
+def test_perturbed_omni_copies_match_the_parent(axiom, data):
+    """Rows rebuilt and cells shared, as the omni_tensor benchmark perturbs an
+    LY structure; every slice of LY1-LY6 as at the parent."""
+    ly = OMNI_LY[2]
+    n = ly.dim
+    i, j, k = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                                 unique=axiom == "LY3"))
+    l, x = data.draw(st.integers(0, n - 1)), data.draw(rationals().filter(bool))
+    b, t = ly.b, ly.t
+    if axiom == "LY1":
+        b = shifted(b, 2, [((i, j), l, x)])
+    else:
+        t = shifted(t, 3, [((i, j, k), l, x)] + ([((j, i, k), l, -x)] if axiom == "LY3" else []))
+    assert_as_parent(lambda b, t: ly_identities(n, b, t), (b, 2), (t, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([2, 3]), st.sampled_from(ZERO_STYLES), st.data())
+def test_skew_failures_match_the_parent(n, arity, style, data):
+    """Skew tensors with some keys dropped, so that a key k with k0 > k1 may
+    lose its partner, some diagonal cells added, and some values changed."""
+    key = st.tuples(*[st.integers(0, n - 1)] * arity)
+    entry = st.tuples(key, st.integers(0, n - 1), rationals().filter(bool))
+    cells: dict = {}
+    for k, m, x in data.draw(st.lists(entry, max_size=10)):
+        if k[0] != k[1]:
+            cells.setdefault(k, {})[m] = x
+            cells.setdefault(k[1::-1] + k[2:], {})[m] = -x
+    for k in data.draw(st.lists(st.sampled_from(sorted(cells)), max_size=2)) if cells else ():
+        cells.pop(k, None)
+    for k, m, x in data.draw(st.lists(entry, max_size=2)):
+        if data.draw(st.booleans()):
+            k = k[:1] + k[:1] + k[2:]
+        cells.setdefault(k, {})[m] = x
+    dense = dense_of((n,) * (arity + 1), cells, style)
+    assert_as_parent(lambda t: [], (dense, arity))
+
+
+@pytest.mark.parametrize("case", SKEW_CASES)
+@pytest.mark.parametrize("arity", [2, 3])
+def test_skew_failures_by_hand_match_the_parent(case, arity):
+    """A key (2, 1) with no partner, a nonzero diagonal cell, and partners
+    that differ in one value or one output index."""
+    cells, _ = SKEW_CASES[case]
+    if arity == 3:
+        cells = {key + (k,): cell for key, cell in cells.items() for k in (0, 1)}
+    dense = materialize(3, arity, cells)
+    assert tensor.skew_failure(SparseTensor(dense, arity)) \
+        == ref_skew_failure(RefSparseTensor(dense, arity))
 
 
 # -- sigma_s checks, kept verbatim -----------------------------------------------
