@@ -221,22 +221,31 @@ def _eliminate(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]]) -> 
     return {j: x for j, x in out.items() if x}
 
 
+def _insert_row(rows: dict[int, dict[int, Fraction]], r: dict[int, Scalar]) -> bool:
+    """Add the row r (column -> entry) to canonical rows: clear it at their pivots,
+    scale what is left to 1 at its first nonzero column and clear that column from
+    them. False, and rows unchanged, when r lies in their span."""
+    v = _eliminate(r, rows)
+    if not v:
+        return False
+    p = min(v)
+    pivot = Q(v[p])  # a Fraction, so int entries divide exactly
+    v = {j: x / pivot for j, x in v.items()}
+    rows.update({q: _eliminate(row, {p: v}) for q, row in rows.items() if p in row})
+    rows[p] = v
+    return True
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
     Canonical: each pivot is 1 with zeros above and below, pivots move strictly
     right, zero rows sink to the bottom. rref is idempotent, so equal row
-    spaces yield identical results. Rows are eliminated one by one on their nonzero entries.
+    spaces yield identical results. Rows are inserted one by one on their nonzero entries.
     """
     rows: dict[int, dict[int, Fraction]] = {}
     for r in m.entries:
-        v = _eliminate({j: x for j, x in enumerate(r) if x}, rows)
-        if v:
-            p = min(v)
-            pivot = Q(v[p])  # a Fraction, so int entries divide exactly
-            v = {j: x / pivot for j, x in v.items()}
-            rows.update({q: _eliminate(row, {p: v}) for q, row in rows.items() if p in row})
-            rows[p] = v
+        _insert_row(rows, {j: x for j, x in enumerate(r) if x})
     pivots = tuple(sorted(rows))
     out = tuple(tuple(rows[p].get(j, _ZERO) for j in range(m.cols)) for p in pivots)
     return Matrix(out + (vzero(m.cols),) * (m.rows - len(out))), pivots
@@ -284,10 +293,10 @@ def inverse(m: Matrix) -> Matrix | None:
     return Matrix(tuple(r[n:] for r in red.entries))
 
 
-def _clear(xs: Sequence[Scalar]) -> tuple[list[int], int]:
+def _clear(xs: Sequence[Scalar]) -> tuple[tuple[int, ...], int]:
     """Integer numerators of the rationals xs over their lcm denominator."""
     den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    return tuple(x.numerator * (den // x.denominator) for x in xs), den
 
 
 @dataclass(frozen=True)
@@ -337,6 +346,24 @@ def is_nilpotent(m: Matrix) -> tuple[bool, int | None]:
     return True, index
 
 
+def _exp_series(sm: ScaledMatrix, v: tuple[Sequence[int], int]) -> tuple[tuple[int, ...], int]:
+    """exp(sm) applied to v = (integer numerators, positive denominator), as the
+    series of exp_apply on integers: (numerators, denominator), in lowest terms
+    when v is. The length of v must already match."""
+    term, e = v
+    out, k = term, 0
+    while any(term):
+        k += 1
+        if k > len(sm.rows):
+            raise NotNilpotentError("not nilpotent; use float mode")
+        term = [sum([c * term[j] for j, c in row]) for row in sm.rows]
+        out = [x * sm.den * k + y for x, y in zip(out, term)]
+        e *= sm.den * k
+        g = math.gcd(e, *term, *out)
+        term, out, e = [x // g for x in term], [x // g for x in out], e // g
+    return tuple(out), e
+
+
 def exp_apply(m: Matrix | ScaledMatrix, v: Vec) -> Vec:
     """exp(m) v as the series v + m v + m^2 v / 2! + ..., up to its first zero term.
 
@@ -348,19 +375,9 @@ def exp_apply(m: Matrix | ScaledMatrix, v: Vec) -> Vec:
     """
     sm = ScaledMatrix.of(m)
     n = len(sm.rows)
-    term, e = _clear(v)
-    out, k = term, 0
-    while any(term):
-        k += 1
-        if k > n:
-            raise NotNilpotentError("not nilpotent; use float mode")
-        if len(term) != n:
-            raise ValueError(f"shape mismatch: {n}x{n} applied to length {len(term)}")
-        term = [sum([c * term[j] for j, c in row]) for row in sm.rows]
-        out = [x * sm.den * k + y for x, y in zip(out, term)]
-        e *= sm.den * k
-        g = math.gcd(e, *term, *out)
-        term, out, e = [x // g for x in term], [x // g for x in out], e // g
+    if len(v) != n:
+        raise ValueError(f"shape mismatch: {n}x{n} applied to length {len(v)}")
+    out, e = _exp_series(sm, _clear(v))
     return tuple(Fraction(x, e) for x in out)
 
 

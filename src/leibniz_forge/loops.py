@@ -9,12 +9,14 @@ float mode with an explicit tolerance takes over.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
-from .algebra import StructureAlgebra, Subspace
+from .algebra import StructureAlgebra
 from .courant import CheckResult, VectorField, vf_bracket
 from .linalg import (
     FloatMatrix,
@@ -24,15 +26,16 @@ from .linalg import (
     Scalar,
     ScaledMatrix,
     _clear,
+    _exp_series,
+    _insert_row,
     as_q,
     basis_vec,
-    exp_apply,
     is_nilpotent,
     mat_exp_exact,
     mat_exp_float,
     vadd,
+    vec,
     vneg,
-    vsub,
     vzero,
 )
 from .poly import Poly
@@ -64,12 +67,23 @@ def _envelope_nilpotent(a: StructureAlgebra) -> bool:
     The chain W_0 = E, W_(k+1) = span{e_i . w : w in a basis of W_k} has W_k =
     A^k E, so A is nilpotent iff it reaches 0. W_1 = A E lies in E and A keeps
     inclusions, so W_(k+1) lies in W_k; once the dimension stops falling the
-    chain is constant and never dies. At most n + 1 spans in E are built.
+    chain is constant and never dies. At most n + 1 spans in E are built, each
+    as canonical rows; e_i . w is read from the integer cells, which scale it
+    by their common denominator and so leave every span as it is.
     """
-    chain = Subspace.whole(a.dim)
-    while chain.dim:
-        nxt = Subspace.span(a.dim, [a.lmul_basis(i, w) for w in chain.basis for i in range(a.dim)])
-        if nxt.dim == chain.dim:
+    cells = a.sparse.scaled[0]
+    chain: dict[int, dict] = {i: {i: 1} for i in range(a.dim)}
+    while chain:
+        nxt: dict[int, dict] = {}
+        for w in chain.values():
+            prods: list[dict] = [{} for _ in range(a.dim)]
+            for (i, j), cell in cells.items():
+                if j in w:
+                    for k, c in cell.items():
+                        prods[i][k] = prods[i].get(k, 0) + w[j] * c
+            for v in prods:
+                _insert_row(nxt, v)
+        if len(nxt) == len(chain):
             return False
         chain = nxt
     return True
@@ -103,6 +117,10 @@ class LoopContext:
     mode: str  # "exact" | "float"
     tol: float = 1e-9
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"finite positive tolerance required, got {self.tol!r}")
+
     @cached_property
     def _constants(self) -> tuple[dict[tuple[int, int], dict[int, int | float]], int]:
         """The nonzero c_ij^k as (i, j) -> {k: value} in key order over one denominator:
@@ -125,32 +143,10 @@ def loop_context(algebra: StructureAlgebra, s: Scalar = Q(1, 2),
     return LoopContext(algebra, as_q(s), mode, tol)
 
 
-# -- scalar backend: coerce, exp-apply and close ------------------------------
-
-def _coerce(mode: str, v: Sequence) -> tuple:
-    return tuple(as_q(c) for c in v) if mode == "exact" else tuple(float(c) for c in v)
-
-
-def _vectors(mode: str, n: int, *vs: Sequence) -> list[tuple]:
-    """The vectors coerced for mode; each must have n entries."""
-    if any(len(v) != n for v in vs):
-        raise ValueError("vector length does not match the dimension")
-    return [_coerce(mode, v) for v in vs]
-
-
-def _exp_matrix(mode: str, tol: float,
-                m: Matrix | ScaledMatrix | FloatMatrix) -> Matrix | FloatMatrix:
-    return mat_exp_exact(m) if mode == "exact" else mat_exp_float(m, tol=min(tol, 1e-12))
-
-
-def _exp_apply(mode: str, tol: float,
-               m: Matrix | ScaledMatrix | FloatMatrix) -> Callable[[tuple], tuple]:
-    """v -> exp(m) v: the terminating series when exact, one float exponential otherwise."""
-    return partial(exp_apply, m) if mode == "exact" else _exp_matrix(mode, tol, m).apply
-
+# -- the loop on each mode's vectors -----------------------------------------
 
 def _s_lambda(ctx: LoopContext, x: tuple, sign: int) -> ScaledMatrix | FloatMatrix:
-    """sign * s * lambda(x) for coerced x from the nonzero c_ij^k; exact: integer-scaled.
+    """sign * s * lambda(x) from the nonzero c_ij^k, x in the mode's form; exact: integer-scaled.
 
     Float: entry (k, j) sums x_i c_ij^k over ascending i from 0, then is
     scaled, as contracting x column by column would round it.
@@ -158,7 +154,7 @@ def _s_lambda(ctx: LoopContext, x: tuple, sign: int) -> ScaledMatrix | FloatMatr
     cells, den = ctx._constants
     n, exact = ctx.algebra.dim, ctx.mode == "exact"
     if exact:
-        nums, xden = _clear(x)
+        nums, xden = x
         x = tuple(sign * ctx.s.numerator * q for q in nums)
     rows: list[dict[int, int | float]] = [{} for _ in range(n)]
     for (i, j), cell in cells.items():
@@ -172,61 +168,124 @@ def _s_lambda(ctx: LoopContext, x: tuple, sign: int) -> ScaledMatrix | FloatMatr
 
 
 class _Loop:
-    """Loop operations on coerced vectors; each exp(+-s lambda(x)) is built once per instance."""
+    """The loop on float vectors, tuples of finite floats equal within tol;
+    _ExactLoop puts exact vectors in their place. Each exp(+-s lambda(x)) is
+    built once per instance."""
 
     def __init__(self, ctx: LoopContext) -> None:
         self.ctx = ctx
         self._exps: dict = {}
 
+    add, neg, out = staticmethod(vadd), staticmethod(vneg), staticmethod(tuple)
+
+    @staticmethod
+    def coerce(v: Sequence) -> tuple:
+        out = tuple(float(c) for c in v)
+        if not all(map(math.isfinite, out)):
+            raise ValueError(f"non-finite vector entry in {out}")
+        return out
+
+    def close(self, u: tuple, v: tuple) -> bool:
+        return max((abs(p - q) for p, q in zip(u, v)), default=0.0) <= self.ctx.tol
+
+    def matrix_exp(self, m: Matrix | FloatMatrix) -> Matrix | FloatMatrix:
+        return mat_exp_float(m, tol=min(self.ctx.tol, 1e-12))
+
+    def exp_of(self, m: Matrix | ScaledMatrix | FloatMatrix) -> Callable[[tuple], tuple]:
+        """v -> exp(m) v."""
+        return self.matrix_exp(m).apply
+
+    def vectors(self, n: int, *vs: Sequence) -> list[tuple]:
+        """The vectors in the mode's form; each must have n entries."""
+        if any(len(v) != n for v in vs):
+            raise ValueError("vector length does not match the dimension")
+        return [self.coerce(v) for v in vs]
+
     def exp(self, x: tuple, sign: int) -> Callable[[tuple], tuple]:
         exp = self._exps.get((x, sign))
         if exp is None:
-            m = _s_lambda(self.ctx, x, sign)
-            exp = self._exps[x, sign] = _exp_apply(self.ctx.mode, self.ctx.tol, m)
+            exp = self._exps[x, sign] = self.exp_of(_s_lambda(self.ctx, x, sign))
         return exp
 
-    def close(self, u: tuple, v: tuple) -> bool:
-        if self.ctx.mode == "exact":
-            return u == v
-        return max((abs(p - q) for p, q in zip(u, v)), default=0.0) <= self.ctx.tol
-
     def product(self, x: tuple, y: tuple) -> tuple:
-        return vadd(x, self.exp(x, 1)(y))
+        return self.add(x, self.exp(x, 1)(y))
 
     def inverse(self, x: tuple) -> tuple:
-        return vneg(self.exp(x, -1)(x))
+        return self.neg(self.exp(x, -1)(x))
 
     def divide(self, a: tuple, b: tuple) -> tuple:
-        return self.exp(a, -1)(vsub(b, a))
+        return self.exp(a, -1)(self.add(b, self.neg(a)))
 
     def inner(self, a: tuple, b: tuple, v: tuple) -> tuple:
         """L(a,b) v = exp(-s lambda(a<>b)) exp(s lambda(a)) exp(s lambda(b)) v."""
         return self.exp(self.product(a, b), -1)(self.exp(a, 1)(self.exp(b, 1)(v)))
 
 
+class _ExactLoop(_Loop):
+    """The loop on exact vectors, (integer numerators, positive denominator) in
+    lowest terms: equal vectors are equal pairs, which hash as ints, and only
+    returned values become Fractions."""
+
+    close = staticmethod(operator.eq)
+
+    @staticmethod
+    def coerce(v: Sequence) -> tuple:
+        return _clear(vec(v))
+
+    @staticmethod
+    def add(u: tuple, v: tuple) -> tuple:
+        (a, d), (b, e) = u, v
+        g = math.gcd(d, e)
+        nums, den = [x * (e // g) + y * (d // g) for x, y in zip(a, b)], d // g * e
+        g = math.gcd(den, *nums)
+        return tuple(x // g for x in nums), den // g
+
+    @staticmethod
+    def neg(u: tuple) -> tuple:
+        return tuple(-x for x in u[0]), u[1]
+
+    @staticmethod
+    def out(u: tuple) -> tuple:
+        return tuple(Fraction(x, u[1]) for x in u[0])
+
+    def matrix_exp(self, m: Matrix | ScaledMatrix) -> Matrix:
+        return mat_exp_exact(m)
+
+    def exp_of(self, m: Matrix | ScaledMatrix) -> Callable[[tuple], tuple]:
+        return partial(_exp_series, ScaledMatrix.of(m))
+
+
+def _loop(ctx: LoopContext) -> _Loop:
+    return (_ExactLoop if ctx.mode == "exact" else _Loop)(ctx)
+
+
 # -- loop operations ----------------------------------------------------------
 
 def loop_product(ctx: LoopContext, x: Sequence, y: Sequence):
     """x <> y = x + exp(s lambda(x)) y."""
-    return _Loop(ctx).product(*_vectors(ctx.mode, ctx.algebra.dim, x, y))
+    lp = _loop(ctx)
+    return lp.out(lp.product(*lp.vectors(ctx.algebra.dim, x, y)))
 
 
 def left_inverse(ctx: LoopContext, x: Sequence):
     """The unique x' with x <> x' = 0: x' = -exp(-s lambda(x)) x."""
-    return _Loop(ctx).inverse(*_vectors(ctx.mode, ctx.algebra.dim, x))
+    lp = _loop(ctx)
+    return lp.out(lp.inverse(*lp.vectors(ctx.algebra.dim, x)))
 
 
 def left_divide(ctx: LoopContext, a: Sequence, b: Sequence):
     """a \\ b, the solution of a <> z = b: exp(-s lambda(a)) (b - a)."""
-    return _Loop(ctx).divide(*_vectors(ctx.mode, ctx.algebra.dim, a, b))
+    lp = _loop(ctx)
+    return lp.out(lp.divide(*lp.vectors(ctx.algebra.dim, a, b)))
 
 
 def left_inner_mapping(ctx: LoopContext, a: Sequence, b: Sequence):
     """L(a,b) = exp(-s lambda(a<>b)) exp(s lambda(a)) exp(s lambda(b)) as a matrix."""
-    a, b = _vectors(ctx.mode, ctx.algebra.dim, a, b)
-    ab = loop_product(ctx, a, b)
-    exp = partial(_exp_matrix, ctx.mode, ctx.tol)
-    return exp(_s_lambda(ctx, ab, -1)) @ exp(_s_lambda(ctx, a, 1)) @ exp(_s_lambda(ctx, b, 1))
+    lp = _loop(ctx)
+    a, b = lp.vectors(ctx.algebra.dim, a, b)
+    exp = lp.matrix_exp
+    return exp(_s_lambda(ctx, lp.product(a, b), -1)) @ exp(_s_lambda(ctx, a, 1)) \
+        @ exp(_s_lambda(ctx, b, 1))
 
 
 # -- property suite -----------------------------------------------------------
@@ -244,10 +303,12 @@ def loop_property_check(ctx: LoopContext, samples: int = 64,
     A failing law reports its first failing sample and the vectors a, b, c, d
     of that sample that it reads.
     """
+    if samples < 1:
+        raise ValueError(f"at least one sample required, got {samples}")
     n = ctx.algebra.dim
     rng = Pcg32(seed)
     quads = [tuple(random_vector(rng, n) for _ in range(4)) for _ in range(samples)]
-    zero = _coerce(ctx.mode, vzero(n))
+    zero = _loop(ctx).coerce(vzero(n))
 
     def identity_law(lp, a, *_):
         return lp.close(lp.product(zero, a), a) and lp.close(lp.product(a, zero), a)
@@ -281,7 +342,8 @@ def loop_property_check(ctx: LoopContext, samples: int = 64,
     for k, q in enumerate(quads):
         # one _Loop per sample: the laws share its exponentials, and it is
         # dropped with the sample; a law that has failed is not evaluated again
-        lp, vs = _Loop(ctx), [_coerce(ctx.mode, v) for v in q]
+        lp = _loop(ctx)
+        vs = lp.vectors(n, *q)
         for i, (_, law, _) in enumerate(laws):
             if bad[i] is None and not law(lp, *vs):
                 bad[i] = k
@@ -306,11 +368,13 @@ def hemi_loop_closed_form(action: ModuleAction, s: Scalar,
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    sq, (xq,) = as_q(s), _vectors("exact", action.h.dim, xi)
+    sq, xq = as_q(s), vec(xi)
+    # a context on h checks tol, and its loop's vector operations serve both blocks
+    lp = _loop(LoopContext(action.h, sq, mode, tol))
 
     def block(m: Matrix, base: Sequence, v: Sequence) -> tuple:
-        base, v = _vectors(mode, m.rows, base, v)
-        return vadd(base, _exp_apply(mode, tol, m * sq)(v))
+        base, v = lp.vectors(m.rows, base, v)
+        return lp.out(lp.add(base, lp.exp_of(m * sq)(v)))
 
     return block(action.h.left_mul(xq), xi, eta), block(action.of(xq), x, y)
 

@@ -23,7 +23,7 @@ from leibniz_forge import (
     rref,
     solve_linear,
 )
-from leibniz_forge.linalg import FloatMatrix, basis_vec, format_rational, vdot, vzero
+from leibniz_forge.linalg import FloatMatrix, basis_vec, exp_apply, format_rational, vdot, vzero
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 # mostly zeros, as in the sparse lambda(x) and their products
@@ -125,6 +125,22 @@ class TestNilpotencyAndExp:
     def test_exp_exact_rejects_non_nilpotent(self):
         with pytest.raises(NotNilpotentError):
             mat_exp_exact(Matrix.identity(1))
+
+    @pytest.mark.parametrize("m, v", [
+        (Matrix.zeros(3, 3), (Q(0), Q(0))),                 # a zero vector, which used to pass
+        (Matrix.zeros(3, 3), (Q(0),) * 4),
+        (Matrix.from_rows([[0, 1], [0, 0]]), (Q(1), Q(2), Q(3))),
+        (Matrix.identity(2), (Q(1),)),                     # not nilpotent: the length comes first
+        (Matrix(()), (Q(1),)),
+    ])
+    def test_exp_apply_checks_the_length_first(self, m, v):
+        with pytest.raises(ValueError, match=f"shape mismatch: {m.rows}x{m.rows} applied to "
+                                             f"length {len(v)}$"):
+            exp_apply(m, v)
+
+    def test_exp_apply_raises_not_nilpotent_on_a_matching_vector(self):
+        with pytest.raises(NotNilpotentError, match="^not nilpotent; use float mode$"):
+            exp_apply(Matrix.identity(2), (Q(1), Q(0)))
 
     def test_exp_additivity_for_commuting(self):
         n = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])

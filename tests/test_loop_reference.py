@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from functools import partial
 from math import factorial
 
 import pytest
@@ -38,6 +39,7 @@ from leibniz_forge import (
     Pcg32,
     StructureAlgebra,
     Subspace,
+    direct_sum,
     left_divide,
     left_inner_mapping,
     left_inverse,
@@ -52,8 +54,12 @@ from leibniz_forge import (
     random_nilpotent_leibniz,
     random_vector,
 )
+from leibniz_forge.courant import CheckResult
 from leibniz_forge.linalg import (
+    ScaledMatrix,
     Vec,
+    _clear,
+    as_q,
     basis_vec,
     exp_apply,
     is_nilpotent,
@@ -68,9 +74,8 @@ from leibniz_forge.loops import (
     _GATE_SEED,
     LoopContext,
     LoopGate,
-    _coerce,
+    LoopPropertyReport,
     _envelope_nilpotent,
-    _Loop,
     _s_lambda,
 )
 
@@ -295,7 +300,7 @@ def ref_witnesses(ctx, samples, seed):
     n = ctx.algebra.dim
     rng = Pcg32(seed)
     quads = [tuple(random_vector(rng, n) for _ in range(4)) for _ in range(samples)]
-    zero = _coerce(ctx.mode, vzero(n))
+    zero = ref_coerce(ctx.mode, vzero(n))
     laws = (
         (1, lambda lp, a, b, c, d: lp.close(lp.product(zero, a), a)
          and lp.close(lp.product(a, zero), a)),
@@ -312,10 +317,152 @@ def ref_witnesses(ctx, samples, seed):
     out = []
     for reads, law in laws:
         bad = next((k for k, q in enumerate(quads)
-                    if not law(_Loop(ctx), *(_coerce(ctx.mode, v) for v in q))), None)
+                    if not law(RefLoop(ctx), *(ref_coerce(ctx.mode, v) for v in q))), None)
         out.append(None if bad is None else f"sample {bad}: " + ", ".join(
             f"{v}=({', '.join(map(str, x))})" for v, x in zip("abcd", quads[bad][:reads])))
     return out
+
+
+# The loop as it was on Fraction vectors, kept verbatim: _Loop with the
+# _s_lambda, _exp_apply and _coerce it calls (the context's constants inlined
+# as ref_constants), the law suite that drives it, and the gate whose envelope
+# layer runs the Subspace chain over lmul_basis. The integer-vector loop and
+# the integer envelope chain must return the same values, reports, witnesses
+# and LoopGates, and raise at the same inputs.
+
+def ref_constants(ctx):
+    if ctx.mode == "exact":
+        return ctx.algebra.sparse.scaled
+    return {ij: {k: float(c) for k, c in cell.items()}
+            for ij, cell in ctx.algebra.sparse.entries.items()}, 1
+
+
+def ref_coerce(mode: str, v) -> tuple:
+    return tuple(as_q(c) for c in v) if mode == "exact" else tuple(float(c) for c in v)
+
+
+def ref_exp_matrix(mode, tol, m):
+    return mat_exp_exact(m) if mode == "exact" else mat_exp_float(m, tol=min(tol, 1e-12))
+
+
+def ref_exp_apply(mode, tol, m):
+    return partial(exp_apply, m) if mode == "exact" else ref_exp_matrix(mode, tol, m).apply
+
+
+def ref_s_lambda(ctx, x: tuple, sign: int):
+    cells, den = ref_constants(ctx)
+    n, exact = ctx.algebra.dim, ctx.mode == "exact"
+    if exact:
+        nums, xden = _clear(x)
+        x = tuple(sign * ctx.s.numerator * q for q in nums)
+    rows: list[dict] = [{} for _ in range(n)]
+    for (i, j), cell in cells.items():
+        if x[i]:
+            for k, c in cell.items():
+                rows[k][j] = rows[k].get(j, 0) + x[i] * c
+    if exact:
+        return ScaledMatrix.reduced(rows, ctx.s.denominator * xden * den)
+    t = float(sign * ctx.s)
+    return FloatMatrix(tuple(tuple(t * r.get(j, 0.0) for j in range(n)) for r in rows))
+
+
+class RefLoop:
+    def __init__(self, ctx) -> None:
+        self.ctx = ctx
+        self._exps: dict = {}
+
+    def exp(self, x: tuple, sign: int):
+        exp = self._exps.get((x, sign))
+        if exp is None:
+            m = ref_s_lambda(self.ctx, x, sign)
+            exp = self._exps[x, sign] = ref_exp_apply(self.ctx.mode, self.ctx.tol, m)
+        return exp
+
+    def close(self, u: tuple, v: tuple) -> bool:
+        if self.ctx.mode == "exact":
+            return u == v
+        return max((abs(p - q) for p, q in zip(u, v)), default=0.0) <= self.ctx.tol
+
+    def product(self, x: tuple, y: tuple) -> tuple:
+        return vadd(x, self.exp(x, 1)(y))
+
+    def inverse(self, x: tuple) -> tuple:
+        return vneg(self.exp(x, -1)(x))
+
+    def divide(self, a: tuple, b: tuple) -> tuple:
+        return self.exp(a, -1)(vsub(b, a))
+
+    def inner(self, a: tuple, b: tuple, v: tuple) -> tuple:
+        return self.exp(self.product(a, b), -1)(self.exp(a, 1)(self.exp(b, 1)(v)))
+
+
+def ref_loop_property_check(ctx, samples: int = 64, seed: int = 0) -> LoopPropertyReport:
+    n = ctx.algebra.dim
+    rng = Pcg32(seed)
+    quads = [tuple(random_vector(rng, n) for _ in range(4)) for _ in range(samples)]
+    zero = ref_coerce(ctx.mode, vzero(n))
+
+    def identity_law(lp, a, *_):
+        return lp.close(lp.product(zero, a), a) and lp.close(lp.product(a, zero), a)
+
+    def division_law(lp, a, b, *_):
+        return lp.close(lp.product(a, lp.divide(a, b)), b) and \
+            lp.close(lp.divide(a, lp.product(a, b)), b)
+
+    def inverse_law(lp, a, *_):
+        return lp.close(lp.inverse(a), lp.divide(a, zero)) and \
+            lp.close(lp.product(a, lp.inverse(a)), zero)
+
+    def lip_law(lp, a, b, *_):
+        return lp.close(lp.product(lp.inverse(a), lp.product(a, b)), b)
+
+    def inner_defining_law(lp, a, b, c, _):
+        return lp.close(lp.product(a, lp.product(b, c)),
+                        lp.product(lp.product(a, b), lp.inner(a, b, c)))
+
+    def inner_automorphism_law(lp, a, b, c, d):
+        return lp.close(lp.inner(a, b, lp.product(c, d)),
+                        lp.product(lp.inner(a, b, c), lp.inner(a, b, d)))
+
+    laws = (("identity", identity_law, 1),
+            ("left_division", division_law, 2),
+            ("left_inverse", inverse_law, 1),
+            ("left_inverse_property", lip_law, 2),
+            ("inner_mapping_defining", inner_defining_law, 3),
+            ("inner_mapping_automorphism", inner_automorphism_law, 4))
+    bad: list[int | None] = [None] * len(laws)
+    for k, q in enumerate(quads):
+        lp, vs = RefLoop(ctx), [ref_coerce(ctx.mode, v) for v in q]
+        for i, (_, law, _) in enumerate(laws):
+            if bad[i] is None and not law(lp, *vs):
+                bad[i] = k
+    checks = []
+    for (name, _, reads), k in zip(laws, bad):
+        witness = None if k is None else f"sample {k}: " + ", ".join(
+            f"{v}=({', '.join(map(str, x))})" for v, x in zip("abcd", quads[k][:reads]))
+        checks.append(CheckResult(name, k is None, witness))
+    return LoopPropertyReport(all(c.ok for c in checks), tuple(checks))
+
+
+def ref_subspace_chain(a: StructureAlgebra) -> bool:
+    chain = Subspace.whole(a.dim)
+    while chain.dim:
+        nxt = Subspace.span(a.dim, [a.lmul_basis(i, w) for w in chain.basis for i in range(a.dim)])
+        if nxt.dim == chain.dim:
+            return False
+        chain = nxt
+    return True
+
+
+def ref_envelope_first_gate(a: StructureAlgebra) -> LoopGate:
+    if ref_subspace_chain(a):
+        return LoopGate(True, True, True)
+    if not all(is_nilpotent(a.left_mul(basis_vec(a.dim, i)))[0] for i in range(a.dim)):
+        return LoopGate(False, False, False)
+    rng = Pcg32(_GATE_SEED)
+    sampled_ok = all(is_nilpotent(a.left_mul(random_vector(rng, a.dim)))[0]
+                     for _ in range(_GATE_SAMPLES))
+    return LoopGate(True, sampled_ok, False)
 
 
 def first_failures(report):
@@ -511,6 +658,7 @@ def test_report_matches_law_by_law_reference(make, mode, tol):
     # at 1e-14 some float laws fail on rounding alone, at different first samples
     ctx = loop_context(make(), s=S, mode=mode, tol=tol)
     rep = loop_property_check(ctx, samples=12, seed=1)
+    assert rep == ref_loop_property_check(ctx, 12, 1)
     witnesses = ref_witnesses(ctx, 12, 1)
     assert [c.witness for c in rep.checks] == witnesses
     assert [c.ok for c in rep.checks] == [w is None for w in witnesses]
@@ -612,7 +760,7 @@ def test_float_s_lambda_is_bit_identical_to_contract_reference(make, s):
     xs = [vzero(a.dim), basis_vec(a.dim, a.dim - 1), tuple(Q(1, 3 + i) for i in range(a.dim)),
           *(random_vector(rng, a.dim) for _ in range(12))]
     for x in xs:
-        xf = _coerce("float", x)
+        xf = tuple(map(float, x))
         for sign in (1, -1):
             assert bits(_s_lambda(ctx, xf, sign)) == bits(ref_float_s_lambda(ctx, xf, sign))
 
@@ -784,3 +932,117 @@ def test_loop_zero_vector_and_big_numerator(s, corpus):
         assert left_inner_mapping(ctx, x, y) == ref_inner(a, x, y, s)
         assert_fractions(left_inner_mapping(ctx, x, y))
         assert_fractions(loop_product(ctx, x, y))
+
+
+# -- integer vectors against the Fraction loop --------------------------------
+
+big_rationals = st.builds(Q, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30))
+wide_s = st.one_of(st.sampled_from([Q(0), Q(2, 3), Q(-3, 5), Q(7)]),
+                   big_rationals.filter(bool))
+
+
+def big_vectors(n):
+    return st.tuples(*[st.one_of(rationals, big_rationals)] * n)
+
+
+@st.composite
+def gate_edge_algebras(draw):
+    """An algebra whose basis lambda(e_i) are nilpotent but whose envelope is
+    not, scaled by a rational, relabelled, and next to a nilpotent algebra."""
+    dim, products = draw(st.sampled_from(SAMPLED_LAYER_EDGES))
+    t = draw(st.one_of(nonzero_rationals, big_rationals.filter(bool)))
+    perm = draw(st.permutations(range(dim)))
+    edge = StructureAlgebra.from_products(dim, {
+        (perm[i], perm[j]): {perm[k]: t * c for k, c in cell.items()}
+        for (i, j), cell in products.items()})
+    if draw(st.booleans()):
+        return edge
+    return direct_sum(random_nilpotent_leibniz(Pcg32(draw(seeds)), draw(st.integers(1, 3))), edge)
+
+
+@st.composite
+def big_scaled_algebras(draw):
+    """Nilpotent or strictly triangular constants over large denominators."""
+    if draw(st.booleans()):
+        a = random_nilpotent_leibniz(Pcg32(draw(seeds)), draw(st.integers(2, 5)))
+        t = draw(big_rationals.filter(bool))
+        return StructureAlgebra.from_constants([[[t * x for x in cell] for cell in row]
+                                                for row in a.c])
+    n = draw(st.integers(2, 4))
+    return StructureAlgebra.from_products(n, {
+        (i, j): {k: draw(st.one_of(rationals, big_rationals)) for k in range(max(i, j) + 1, n)}
+        for i in range(n) for j in range(n)})
+
+
+def result(f, *args):
+    """f(*args), or the type and message of the error it raises: float exponentials
+    of large matrices overflow, and exact series on so(3) do not die."""
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as e:
+        return ("raised", type(e).__name__, str(e))
+
+
+def ref_operations(ctx):
+    """The parent's loop_product, left_inverse, left_divide and left_inner_mapping."""
+    lp, c = RefLoop(ctx), partial(ref_coerce, ctx.mode)
+    exp = partial(ref_exp_matrix, ctx.mode, ctx.tol)
+
+    def inner(x, y):
+        x, y = c(x), c(y)
+        return (exp(ref_s_lambda(ctx, lp.product(x, y), -1)) @ exp(ref_s_lambda(ctx, x, 1))
+                @ exp(ref_s_lambda(ctx, y, 1)))
+    return (lambda x, y: lp.product(c(x), c(y)), lambda x, y: lp.inverse(c(x)),
+            lambda x, y: lp.divide(c(x), c(y)), inner)
+
+
+OPERATIONS = (loop_product, lambda ctx, x, y: left_inverse(ctx, x), left_divide,
+              left_inner_mapping)
+
+
+def operation_outcomes(ctx, x, y):
+    got = [result(f, ctx, x, y) for f in OPERATIONS]
+    assert got == [result(f, x, y) for f in ref_operations(ctx)]
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(gate_edge_algebras(), big_scaled_algebras(), nilpotent_algebras(),
+                 st.builds(lambda sd, n: random_algebra(Pcg32(sd), n), seeds, st.integers(1, 5))))
+def test_gate_matches_subspace_chain_gate(a):
+    assert _envelope_nilpotent(a) == ref_subspace_chain(a)
+    assert loop_gate(a) == ref_envelope_first_gate(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(gate_edge_algebras(), big_scaled_algebras()), wide_s, st.integers(0, 1000))
+def test_property_report_matches_fraction_loop(a, s, seed):
+    ctx = loop_context(a, s=s)
+    assert result(loop_property_check, ctx, 3, seed) == \
+        result(ref_loop_property_check, ctx, 3, seed)
+    direct = LoopContext(a, s, "exact")
+    assert result(loop_property_check, direct, 2, seed) == \
+        result(ref_loop_property_check, direct, 2, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(gate_edge_algebras(), big_scaled_algebras()), wide_s, st.data())
+def test_loop_operations_match_fraction_loop_on_big_rationals(a, s, data):
+    ctx = loop_context(a, s=s)
+    x, y = data.draw(big_vectors(a.dim)), data.draw(big_vectors(a.dim))
+    got = operation_outcomes(ctx, x, y)
+    if ctx.mode == "exact":
+        for value in got:
+            assert_fractions(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_vectors(3), wide_s, st.data())
+def test_direct_exact_so3_raises_where_fraction_loop_does(x, s, data):
+    ctx = LoopContext(make_so3(), s, "exact")
+    y = data.draw(st.one_of(big_vectors(3), vectors(3),
+                            big_rationals.map(lambda t: tuple(t * c for c in x))))
+    operation_outcomes(ctx, x, y)
+    seed = data.draw(st.integers(0, 1000))
+    assert result(loop_property_check, ctx, 2, seed) == \
+        result(ref_loop_property_check, ctx, 2, seed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -71,6 +72,35 @@ class TestContext:
     def test_unknown_mode(self, leibniz2):
         with pytest.raises(ValueError):
             loop_context(leibniz2, mode="symbolic")
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-9])
+    def test_tolerance_must_be_finite_and_positive(self, so3, tol):
+        # tol = inf would let every float law pass whatever the loop computes
+        act = ModuleAction(so3, tuple(so3.left_mul(basis_vec(3, i)) for i in range(3)))
+        for make in (lambda: loop_context(so3, tol=tol),
+                     lambda: LoopContext(so3, Q(1, 2), "float", tol),
+                     lambda: LoopContext(so3, Q(1, 2), "exact", tol),
+                     lambda: hemi_loop_closed_form(act, Q(1, 2), (1, 0, 0), (0, 1, 0),
+                                                   (0, 0, 1), (1, 1, 1), mode="float", tol=tol)):
+            with pytest.raises(ValueError, match="finite positive tolerance required"):
+                make()
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_property_check_needs_a_sample(self, leibniz2, so3, samples):
+        for ctx in (loop_context(leibniz2), loop_context(so3, tol=1e-8)):
+            with pytest.raises(ValueError, match="at least one sample required"):
+                loop_property_check(ctx, samples=samples)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_float_vectors_must_be_finite(self, so3, bad):
+        ctx = loop_context(so3, tol=1e-8)
+        for op in (lambda: loop_product(ctx, (0, 0, 0), (bad, 0, 0)),
+                   lambda: loop_product(ctx, (0, bad, 0), (0, 0, 0)),
+                   lambda: left_inverse(ctx, (1, 2, bad)),
+                   lambda: left_divide(ctx, (1, 2, 3), (bad, 0, 0)),
+                   lambda: left_inner_mapping(ctx, (bad, 0, 0), (0, 0, 0))):
+            with pytest.raises(ValueError, match="non-finite vector entry"):
+                op()
 
 
 class TestLoopOperations:
