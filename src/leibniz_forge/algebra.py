@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -19,6 +20,7 @@ from .linalg import (
     Scalar,
     Vec,
     _eliminate,
+    _insert_row,
     as_q,
     basis_vec,
     rref,
@@ -26,7 +28,7 @@ from .linalg import (
     vscale,
     vsub,
 )
-from .tensor import SparseTensor, first_failure, skew_failure
+from .tensor import SparseTensor, _add, first_failure, materialize, skew_failure
 
 
 class NotAnIdealError(ValueError):
@@ -45,18 +47,20 @@ class StructureAlgebra:
     basis_names: tuple[str, ...]
     name: str = ""
 
+    def __post_init__(self) -> None:
+        c, dim = self.c, self.dim
+        if len(c) != dim or {*map(len, c), *map(len, chain.from_iterable(c))} - {dim}:
+            raise ValueError("structure tensor is not dim x dim x dim")
+        if len(self.basis_names) != dim or len(set(self.basis_names)) != dim:
+            raise ValueError("basis names must be distinct and match the dimension")
+
     @staticmethod
     def from_constants(c: Sequence[Sequence[Sequence[Scalar]]],
                        basis_names: Sequence[str] | None = None,
                        name: str = "") -> "StructureAlgebra":
         dim = len(c)
         tensor = tuple(tuple(tuple(as_q(x) for x in cell) for cell in row) for row in c)
-        for row in tensor:
-            if len(row) != dim or any(len(cell) != dim for cell in row):
-                raise ValueError("structure tensor is not dim x dim x dim")
         names = tuple(basis_names) if basis_names is not None else tuple(f"e{i+1}" for i in range(dim))
-        if len(names) != dim or len(set(names)) != dim:
-            raise ValueError("basis names must be distinct and match the dimension")
         return StructureAlgebra(dim, tensor, names, name)
 
     @staticmethod
@@ -146,12 +150,12 @@ class StructureAlgebra:
 
     def skew_symmetrize(self) -> "StructureAlgebra":
         """Half the commutator of the product; fixes skew products pointwise."""
-        half = Q(1, 2)
-        c = tuple(tuple(tuple(half * (self.c[i][j][k] - self.c[j][i][k])
-                              for k in range(self.dim))
-                        for j in range(self.dim))
-                  for i in range(self.dim))
-        return StructureAlgebra(self.dim, c, self.basis_names, self.name)
+        cells: dict = {}
+        for (i, j), cell in self.sparse.entries.items():
+            _add(cells, (i, j), cell, Q(1, 2))
+            _add(cells, (j, i), cell, Q(-1, 2))
+        return StructureAlgebra(self.dim, materialize(self.dim, 2, cells), self.basis_names,
+                                self.name)
 
     def symmetrized_part(self, x: Vec, y: Vec) -> Vec:
         return vscale(Q(1, 2), vadd(self.product(x, y), self.product(y, x)))
@@ -270,25 +274,22 @@ def squares_ideal(a: StructureAlgebra) -> Subspace:
     """Two-sided ideal generated by all squares x . x.
 
     The span of squares is polarized to e_i.e_i and e_i.e_j + e_j.e_i, then
-    closed under left and right multiplication by basis elements to a fixed
-    point.
+    closed under left and right multiplication by basis elements in rounds on
+    one set of canonical rows: a round adds the 2n products of each row the
+    last round added, read with 0 at every pivot so far. Rows so read are
+    independent, so they span the ideal when a round adds no row.
     """
-    gens: list[Vec] = []
-    for i in range(a.dim):
-        gens.append(a.c[i][i])
-        for j in range(i + 1, a.dim):
-            gens.append(vadd(a.c[i][j], a.c[j][i]))
-    span = Subspace.span(a.dim, gens)
-    while True:
-        extra = []
-        for v in span.basis:
-            for k in range(a.dim):
-                extra.append(a.lmul_basis(k, v))
-                extra.append(a.rmul_basis(v, k))
-        grown = Subspace.span(a.dim, span.basis + tuple(extra))
-        if grown.dim == span.dim:
-            return grown
-        span = grown
+    n, rows, done = a.dim, {}, set()
+    new = [a.c[i][i] if i == j else vadd(a.c[i][j], a.c[j][i])
+           for i in range(n) for j in range(i, n)]
+    while new:
+        for v in new:
+            _insert_row(rows, {j: x for j, x in enumerate(v) if x})
+        added = [tuple(rows[p].get(j, Q(0)) for j in range(n)) for p in sorted(rows.keys() - done)]
+        done |= rows.keys()
+        new = [w for v in added for k in range(n)
+               for w in (a.lmul_basis(k, v), a.rmul_basis(v, k))]
+    return Subspace(n, tuple(tuple(rows[p].get(j, Q(0)) for j in range(n)) for p in sorted(rows)))
 
 
 def kernel_of_lambda(a: StructureAlgebra) -> Subspace:
@@ -342,9 +343,7 @@ def quotient_algebra(a: StructureAlgebra, m: Subspace) -> tuple[StructureAlgebra
         return tuple(red[j] for j in comp)
 
     qmat = Matrix.from_cols([coords(basis_vec(a.dim, j)) for j in range(a.dim)])
-    c = tuple(tuple(coords(a.product(basis_vec(a.dim, ca), basis_vec(a.dim, cb)))
-                    for cb in comp)
-              for ca in comp)
+    c = tuple(tuple(coords(a.c[ca][cb]) for cb in comp) for ca in comp)
     names = tuple(a.basis_names[j] for j in comp)
     quotient = StructureAlgebra(qdim, c, names, f"{a.name}/M" if a.name else "")
     return quotient, qmat

@@ -32,7 +32,6 @@ from .linalg import (
     Scalar,
     Vec,
     as_q,
-    basis_vec,
     rref,
     vscale,
     vsub,
@@ -119,7 +118,7 @@ def canonical_envelope(e: StructureAlgebra, m: Subspace) -> EnvelopeTriple:
     if not kernel_of_lambda(e).contains_subspace(m):
         raise EnvelopeError("ideal is not contained in ker lambda")
     h, q = quotient_algebra(e, m)
-    mats = tuple(e.left_mul(basis_vec(e.dim, cb)) for cb in m.complement_coords)
+    mats = tuple(Matrix.from_cols(e.c[cb]) for cb in m.complement_coords)  # lambda(e_cb)
     action = ModuleAction(h, mats, space_dim=e.dim)
     return validate_envelope(e, h, action, q)
 
@@ -130,9 +129,10 @@ def lambda_envelope(e: StructureAlgebra) -> EnvelopeTriple:
     if not ok:
         raise EnvelopeError(f"not a Leibniz algebra: first failing triple {witness[:3]}")
     n = e.dim
-    lams = [e.left_mul(basis_vec(n, i)) for i in range(n)]
+    lams = [Matrix.from_cols(cols) for cols in e.c]  # lambda(e_i): column j is e_i . e_j
     action, span = matrix_lie_algebra(n, lams, "L", f"lam({e.name})" if e.name else "")
-    f = Matrix.from_cols([span.coords(m.flat) for m in lams])
+    # each lambda(e_i) lies in the span, so its coordinates are its entries at the pivots
+    f = Matrix.from_cols([[m[divmod(p, n)] for p in span.pivots] for m in lams])
     return validate_envelope(e, action.h, action, f)
 
 

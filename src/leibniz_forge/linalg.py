@@ -453,7 +453,10 @@ class FloatMatrix:
 
 
 def _fdot(r: Sequence[float], c: Sequence[float]) -> float:
-    return math.fsum(map(mul, r, c))
+    try:
+        return math.fsum(map(mul, r, c))
+    except (OverflowError, ValueError):  # a partial sum overflows, or adds -inf to inf
+        raise ValueError(f"non-finite entry {sum(map(mul, r, c))!r}") from None
 
 
 def mat_exp_float(m: Matrix | FloatMatrix, tol: float = 1e-12) -> FloatMatrix:

@@ -29,7 +29,6 @@ from .linalg import (
     _exp_series,
     _insert_row,
     as_q,
-    basis_vec,
     is_nilpotent,
     mat_exp_exact,
     mat_exp_float,
@@ -100,7 +99,7 @@ def loop_gate(a: StructureAlgebra) -> LoopGate:
     """
     if _envelope_nilpotent(a):
         return LoopGate(True, True, True)
-    if not all(is_nilpotent(a.left_mul(basis_vec(a.dim, i)))[0] for i in range(a.dim)):
+    if not all(is_nilpotent(Matrix.from_cols(cols))[0] for cols in a.c):  # each lambda(e_i)
         return LoopGate(False, False, False)
     rng = Pcg32(_GATE_SEED)
     sampled_ok = all(is_nilpotent(a.left_mul(random_vector(rng, a.dim)))[0]
@@ -118,6 +117,9 @@ class LoopContext:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        if self.mode not in ("exact", "float"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "s", as_q(self.s))
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"finite positive tolerance required, got {self.tol!r}")
 
@@ -133,14 +135,12 @@ class LoopContext:
 
 def loop_context(algebra: StructureAlgebra, s: Scalar = Q(1, 2),
                  mode: str = "auto", tol: float = 1e-9) -> LoopContext:
-    if mode not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "exact" if loop_gate(algebra).exact_ok else "float"
     elif mode == "exact" and not loop_gate(algebra).exact_ok:
         raise NotNilpotentError(
             "left multiplications are not uniformly nilpotent; use float mode")
-    return LoopContext(algebra, as_q(s), mode, tol)
+    return LoopContext(algebra, s, mode, tol)
 
 
 # -- the loop on each mode's vectors -----------------------------------------
@@ -366,11 +366,9 @@ def hemi_loop_closed_form(action: ModuleAction, s: Scalar,
     diagonal (ad xi on h, rho(xi) on V), so its exponential splits:
     (xi, x) <> (eta, y) = (xi + exp(s ad xi) eta, x + exp(s rho(xi)) y).
     """
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    sq, xq = as_q(s), vec(xi)
-    # a context on h checks tol, and its loop's vector operations serve both blocks
-    lp = _loop(LoopContext(action.h, sq, mode, tol))
+    # a context on h checks mode, s and tol, and its loop's vector operations serve both blocks
+    lp = _loop(LoopContext(action.h, s, mode, tol))
+    sq, xq = lp.ctx.s, vec(xi)
 
     def block(m: Matrix, base: Sequence, v: Sequence) -> tuple:
         base, v = lp.vectors(m.rows, base, v)

@@ -102,13 +102,6 @@ def matrix_lie_algebra(n: int, mats: Sequence[Matrix], prefix: str, name: str = 
     return ModuleAction(h, basis, space_dim=n), span
 
 
-def _component_names(h: StructureAlgebra, v_dim: int) -> tuple[str, ...]:
-    vnames = tuple(f"v{b+1}" for b in range(v_dim))
-    if set(vnames) & set(h.basis_names):
-        vnames = tuple(f"w{b+1}" for b in range(v_dim))
-    return h.basis_names + vnames
-
-
 def action_products(act: ModuleAction, left: Scalar, right: Scalar) -> dict:
     """Structure constants on h x V, h block first: the bracket of h, then
     e_a . v = left rho(e_a) v and v . e_a = right rho(e_a) v."""
@@ -121,25 +114,32 @@ def action_products(act: ModuleAction, left: Scalar, right: Scalar) -> dict:
     return products
 
 
+def _on_h_times_v(h: StructureAlgebra, act: ModuleAction, left: Scalar, right: Scalar,
+                  name: str) -> StructureAlgebra:
+    """The algebra on h x V with the products of action_products(act, left, right), on
+    the basis of h and then v1, v2, ... (w1, w2, ... when h has a name among those)."""
+    if h is not act.h and h != act.h:
+        raise InvalidActionError("action is not an action of the supplied h")
+    vnames = tuple(f"v{b+1}" for b in range(act.v_dim))
+    if set(vnames) & set(h.basis_names):
+        vnames = tuple(f"w{b+1}" for b in range(act.v_dim))
+    return StructureAlgebra.from_products(h.dim + act.v_dim, action_products(act, left, right),
+                                          h.basis_names + vnames, name)
+
+
 def semidirect_lie(h: StructureAlgebra, act: ModuleAction, name: str = "") -> StructureAlgebra:
     """h acting on an abelian copy of V; always a Lie algebra."""
-    products = action_products(act, Q(1), Q(-1))
-    return StructureAlgebra.from_products(h.dim + act.v_dim, products,
-                                          _component_names(h, act.v_dim), name)
+    return _on_h_times_v(h, act, Q(1), Q(-1), name)
 
 
 def hemisemidirect(h: StructureAlgebra, act: ModuleAction, name: str = "") -> StructureAlgebra:
     """(a, x) . (b, y) = ([a, b], a y); Leibniz for every action."""
-    products = action_products(act, Q(1), Q(0))
-    return StructureAlgebra.from_products(h.dim + act.v_dim, products,
-                                          _component_names(h, act.v_dim), name)
+    return _on_h_times_v(h, act, Q(1), Q(0), name)
 
 
 def demisemidirect(h: StructureAlgebra, act: ModuleAction, name: str = "") -> StructureAlgebra:
     """Skew product ([a, b], (a y - b x)/2); generally fails Jacobi."""
-    products = action_products(act, Q(1, 2), Q(-1, 2))
-    return StructureAlgebra.from_products(h.dim + act.v_dim, products,
-                                          _component_names(h, act.v_dim), name)
+    return _on_h_times_v(h, act, Q(1, 2), Q(-1, 2), name)
 
 
 def circle_product(h: StructureAlgebra, act: ModuleAction, a: Vec, b: Vec) -> Vec:

@@ -106,14 +106,12 @@ def ly_from_leibniz(e: StructureAlgebra) -> LieYamaguti:
     if not ok:
         raise ValueError(f"not a Leibniz algebra: first failing triple {witness[:3]}")
     n, c = e.dim, e.sparse
-    b, t = {}, {}  # cells (i, j) -> {k: x} and (i, j, k) -> {l: x}
+    t: dict = {}  # cells (i, j, k) -> {l: x}
     for (i, j), cell in c.entries.items():
-        _add(b, (i, j), cell, Q(1, 2))
-        _add(b, (j, i), cell, Q(-1, 2))
         for l, x in cell.items():
             for (_, k), lk in c.group((0,)).get((l,), ()):
                 _add(t, (i, j, k), lk, Q(-1, 4) * x)
-    return LieYamaguti(n, materialize(n, 2, b), materialize(n, 3, t))
+    return LieYamaguti(n, e.skew_symmetrize().c, materialize(n, 3, t))
 
 
 def ly_from_decomposition(g: StructureAlgebra,
@@ -198,7 +196,7 @@ def ly_envelope(ly: LieYamaguti,
     ternary is skew in its first two slots. An explicit (h, action, delta) is
     validated against the three delta conditions first.
     """
-    n, b, t = ly.dim, SparseTensor(ly.b, 2), SparseTensor(ly.t, 3)
+    n, (b, t) = ly.dim, ly.sparse()
     if (h is None) != (action is None) or (h is None) != (delta is None):
         raise ValueError("supply h, action and delta together or none of them")
 
@@ -212,15 +210,16 @@ def ly_envelope(ly: LieYamaguti,
         except ValueError:
             raise ValueError("inner derivations do not close under commutators") from None
         h = action.h
-        up = {key: span.coords(m.flat) for key, m in gens.items()}  # t is skew: the rest follow
+        # a generator's coordinates are its entries at the pivots; t is skew: the rest follow
+        up = {key: tuple(m[divmod(p, n)] for p in span.pivots) for key, m in gens.items()}
         delta_t = tuple(tuple(up[i, j] if i < j else tuple(-x for x in up[j, i]) if j < i
                               else (Q(0),) * h.dim for j in range(n)) for i in range(n))
-        d = SparseTensor(delta_t, 2)
     else:
         delta_t = tuple(tuple(tuple(as_q(x) for x in cell) for cell in row) for row in delta)
         if action.v_dim != n:
             raise ValueError("action matrices do not act on the LY space")
-        d = SparseTensor(delta_t, 2)
+    d = SparseTensor(delta_t, 2)
+    if delta is not None:
         _check_delta(ly, b, t, h, action, d)
 
     hd = h.dim

@@ -65,6 +65,27 @@ class TestLeibnizCheck:
         assert b.is_skew and not b.check_jacobi() and not b.is_lie
 
 
+    @pytest.mark.parametrize("c", [
+        StructureAlgebra.abelian(2).c,  # 2 x 2 x 2
+        (((Q(0),) * 3,) * 3, ((Q(0),) * 3,) * 2, ((Q(0),) * 3,) * 3),  # a row of 2 cells
+        (((Q(0),) * 3,) * 3, ((Q(0),) * 3,) * 3, ((Q(0),) * 3,) * 2 + ((Q(1),) * 2,)),
+    ])
+    def test_direct_construction_checks_its_shape(self, c):
+        # StructureAlgebra(3, <2 x 2 x 2>, names).check_leibniz() used to return (True, None)
+        with pytest.raises(ValueError, match="structure tensor is not dim x dim x dim"):
+            StructureAlgebra(3, c, ("e1", "e2", "e3"))
+        with pytest.raises(ValueError, match="structure tensor is not dim x dim x dim"):
+            StructureAlgebra.from_constants([[list(cell) for cell in row] for row in c] +
+                                            [[[0] * 3] * 3] * (3 - len(c)))
+
+    def test_direct_construction_of_the_right_shape(self, corpus):
+        a = corpus["omni_hemi2"]
+        b = StructureAlgebra(a.dim, a.c, a.basis_names, a.name)
+        assert b.check_leibniz() == a.check_leibniz() and b.sparse.entries == a.sparse.entries
+        for names in (a.basis_names[1:], ("x",) * a.dim):
+            with pytest.raises(ValueError, match="basis names must be distinct and match"):
+                StructureAlgebra(a.dim, a.c, names)
+
 class TestProductOperations:
     @settings(max_examples=30)
     @given(xs=st.lists(rationals, min_size=2, max_size=2),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -380,6 +381,20 @@ class TestDispatch:
         assert exc.value.code == 2
         assert "finite positive tolerance required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c, entry", [(3198, "inf"), (108, "nan")])
+    def test_loop_verify_float_overflow_is_an_error_check(self, files, capsys, c, entry):
+        # a squaring of exp(s lambda) leaves the float range: an OverflowError traceback
+        # for 3198, and an error check "-inf + inf in fsum" for 108, before
+        path = files("big.json", json.dumps({
+            "dim": 2, "basis": ["e1", "e2"],
+            "products": [{"left": "e1", "right": "e2", "result": {"e1": str(c)}},
+                         {"left": "e2", "right": "e1", "result": {"e2": str(c)}}]}))
+        code, out = self.run(capsys, "loop", "verify", "--algebra", path, "--float",
+                             "--s", "2/3", "--samples", "3", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"name": "error", "status": "fail", "witness": f"non-finite entry {entry}"}]
+
     def test_loop_eval_accepts_small_tol(self, files, capsys):
         path = files("a.json", LEIBNIZ2)
         code, out = self.run(capsys, "loop", "eval", "--algebra", path, "--float",
@@ -756,3 +771,81 @@ class TestFileDimBounds:
     def test_bounds_admit_the_largest_documented_inputs(self):
         # omni --dim 8 emits a dim-72 algebra; omni_hemi(6) has dim 42
         assert MAX_ALGEBRA_DIM >= 8 * 8 + 8 and MAX_LY_DIM >= 6 * 6 + 6
+
+
+def _algebra(**changes) -> str:
+    return json.dumps({"dim": 2, "basis": ["e1", "e2"], "products": [], **changes})
+
+
+def _section(**fields) -> str:
+    return json.dumps({"vars": ["x1"], **fields})
+
+
+_ALGEBRA = ["algebra", "check", "{f}"]
+_SECTION = ["courant", "bracket", "{f}", "{f}"]
+_GRAPH = ["courant", "graph", "--kind", "poisson", "--data", "{f}"]
+_IDEAL = ["envelope", "verify", "{a}", "--ideal", "{f}"]
+
+# (argv with the file at {f} and a valid algebra file at {a}, file text, exit code, message);
+# a report's message is its one error check's witness, an argparse message is on stderr
+REJECTIONS = {
+    "top_level_not_an_object": (_ALGEBRA, "[]", 1, "{f}: top level must be an object"),
+    "non_numeric_rational": (
+        _ALGEBRA, _algebra(products=[{"left": "e1", "right": "e2", "result": {"e1": None}}]),
+        1, "{f}: products[0]: exact rational required, got None"),
+    "missing_algebra_field": (_ALGEBRA, json.dumps({"dim": 2, "basis": ["e1", "e2"]}),
+                              1, "{f}: missing field 'products'"),
+    "products_not_a_list": (_ALGEBRA, _algebra(products={}), 1, "{f}: products must be a list"),
+    "bad_product_keys": (_ALGEBRA, _algebra(products=[{"left": "e1", "right": "e2"}]),
+                         1, "{f}: products[0]: expected keys left, right, result"),
+    "result_not_an_object": (
+        _ALGEBRA, _algebra(products=[{"left": "e1", "right": "e2", "result": ["e1"]}]),
+        1, "{f}: products[0]: result must map labels to rationals"),
+    "subspace_keys": (_IDEAL, '{"vectors": []}', 1, "{f}: expected keys ambient_dim, vectors"),
+    "vectors_not_a_list": (_IDEAL, '{"ambient_dim": 2, "vectors": {}}',
+                           1, "{f}: vectors must be a list"),
+    "unexpected_character": (
+        _SECTION, _section(vector_field={"x1": "x1 $ 2"}),
+        1, "{f}: vector_field['x1']: syntax error at position 3: unexpected character '$'"),
+    "empty_expression": (_SECTION, _section(vector_field={"x1": " "}),
+                         1, "{f}: vector_field['x1']: syntax error: empty expression"),
+    "stray_token": (_SECTION, _section(one_form={"x1": "x1 x1"}),
+                    1, "{f}: one_form['x1']: syntax error at position 3: unexpected 'x1'"),
+    "bad_vars": (_SECTION, _section(vars=["x1", "x1"]),
+                 1, "{f}: vars must list distinct variable names"),
+    "component_map_not_an_object": (_SECTION, _section(one_form=["x1"]),
+                                    1, "{f}: one_form must map variables to expressions"),
+    "unknown_component_variable": (_SECTION, _section(vector_field={"y": "1"}),
+                                   1, "{f}: vector_field uses unknown variable 'y'"),
+    "non_string_expression": (_SECTION, _section(vector_field={"x1": 1}),
+                              1, "{f}: vector_field['x1'] must be an expression string"),
+    "entries_not_a_list": (_GRAPH, json.dumps({"vars": ["x1", "x2"], "entries": {}}),
+                           1, "{f}: entries must be a list"),
+    "bad_entry_expression": (
+        _GRAPH, json.dumps({"vars": ["x1", "x2"], "entries": [[0, 1, "x1 +"]]}),
+        1, "{f}: entries[0]: syntax error at position 4: unexpected end of input"),
+    "timing_in_text_format": (_ALGEBRA + ["--timing"], _algebra(), 0, r"timing: \d+ ms"),
+    "non_integer_seed": (_ALGEBRA + ["--seed", "1.5"], _algebra(),
+                         2, "argument --seed: seed must be an integer, got '1.5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejection_paths(files, capsys, case):
+    """Each input the readers, the grammar or the flags turn away, with its
+    exit code and its message; and the text report's timing line."""
+    argv, text, code, message = REJECTIONS[case]
+    paths = {"f": files("f.json", text), "a": files("a.json", _algebra())}
+    argv = [arg.format(**paths) for arg in argv]
+    if code == 2:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+    elif code == 0:
+        assert main(argv) == 0
+        assert re.fullmatch(message, capsys.readouterr().out.splitlines()[-1])
+    else:
+        assert main(argv + ["--format", "json"]) == code
+        assert json.loads(capsys.readouterr().out)["checks"] == [
+            {"name": "error", "status": "fail", "witness": message.format(**paths)}]

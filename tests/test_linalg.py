@@ -161,6 +161,26 @@ class TestNilpotencyAndExp:
         assert abs(r.entries[1][0] - math.sin(1.0)) < 1e-12
 
 
+    @pytest.mark.parametrize("row, col, entry", [
+        ((1e308, 1e308), (1.0, 1.0), "inf"),  # math.fsum: intermediate overflow
+        ((1e200, 1e200), (1e200, -1e200), "nan"),  # math.fsum: -inf + inf
+    ])
+    def test_float_sum_beyond_the_float_range_is_a_non_finite_entry(self, row, col, entry):
+        a, b = FloatMatrix((row,)), FloatMatrix(tuple((x,) for x in col))
+        for op in (lambda: a @ b, lambda: a.apply(col)):
+            with pytest.raises(ValueError, match=f"^non-finite entry {entry}$"):
+                op()
+
+    @pytest.mark.parametrize("rows, entry", [
+        # s lambda(x) of loop samples on {e1 e2 = c e1, e2 e1 = c e2} at s = 2/3, for c = 3198
+        # and 108: a squaring of the exponential leaves the float range inside math.fsum
+        ([[0.0, 710.6666666666666], [710.6666666666666, 0.0]], "inf"),
+        ([[-0.0, -1.1274293245878251e+110], [1.3018432480861178e+110, -0.0]], "nan"),
+    ])
+    def test_exp_float_squaring_beyond_the_float_range(self, rows, entry):
+        with pytest.raises(ValueError, match=f"^non-finite entry {entry}$"):
+            mat_exp_float(FloatMatrix.from_rows(rows))
+
 def ref_dot(a, b):
     """Dense reference: every product, zeros included."""
     return sum((x * y for x, y in zip(a, b)), Q(0))

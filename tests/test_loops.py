@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -13,6 +14,7 @@ from leibniz_forge import (
     NotNilpotentError,
     Pcg32,
     Poly,
+    StructureAlgebra,
     VectorField,
     connection_eval,
     constant_field,
@@ -101,6 +103,43 @@ class TestContext:
                    lambda: left_inner_mapping(ctx, (bad, 0, 0), (0, 0, 0))):
             with pytest.raises(ValueError, match="non-finite vector entry"):
                 op()
+
+
+    @pytest.mark.parametrize("mode", ["bogus", "auto", "EXACT", ""])
+    def test_context_rejects_an_unknown_mode(self, leibniz2, mode):
+        # "bogus" used to run float mode silently; "auto" is loop_context's alone
+        act = ModuleAction(leibniz2.skew_symmetrize(), (Matrix.from_rows([[0, 1], [0, 0]]),) * 2)
+        makes = [lambda: LoopContext(leibniz2, Q(1, 2), mode),
+                 lambda: hemi_loop_closed_form(act, Q(1, 2), (1, 0), (0, 1), (0, 1), (1, 1),
+                                               mode=mode)]
+        if mode != "auto":
+            makes.append(lambda: loop_context(leibniz2, mode=mode))
+        for make in makes:
+            with pytest.raises(ValueError, match=re.escape(f"unknown mode {mode!r}")):
+                make()
+
+    @pytest.mark.parametrize("s, want", [(1, Q(1)), ("-2/3", Q(-2, 3)), (Q(3, 5), Q(3, 5))])
+    def test_context_reads_s_as_an_exact_scalar(self, leibniz2, s, want):
+        for mode in ("exact", "float"):
+            ctx = LoopContext(leibniz2, s, mode)
+            assert type(ctx.s) is Q and ctx.s == want
+        ctx = LoopContext(leibniz2, s, "exact")
+        assert loop_product(ctx, (1, 2), (3, 4)) == (4 + 8 * want, Q(6))
+        assert loop_context(leibniz2, s).s == want
+
+    def test_context_rejects_a_float_s(self, leibniz2):
+        # exact mode used to fail later, on s.numerator
+        for mode in ("exact", "float"):
+            with pytest.raises(TypeError, match="not an exact scalar: 0.5"):
+                LoopContext(leibniz2, 0.5, mode)
+
+    @pytest.mark.parametrize("c, entry", [(3198, "inf"), (108, "nan")])
+    def test_float_exp_beyond_the_float_range_is_a_non_finite_entry(self, c, entry):
+        # a squaring of exp(s lambda) overflows inside math.fsum, or adds -inf to inf
+        a = StructureAlgebra.from_products(2, {(0, 1): {0: c}, (1, 0): {1: c}})
+        ctx = LoopContext(a, Q(2, 3), "float")
+        with pytest.raises(ValueError, match=f"^non-finite entry {entry}$"):
+            loop_property_check(ctx, samples=3)
 
 
 class TestLoopOperations:

@@ -141,6 +141,18 @@ class TestThreeProducts:
         assert gl2.is_lie
 
 
+    @pytest.mark.parametrize("build", [semidirect_lie, hemisemidirect, demisemidirect])
+    def test_h_must_be_the_actions_h(self, build):
+        act = gl_action(2)
+        # gl(1) used to end in an IndexError, and a relabelled gl(2) was taken with its names
+        renamed = StructureAlgebra(4, act.h.c, ("a", "b", "c", "d"), act.h.name)
+        other_bracket = StructureAlgebra.abelian(4, name="gl(2)")
+        for h in (gl_algebra(1), renamed, other_bracket):
+            with pytest.raises(InvalidActionError, match="action is not an action of the supplied h"):
+                build(h, act)
+        # an equal h that is another object is the action's h
+        assert build(gl_algebra(2), act, "p") == build(act.h, act, "p")
+
 class TestGraphCriterion:
     def test_agreement_on_corpus(self, corpus):
         for name, a in corpus.items():
