@@ -315,7 +315,10 @@ def parse_poly_expr(text: str, names: Sequence[str]) -> Poly:
             c2, e2 = parse_factor()
             coeff *= c2
             expo = tuple(a + b for a, b in zip(expo, e2))
-        return Poly.monomial(nvars, expo, coeff)
+        try:
+            return Poly.monomial(nvars, expo, coeff)
+        except ValueError as e:  # an exponent of 2**63 or more
+            raise CliError(str(e)) from e
 
     first = peek()
     sign = Q(1)

@@ -20,9 +20,15 @@ from the operands' stored integer numerators; with x = (xi, th) and y = (eta, ph
     courant form_j = sum_i xi_i d_i phi_j - eta_i d_i th_j
                      + (phi_i d_j xi_i - xi_i d_j phi_i - th_i d_j eta_i + eta_i d_j th_i)/2
 
+Every term of these sums has a factor xi_i or eta_i, so the sums run over the
+nonzero components of the vector fields only; the variable counts of all the
+operands are checked first, so a zero component never hides a mismatch.
+
 Under the halved pairing the ideal identity for the image of D reads
 x . D f = D(rho(x) f) = 2 D<x, D f>; the un-halved convention would absorb
-the factor 2. All checks here use the halved forms exactly.
+the factor 2. All checks here use the halved forms exactly. Every Poly is
+stored in a canonical form, so lhs - rhs is zero exactly when lhs == rhs: the
+checks compare their two sides with == and subtract nothing.
 
 In coordinates a vector field and a 1-form are both one polynomial per
 variable, and a bivector and a 2-form both an antisymmetric polynomial matrix,
@@ -44,6 +50,14 @@ from .poly import Poly, _contract
 def _dot(nvars: int, ps: Sequence[Poly], qs: Sequence[Poly]) -> Poly:
     """sum_i p_i q_i, one contraction: the interior products and sharp."""
     return _contract(nvars, [(1, p, q, None) for p, q in zip(ps, qs)])
+
+
+def _support(nvars: int, field: "OneForm", *others) -> list[int]:
+    """The indices of field's nonzero components, after checking that field and the
+    others live over nvars variables, so that no skipped zero component hides a mismatch."""
+    if field.nvars != nvars or any(f.nvars != nvars for f in others):
+        raise ValueError("variable count mismatch")
+    return [i for i, p in enumerate(field.components) if p.nums]
 
 
 def _field(nvars: int, items: Callable[[int], list]) -> "OneForm":
@@ -192,21 +206,22 @@ def interior_two_form(xi: VectorField, omega: TwoForm) -> OneForm:
 
 def vf_bracket(a: VectorField, b: VectorField) -> VectorField:
     n, u, v = a.nvars, a.components, b.components
-    return _field(n, lambda k: [t for i in range(n)
-                                for t in ((1, u[i], v[k], i), (-1, v[i], u[k], i))])
+    su, sv = _support(n, a, b), _support(n, b)
+    return _field(n, lambda k: [(1, u[i], v[k], i) for i in su] + [(-1, v[i], u[k], i) for i in sv])
 
 
 def lie_derivative_one_form(xi: VectorField, theta: OneForm) -> OneForm:
     n, a, t = xi.nvars, xi.components, theta.components
-    return _field(n, lambda j: [u for i in range(n)
+    support = _support(n, xi, theta)
+    return _field(n, lambda j: [u for i in support
                                 for u in ((1, a[i], t[j], i), (1, t[i], a[i], j))])
 
 
 def _i_d(nvars: int, *terms: tuple[int, VectorField, OneForm]) -> OneForm:
     """sum w i_xi d th over the terms (w, xi, th), by the coordinate formula
     (i_xi d th)_j = sum_i xi_i d_i th_j - xi_i d_j th_i."""
-    comps = [(w, xi.components, th.components) for w, xi, th in terms]
-    return _field(nvars, lambda j: [u for w, a, t in comps for i in range(nvars)
+    comps = [(w, xi.components, th.components, _support(nvars, xi, th)) for w, xi, th in terms]
+    return _field(nvars, lambda j: [u for w, a, t, support in comps for i in support
                                     for u in ((w, a[i], t[j], i), (-w, a[i], t[i], j))])
 
 
@@ -223,11 +238,15 @@ def d_section(f: Poly) -> Section:
 def courant_bracket(x: Section, y: Section) -> Section:
     """[x, y], its 1-form by the courant form_j of the module docstring."""
     n, h, mh = x.nvars, Q(1, 2), Q(-1, 2)
+    sx, sy = _support(n, x.vf, x.form, y.vf, y.form), _support(n, y.vf)
     xi, th, eta, phi = (f.components for f in (x.vf, x.form, y.vf, y.form))
-    form = _field(n, lambda j: [t for i in range(n) for t in (
-        (1, xi[i], phi[j], i), (-1, eta[i], th[j], i), (h, phi[i], xi[i], j),
-        (mh, xi[i], phi[i], j), (mh, th[i], eta[i], j), (h, eta[i], th[i], j))])
-    return Section(vf_bracket(x.vf, y.vf), form)
+
+    def items(j: int) -> list:  # the terms with a factor xi_i, then those with a factor eta_i
+        return ([t for i in sx for t in ((1, xi[i], phi[j], i), (h, phi[i], xi[i], j),
+                                         (mh, xi[i], phi[i], j))]
+                + [t for i in sy for t in ((-1, eta[i], th[j], i), (mh, th[i], eta[i], j),
+                                           (h, eta[i], th[i], j))])
+    return Section(vf_bracket(x.vf, y.vf), _field(n, items))
 
 
 def dorfman_product(x: Section, y: Section) -> Section:
@@ -294,17 +313,17 @@ def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
     def ax1(x, y, z):
         xy, yz, zx = br(x, y), br(y, z), br(z, x)
         lhs = courant_bracket(xy, z) + courant_bracket(yz, x) + courant_bracket(zx, y)
-        return (lhs - d_section(_t_value(x, y, z, xy, yz, zx))).is_zero()
+        return lhs == d_section(_t_value(x, y, z, xy, yz, zx))
 
     def ax2(x, y, _z):
-        return (br(x, y).vf - vf_bracket(x.vf, y.vf)).is_zero()
+        return br(x, y).vf == vf_bracket(x.vf, y.vf)
 
     def ax3(x, y, _z, f, _g):
         lhs = courant_bracket(x, y.scale(f))
         rhs = (br(x, y).scale(f)
                + y.scale(x.vf.derive(f))
                - d_section(f).scale(pairing(x, y)))
-        return (lhs - rhs).is_zero()
+        return lhs == rhs
 
     def ax4(f, g):
         return pairing(d_section(f), d_section(g)).is_zero() and d_section(f).vf.is_zero()
@@ -312,7 +331,7 @@ def axiom_suite(triples: Sequence[tuple[Section, Section, Section]],
     def ax5(x, y, z):
         lhs = x.vf.derive(pairing(y, z))
         rhs = (pairing(dorfman_product(x, y), z) + pairing(y, dorfman_product(x, z)))
-        return (lhs - rhs).is_zero()
+        return lhs == rhs
 
     return [_first_failure("axiom1", triples, ax1),
             _first_failure("axiom2", triples, ax2),
@@ -330,19 +349,17 @@ def dorfman_checks(triples: Sequence[tuple[Section, Section, Section]],
         lhs = dorfman_product(x, dorfman_product(y, z))
         rhs = (dorfman_product(x_dot_y(x, y), z)
                + dorfman_product(y, dorfman_product(x, z)))
-        return (lhs - rhs).is_zero()
+        return lhs == rhs
 
     def decomposition(x, y, _z):
         xy, yx, br, dxy = (x_dot_y(x, y), dorfman_product(y, x),
                            courant_bracket(x, y), d_section(pairing(x, y)))
-        return ((xy - br - dxy).is_zero() and (br - (xy - yx).scale(Q(1, 2))).is_zero()
-                and (xy + yx - dxy.scale(2)).is_zero())
+        return xy == br + dxy and br == (xy - yx).scale(Q(1, 2)) and xy + yx == dxy.scale(2)
 
     def d_image_ideal(x, _y, _z, f, _g):
         df = d_section(f)
         left = dorfman_product(x, df)
-        return ((left - d_section(x.vf.derive(f))).is_zero()
-                and (left - d_section(pairing(x, df)).scale(2)).is_zero()
+        return (left == d_section(x.vf.derive(f)) and left == d_section(pairing(x, df)).scale(2)
                 and dorfman_product(df, x).is_zero())
 
     return [_first_failure("dorfman_leibniz", triples, leibniz),
@@ -446,7 +463,14 @@ def double_bracket(a: DoubleElement, b: DoubleElement) -> DoubleElement:
 
 
 def double_equal(a: DoubleElement, b: DoubleElement) -> bool:
-    return all((p - q).is_zero() for p, q in zip((*a[0], a[1]), (*b[0], b[1])))
+    """Slot by slot, a mismatch of variable counts a ValueError; stored forms are
+    canonical, so p == q is p - q == 0."""
+    for p, q in zip((*a[0], a[1]), (*b[0], b[1])):
+        if p.nvars != q.nvars:
+            raise ValueError("variable count mismatch")
+        if p != q:
+            return False
+    return True
 
 
 def sigma_double(s: Scalar, x: Section) -> DoubleElement:
@@ -456,4 +480,4 @@ def sigma_double(s: Scalar, x: Section) -> DoubleElement:
 def double_recovery_check(x: Section, y: Section) -> bool:
     """The E part of the sigma_(1/2) bracket, h_act(a, y) - h_act(b, x), is [x, y]."""
     (a, _), (b, _) = sigma_double(Q(1, 2), x), sigma_double(Q(1, 2), y)
-    return (h_act(a, y) - h_act(b, x) - courant_bracket(x, y)).is_zero()
+    return h_act(a, y) - h_act(b, x) == courant_bracket(x, y)

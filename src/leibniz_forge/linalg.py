@@ -8,6 +8,7 @@ floats. FloatMatrix exists only for the numeric matrix exponential.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -453,10 +454,15 @@ class FloatMatrix:
 
 
 def _fdot(r: Sequence[float], c: Sequence[float]) -> float:
+    """The correctly rounded sum of the products; a ValueError when it is not finite."""
     try:
         return math.fsum(map(mul, r, c))
     except (OverflowError, ValueError):  # a partial sum overflows, or adds -inf to inf
-        raise ValueError(f"non-finite entry {sum(map(mul, r, c))!r}") from None
+        products = list(map(mul, r, c))
+        if all(map(math.isfinite, products)):  # fsum overflowed on the way: round the exact sum
+            with contextlib.suppress(OverflowError):
+                return float(sum(map(Fraction, products)))
+        raise ValueError(f"non-finite entry {sum(products)!r}") from None
 
 
 def mat_exp_float(m: Matrix | FloatMatrix, tol: float = 1e-12) -> FloatMatrix:

@@ -109,6 +109,14 @@ def loop_gate(a: StructureAlgebra) -> LoopGate:
 
 # -- evaluation context -------------------------------------------------------
 
+def _float(q: Scalar | float, what: str) -> float:
+    """float(q) in float mode; an exact value beyond the float range is an input error."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise ValueError(f"non-finite {what}: beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class LoopContext:
     algebra: StructureAlgebra
@@ -129,7 +137,7 @@ class LoopContext:
         the integer view when exact, float(c_ij^k) over 1 in float mode."""
         if self.mode == "exact":
             return self.algebra.sparse.scaled
-        return {ij: {k: float(c) for k, c in cell.items()}
+        return {ij: {k: _float(c, "structure constant") for k, c in cell.items()}
                 for ij, cell in self.algebra.sparse.entries.items()}, 1
 
 
@@ -163,7 +171,7 @@ def _s_lambda(ctx: LoopContext, x: tuple, sign: int) -> ScaledMatrix | FloatMatr
                 rows[k][j] = rows[k].get(j, 0) + x[i] * c
     if exact:
         return ScaledMatrix.reduced(rows, ctx.s.denominator * xden * den)
-    t = float(sign * ctx.s)
+    t = _float(sign * ctx.s, "s")
     return FloatMatrix(tuple(tuple(t * r.get(j, 0.0) for j in range(n)) for r in rows))
 
 
@@ -180,7 +188,7 @@ class _Loop:
 
     @staticmethod
     def coerce(v: Sequence) -> tuple:
-        out = tuple(float(c) for c in v)
+        out = tuple(_float(c, "vector entry") for c in v)
         if not all(map(math.isfinite, out)):
             raise ValueError(f"non-finite vector entry in {out}")
         return out

@@ -659,16 +659,24 @@ def _assert_same_terms(got, want):
     _assert_stored(got)
 
 
+def _pack(mono):
+    """The monomial key of an exponent tuple: 64 bits per variable, variable 0 highest."""
+    return sum(e << 64 * (len(mono) - 1 - k) for k, e in enumerate(mono))
+
+
 def _assert_stored(p):
-    """den > 0, gcd(den, numerators) = 1, sorted distinct monomials, no zero numerator;
-    rebuilt from its terms, p is equal and hashes alike."""
+    """den > 0, gcd(den, numerators) = 1, sorted distinct monomial keys, each exponent
+    below 2**63, no zero numerator; rebuilt from its terms, p is equal and hashes alike."""
     den, nums = p.den, p.nums
     assert type(den) is int and den > 0
-    assert all(type(c) is int and c != 0 for _, c in nums)
+    assert all(type(m) is int and type(c) is int and c != 0 for m, c in nums)
     assert gcd(den, *(c for _, c in nums)) == 1
-    monos = [m for m, _ in nums]
-    assert monos == sorted(set(monos))
-    assert p.terms == tuple((m, Fraction(c, den)) for m, c in nums)
+    keys = [m for m, _ in nums]
+    assert keys == sorted(set(keys)) and all(0 <= m < 2 ** (64 * p.nvars) for m in keys)
+    monos = [tuple(m >> 64 * (p.nvars - 1 - k) & (2**64 - 1) for k in range(p.nvars)) for m in keys]
+    assert all(e < 2**63 for mono in monos for e in mono) and monos == sorted(monos)
+    assert keys == [_pack(mono) for mono in monos]
+    assert p.terms == tuple((mono, Fraction(c, den)) for mono, (_, c) in zip(monos, nums))
     again = Poly(p.nvars, p.terms[::-1])
     assert again == p and hash(again) == hash(p)
 
@@ -756,7 +764,7 @@ class TestIntegerContraction:
         eta = VectorField(2, (x1 * Q(1, M61), x2 * Q(M61)))
         theta = OneForm(2, (Poly.const(2, 1), Poly.const(2, 1)))
         half = interior_one_form(xi, OneForm(2, (x2, x1)))
-        assert (half.den, half.nums) == (2, (((1, 1), 1),))
+        assert (half.den, half.nums) == (2, ((_pack((1, 1)), 1),))
         _assert_same_terms(half, ref_interior_one_form(xi, OneForm(2, (x2, x1))))
         assert interior_one_form(eta, theta) == x1 * Q(1, M61) + x2 * M61
         for a, b in ((xi, eta), (eta, xi), (xi, xi)):

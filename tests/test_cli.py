@@ -395,6 +395,24 @@ class TestDispatch:
         assert json.loads(out)["checks"] == [
             {"name": "error", "status": "fail", "witness": f"non-finite entry {entry}"}]
 
+    @pytest.mark.parametrize("verb, args, what", [
+        ("eval", ["--x", "9" * 401 + ",0,0", "--y", "0,1,1"], "vector entry"),
+        ("verify", ["--s", "9" * 401, "--samples", "2"], "s"),
+    ])
+    def test_loop_float_value_beyond_the_float_range_is_an_error_check(self, files, capsys,
+                                                                      verb, args, what):
+        # float() of a 401-digit --x or --s ended in an OverflowError traceback before
+        path = files("so3.json", json.dumps({
+            "dim": 3, "basis": ["e1", "e2", "e3"],
+            "products": [{"left": f"e{l}", "right": f"e{r}", "result": {f"e{k}": sign}}
+                         for a, b, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+                         for l, r, sign in ((a, b, "1"), (b, a, "-1"))]}))
+        code, out = self.run(capsys, "loop", verb, "--algebra", path, "--float", *args,
+                             "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"name": "error", "status": "fail", "witness": f"non-finite {what}: beyond the float range"}]
+
     def test_loop_eval_accepts_small_tol(self, files, capsys):
         path = files("a.json", LEIBNIZ2)
         code, out = self.run(capsys, "loop", "eval", "--algebra", path, "--float",
@@ -664,6 +682,36 @@ class TestIntDigitLimit:
         path = files("a.json", doc)
         witness = self.error_witness(capsys, ["algebra", "check", path])
         assert witness.startswith(f"{path}: ") and "digits" in witness
+
+
+class TestExponentBound:
+    """Exponents are bounded below 2**63: a larger one in a file, or one that a
+    bracket would make, is an input error reported as one error check."""
+
+    def test_file_exponent_at_the_bound(self, files, capsys):
+        big = files("big.json", json.dumps({"vars": ["x1", "x2"],
+                                            "vector_field": {"x1": "x1^9223372036854775808"}}))
+        ok = files("ok.json", json.dumps({"vars": ["x1", "x2"],
+                                           "vector_field": {"x2": "x1^9223372036854775807"}}))
+        code = main(["courant", "bracket", big, ok, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.err
+        assert json.loads(captured.out)["checks"] == [{
+            "name": "error", "status": "fail",
+            "witness": f"{big}: vector_field['x1']: bad exponent tuple (9223372036854775808, 0) "
+                       "for 2 variables"}]
+        assert main(["courant", "bracket", ok, ok, "--format", "json"]) == 0
+
+    def test_bracket_exponent_past_the_bound(self, files, capsys):
+        # [xi, eta]_2 = xi_2 d_2 eta_2 = x1^(2^63): each input exponent is 2^62
+        half = "x1^4611686018427387904"
+        x = files("x.json", json.dumps({"vars": ["x1", "x2"], "vector_field": {"x2": half}}))
+        y = files("y.json", json.dumps({"vars": ["x1", "x2"], "vector_field": {"x2": f"{half}*x2"}}))
+        code = main(["courant", "bracket", x, y, "--format", "json"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["checks"] == [{
+            "name": "error", "status": "fail",
+            "witness": "bad exponent tuple (9223372036854775808, 0) for 2 variables"}]
 
 
 class TestUnknownKeys:

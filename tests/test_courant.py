@@ -122,6 +122,26 @@ class TestPolyInput:
         assert (big * big).terms[0] == ((0, 2 * 10**6), Q(1, 4))
         assert Poly.from_dict(2, {}) == Poly.zero(2)
 
+    @pytest.mark.parametrize("mono", [(2**63, 0), (0, 2**63), (2**64, 1), (2**63 + 5, 2**63)])
+    def test_exponents_are_bounded_below_2_to_the_63(self, mono):
+        for build in (lambda: Poly.from_dict(2, {mono: 1}), lambda: Poly(2, [(mono, 1)]),
+                      lambda: Poly.monomial(2, mono, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"bad exponent tuple {mono!r} for 2 variables")):
+                build()
+
+    def test_products_past_the_bound_raise(self):
+        top = 2**63 - 1
+        p = Poly.from_dict(2, {(top, 1): 1, (1, top): Q(1, 2)})
+        assert p.terms == (((1, top), Q(1, 2)), ((top, 1), Q(1)))
+        assert p.partial(0).terms == (((0, top), Q(1, 2)), ((top - 1, 1), Q(top)))
+        x, y = Poly.var(2, 0), Poly.var(2, 1)
+        assert (Poly.from_dict(2, {(top - 1, 0): 3}) * x).terms == (((top, 0), Q(3)),)
+        half = Poly.from_dict(2, {(2**62, 0): 1})
+        for a, b, bad in ((p, x, (2**63, 1)), (x, p, (2**63, 1)), (p, y, (1, 2**63)),
+                          (half, half * y * y * y, (2**63, 3))):
+            with pytest.raises(ValueError, match=re.escape(f"bad exponent tuple {bad!r} for 2 variables")):
+                a * b
+
     def test_constructor_drops_zero_coefficients(self):
         p = Poly(2, (((0, 0), Q(0)),))
         assert p.is_zero() and p == Poly.zero(2) and hash(p) == hash(Poly.zero(2))
@@ -135,7 +155,7 @@ class TestPolyInput:
 
     def test_constructor_adds_repeated_monomials(self):
         p = Poly(1, (((1,), Q(1, 6)), ((1,), Q(1, 3)), ((0,), 1), ((0,), -1)))
-        assert p.terms == (((1,), Q(1, 2)),) and (p.den, p.nums) == (2, (((1,), 1),))
+        assert p.terms == (((1,), Q(1, 2)),) and (p.den, p.nums) == (2, ((1, 1),))  # key of x1: 1
 
     @pytest.mark.parametrize("coeff", [0.5, 1.0, None, 1j])
     def test_constructor_rejects_inexact_coefficients(self, coeff):
@@ -345,6 +365,54 @@ class TestAxiomSuite:
         calls = _count_calls(monkeypatch, "dorfman_product")
         assert all(r.ok for r in dorfman_checks(samples.triples, samples.funcs))
         assert calls[0] == 9 * count
+
+
+class TestZeroSkipping:
+    """Zero components of the vector fields list no kernel items, and the checks
+    compare canonical forms; a mismatch of variable counts raises all the same."""
+
+    def test_zero_vector_fields_list_no_items(self, monkeypatch):
+        items = []
+        real = courant._contract
+        monkeypatch.setattr(courant, "_contract", lambda n, its: items.extend(its) or real(n, its))
+        rng = Pcg32(3)
+        x = Section(VectorField.zero(3), random_one_form(rng, 3))
+        y = Section(VectorField.zero(3), random_one_form(rng, 3))
+        assert courant_bracket(x, y).is_zero() and vf_bracket(x.vf, y.vf).is_zero()
+        assert lie_derivative_one_form(x.vf, y.form).is_zero()
+        assert items == []
+        xi = VectorField(3, (Poly.zero(3), Poly.var(3, 0), Poly.zero(3)))
+        courant_bracket(Section(xi, x.form), y)
+        assert items and all(any(p is xi.components[1] for p in item[1:3]) for item in items)
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (1, 3)])
+    def test_zero_sections_over_other_variable_counts_raise(self, n, m):
+        x, y, f = Section.zero(n), Section.zero(m), Poly.zero(n)
+        for op in (lambda: courant_bracket(x, y), lambda: dorfman_product(x, y),
+                   lambda: vf_bracket(x.vf, y.vf), lambda: lie_derivative_one_form(x.vf, y.form),
+                   lambda: h_bracket((x.vf, x.form), (y.vf, y.form)),
+                   lambda: double_recovery_check(x, y),
+                   lambda: double_equal(sigma_double(1, x), sigma_double(1, y)),
+                   lambda: axiom_suite([(x, y, x)], [(f, f)]),
+                   lambda: dorfman_checks([(x, y, x)], [(f, f)])):
+            with pytest.raises(ValueError, match="^variable count mismatch$"):
+                op()
+
+    def test_checks_compare_canonical_forms(self, monkeypatch):
+        # equal values are equal stored forms, so no check subtracts its two sides
+        samples = courant_samples(seed=2, nvars=2, count=3)
+        calls = _count_calls(monkeypatch, "double_recovery_check")
+        subs = [0]
+        real = Section.__sub__
+        monkeypatch.setattr(Section, "__sub__", lambda a, b: subs.__setitem__(0, subs[0] + 1) or real(a, b))
+        assert all(r.ok for r in axiom_suite(samples.triples, samples.funcs))
+        assert all(r.ok for r in dorfman_checks(samples.triples, samples.funcs))
+        # what is left is inside the identities: axiom3's - D f <x, y> and the decomposition's x.y - y.x
+        assert subs[0] == 2 * len(samples.triples)
+        x, y, _ = samples.triples[0]
+        a, b = sigma_double(Q(1, 2), x), sigma_double(Q(1, 2), y)
+        assert double_equal(a, a) and not double_equal(a, b)
+        assert calls == [0]
 
 
 class TestGraphs:

@@ -7,6 +7,15 @@ reference with one on-graph test per kind, and the axiom suites by references
 that evaluate every case before they look for the first failure. Equal values,
 equal (ok, pair) results and equal "case k" witnesses, also when the bracket
 or the Dorfman product is made to fail on chosen cases, pin the behaviour.
+
+The `parent_*` functions are the bracket kernels and checks as they were before
+the zero components of the vector-field operand were skipped and before the
+checks compared canonical forms, kept verbatim up to renaming: they list every
+component, and every check tests a difference for zero. The current code must
+give equal values, equal `CheckResult`s and the same errors on sections with
+zero components, on zero sections, on mismatched variable counts and on large
+denominators. Where the old code indexed past a shorter operand (an
+`IndexError`), the current one may raise the `ValueError` of a mismatch.
 """
 
 from __future__ import annotations
@@ -34,11 +43,20 @@ from leibniz_forge import (
 )
 from leibniz_forge import courant
 from leibniz_forge.courant import (
+    _field,
+    _first_failure,
+    _once,
+    _t_value,
+    _with_funcs,
+    d_section,
     graph_closure_check,
     interior_one_form,
     interior_two_form,
+    pairing,
+    sigma_double,
     vf_bracket,
 )
+from leibniz_forge.poly import _contract
 
 
 # -- references -----------------------------------------------------------------
@@ -168,6 +186,119 @@ def ref_dorfman_checks(triples, funcs):
     return [_first_of_all("dorfman_leibniz", leibniz),
             _first_of_all("skew_symmetric_decomposition", decomposition),
             _first_of_all("d_image_ideal", ideal)]
+
+
+# -- the kernels and checks before zero skipping and canonical comparison ---------
+
+def parent_vf_bracket(a, b):
+    n, u, v = a.nvars, a.components, b.components
+    return _field(n, lambda k: [t for i in range(n)
+                                for t in ((1, u[i], v[k], i), (-1, v[i], u[k], i))])
+
+
+def parent_lie_derivative_one_form(xi, theta):
+    n, a, t = xi.nvars, xi.components, theta.components
+    return _field(n, lambda j: [u for i in range(n)
+                                for u in ((1, a[i], t[j], i), (1, t[i], a[i], j))])
+
+
+def parent_i_d(nvars, *terms):
+    """sum w i_xi d th over the terms (w, xi, th), by the coordinate formula
+    (i_xi d th)_j = sum_i xi_i d_i th_j - xi_i d_j th_i."""
+    comps = [(w, xi.components, th.components) for w, xi, th in terms]
+    return _field(nvars, lambda j: [u for w, a, t in comps for i in range(nvars)
+                                    for u in ((w, a[i], t[j], i), (-w, a[i], t[i], j))])
+
+
+def parent_courant_bracket(x, y):
+    """[x, y], its 1-form by the courant form_j of the module docstring."""
+    n, h, mh = x.nvars, Q(1, 2), Q(-1, 2)
+    xi, th, eta, phi = (f.components for f in (x.vf, x.form, y.vf, y.form))
+    form = _field(n, lambda j: [t for i in range(n) for t in (
+        (1, xi[i], phi[j], i), (-1, eta[i], th[j], i), (h, phi[i], xi[i], j),
+        (mh, xi[i], phi[i], j), (mh, th[i], eta[i], j), (h, eta[i], th[i], j))])
+    return Section(parent_vf_bracket(x.vf, y.vf), form)
+
+
+def parent_dorfman_product(x, y):
+    """x . y = ([xi, eta], L_xi phi - i_eta dth) for x = (xi, th) and y = (eta, phi)."""
+    form = parent_lie_derivative_one_form(x.vf, y.form) - parent_i_d(x.nvars, (1, y.vf, x.form))
+    return Section(parent_vf_bracket(x.vf, y.vf), form)
+
+
+def parent_axiom_suite(triples, funcs):
+    br = _once(parent_courant_bracket)
+
+    def ax1(x, y, z):
+        xy, yz, zx = br(x, y), br(y, z), br(z, x)
+        lhs = parent_courant_bracket(xy, z) + parent_courant_bracket(yz, x) + parent_courant_bracket(zx, y)
+        return (lhs - d_section(_t_value(x, y, z, xy, yz, zx))).is_zero()
+
+    def ax2(x, y, _z):
+        return (br(x, y).vf - parent_vf_bracket(x.vf, y.vf)).is_zero()
+
+    def ax3(x, y, _z, f, _g):
+        lhs = parent_courant_bracket(x, y.scale(f))
+        rhs = (br(x, y).scale(f)
+               + y.scale(x.vf.derive(f))
+               - d_section(f).scale(pairing(x, y)))
+        return (lhs - rhs).is_zero()
+
+    def ax4(f, g):
+        return pairing(d_section(f), d_section(g)).is_zero() and d_section(f).vf.is_zero()
+
+    def ax5(x, y, z):
+        lhs = x.vf.derive(pairing(y, z))
+        rhs = (pairing(parent_dorfman_product(x, y), z) + pairing(y, parent_dorfman_product(x, z)))
+        return (lhs - rhs).is_zero()
+
+    return [_first_failure("axiom1", triples, ax1),
+            _first_failure("axiom2", triples, ax2),
+            _first_failure("axiom3", _with_funcs(triples, funcs), ax3),
+            _first_failure("axiom4", funcs, ax4),
+            _first_failure("axiom5", triples, ax5)]
+
+
+def parent_dorfman_checks(triples, funcs):
+    x_dot_y = _once(parent_dorfman_product)  # read by the first two: 9 products per triple
+
+    def leibniz(x, y, z):
+        lhs = parent_dorfman_product(x, parent_dorfman_product(y, z))
+        rhs = (parent_dorfman_product(x_dot_y(x, y), z)
+               + parent_dorfman_product(y, parent_dorfman_product(x, z)))
+        return (lhs - rhs).is_zero()
+
+    def decomposition(x, y, _z):
+        xy, yx, br, dxy = (x_dot_y(x, y), parent_dorfman_product(y, x),
+                           parent_courant_bracket(x, y), d_section(pairing(x, y)))
+        return ((xy - br - dxy).is_zero() and (br - (xy - yx).scale(Q(1, 2))).is_zero()
+                and (xy + yx - dxy.scale(2)).is_zero())
+
+    def d_image_ideal(x, _y, _z, f, _g):
+        df = d_section(f)
+        left = parent_dorfman_product(x, df)
+        return ((left - d_section(x.vf.derive(f))).is_zero()
+                and (left - d_section(pairing(x, df)).scale(2)).is_zero()
+                and parent_dorfman_product(df, x).is_zero())
+
+    return [_first_failure("dorfman_leibniz", triples, leibniz),
+            _first_failure("skew_symmetric_decomposition", triples, decomposition),
+            _first_failure("d_image_ideal", _with_funcs(triples, funcs), d_image_ideal)]
+
+
+def parent_double_equal(a, b):
+    return all((p - q).is_zero() for p, q in zip((*a[0], a[1]), (*b[0], b[1])))
+
+
+def parent_h_act(a, e):
+    """Action on a plain section: the Dorfman product of (xi, phi) with it."""
+    return parent_dorfman_product(Section(*a), e)
+
+
+def parent_double_recovery_check(x, y):
+    """The E part of the sigma_(1/2) bracket, h_act(a, y) - h_act(b, x), is [x, y]."""
+    (a, _), (b, _) = sigma_double(Q(1, 2), x), sigma_double(Q(1, 2), y)
+    return (parent_h_act(a, y) - parent_h_act(b, x) - parent_courant_bracket(x, y)).is_zero()
 
 
 # -- drawn data -------------------------------------------------------------------
@@ -310,3 +441,101 @@ class TestSuiteWitnesses:
         got = suite(s.triples, s.funcs)
         assert got == ref(s.triples, s.funcs)
         assert any(r.witness == f"case {cases[0]}" for r in got)
+
+
+# -- zero components, zero sections and mismatches against the parent code ----------
+
+M61 = 2**61 - 1
+SMALL = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 4)])
+BIG = st.sampled_from([Q(10**30, 7), Q(-10**30, 7), Q(1, M61), Q(-3, M61), Q(1, 6), Q(-1, 3)])
+
+
+def sparse_polys(n, coeffs):
+    """Zero about one time in two."""
+    monos = st.tuples(*[st.integers(0, 2)] * n)
+    drawn = st.dictionaries(monos, coeffs, max_size=2).map(lambda d: Poly.from_dict(n, d))
+    return st.one_of(st.just(Poly.zero(n)), drawn)
+
+
+@st.composite
+def sparse_sections(draw, n, coeffs=SMALL):
+    """A section with many zero components, or the zero section one time in five."""
+    if draw(st.integers(0, 4)) == 0:
+        return Section.zero(n)
+    comps = [draw(sparse_polys(n, coeffs)) for _ in range(2 * n)]
+    return Section(VectorField(n, tuple(comps[:n])), OneForm(n, tuple(comps[n:])))
+
+
+@st.composite
+def sparse_cases(draw, coeffs=SMALL):
+    """(x, y, z, f, g) over one variable count, or with y over another one time in six."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3)) if draw(st.integers(0, 5)) == 0 else n
+    x, z, y = draw(sparse_sections(n, coeffs)), draw(sparse_sections(n, coeffs)), draw(sparse_sections(m, coeffs))
+    f, g = draw(sparse_polys(n, coeffs)), draw(sparse_polys(n, coeffs))
+    return x, y, z, f, g
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except (ValueError, IndexError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def assert_same_outcome(fn, ref, *args):
+    """Equal values, or the same ValueError; where the old code raised an IndexError,
+    the current one raises it or a ValueError."""
+    got, want = outcome(fn, *args), outcome(ref, *args)
+    if want[0] == "error" and want[1] is IndexError:
+        assert got[0] == "error" and got[1] in (IndexError, ValueError), (got, want)
+    else:
+        assert got == want
+
+
+def assert_same_kernels(x, y, z, f, g):
+    for u, v in ((x, y), (y, x), (x, x), (x, z)):
+        assert_same_outcome(courant.vf_bracket, parent_vf_bracket, u.vf, v.vf)
+        assert_same_outcome(courant.lie_derivative_one_form, parent_lie_derivative_one_form, u.vf, v.form)
+        assert_same_outcome(courant._i_d, parent_i_d, u.nvars, (1, v.vf, u.form))
+        assert_same_outcome(courant._i_d, parent_i_d, u.nvars, (1, u.vf, v.form), (-1, v.vf, u.form))
+        assert_same_outcome(courant.courant_bracket, parent_courant_bracket, u, v)
+        assert_same_outcome(courant.dorfman_product, parent_dorfman_product, u, v)
+        assert_same_outcome(courant.double_recovery_check, parent_double_recovery_check, u, v)
+        assert_same_outcome(courant.h_bracket, lambda a, b: (parent_vf_bracket(a[0], b[0]), courant.form_class(
+            parent_i_d(a[0].nvars, (1, a[0], b[1]), (-1, b[0], a[1])))), (u.vf, u.form), (v.vf, v.form))
+        for s in (Q(1, 2), Q(-3)):
+            a, b = outcome(sigma_double, s, u), outcome(sigma_double, s, v)
+            if a[0] == b[0] == "ok":
+                for p, q in ((a[1], b[1]), (a[1], a[1]), (b[1], a[1])):
+                    assert_same_outcome(courant.double_equal, parent_double_equal, p, q)
+    triples, funcs = [(x, y, z), (z, x, x)], [(f, g), (g, f)]
+    assert_same_outcome(courant.axiom_suite, parent_axiom_suite, triples, funcs)
+    assert_same_outcome(courant.dorfman_checks, parent_dorfman_checks, triples, funcs)
+
+
+class TestZeroComponents:
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_cases())
+    def test_sparse_sections(self, case):
+        assert_same_kernels(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_cases(BIG))
+    def test_large_denominators(self, case):
+        assert_same_kernels(*case)
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (1, 2), (2, 2)])
+    def test_zero_sections(self, n, m):
+        """Zero sections over different variable counts raise as any other mismatch."""
+        x, y = Section.zero(n), Section.zero(m)
+        assert_same_kernels(x, y, x, Poly.zero(n), Poly.zero(n))
+        assert_same_kernels(y, x, y, Poly.zero(m), Poly.zero(m))
+
+    def test_seeded_samples(self):
+        for seed, nvars in ((1, 2), (2, 3)):
+            s = courant_samples(seed, nvars, 3)
+            (x, y, z), (f, g) = s.triples[0], s.funcs[0]
+            assert_same_kernels(x, y, z, f, g)
+            assert courant.axiom_suite(s.triples, s.funcs) == parent_axiom_suite(s.triples, s.funcs)
+            assert courant.dorfman_checks(s.triples, s.funcs) == parent_dorfman_checks(s.triples, s.funcs)

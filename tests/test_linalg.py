@@ -171,6 +171,16 @@ class TestNilpotencyAndExp:
             with pytest.raises(ValueError, match=f"^non-finite entry {entry}$"):
                 op()
 
+    def test_float_sum_with_a_finite_exact_value_is_rounded_once(self):
+        # math.fsum overflows on the partial sum 1e308 + 1e308 of finite products, while
+        # the exact sum is 1e308: it used to raise "non-finite entry inf"
+        a = FloatMatrix(((1e308, 1e308, -1e308),))
+        assert a.apply((1.0, 1.0, 1.0)) == (1e308,)
+        assert (a @ FloatMatrix(((1.0,), (1.0,), (1.0,)))).entries == ((1e308,),)
+        assert FloatMatrix(((1e308, -1e308, 5e307),)).apply((1.0, 1.0, 1.0)) == (5e307,)
+        with pytest.raises(ValueError, match="^non-finite entry inf$"):
+            FloatMatrix(((1e308, 1e308, -1e307),)).apply((1.0, 1.0, 1.0))  # 1.9e308
+
     @pytest.mark.parametrize("rows, entry", [
         # s lambda(x) of loop samples on {e1 e2 = c e1, e2 e1 = c e2} at s = 2/3, for c = 3198
         # and 108: a squaring of the exponential leaves the float range inside math.fsum

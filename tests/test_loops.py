@@ -141,6 +141,22 @@ class TestContext:
         with pytest.raises(ValueError, match=f"^non-finite entry {entry}$"):
             loop_property_check(ctx, samples=3)
 
+    def test_float_mode_values_beyond_the_float_range_are_input_errors(self, so3):
+        # float() of these exact values raised an OverflowError
+        big = 10**400
+        ctx = loop_context(so3, tol=1e-8)
+        for op in (lambda: loop_product(ctx, (big, 0, 0), (0, 1, 1)),
+                   lambda: left_inverse(ctx, (1, Q(-big, 3), 0))):
+            with pytest.raises(ValueError, match="^non-finite vector entry: beyond the float range$"):
+                op()
+        ctx = LoopContext(so3, Q(big, 7), "float")
+        with pytest.raises(ValueError, match="^non-finite s: beyond the float range$"):
+            loop_product(ctx, (1, 0, 0), (0, 1, 1))
+        a = StructureAlgebra.from_products(2, {(0, 1): {0: big}, (1, 0): {1: 1}})
+        ctx = LoopContext(a, Q(1, 2), "float")
+        with pytest.raises(ValueError, match="^non-finite structure constant: beyond the float range$"):
+            loop_product(ctx, (1, 0), (0, 1))
+
 
 class TestLoopOperations:
     def test_closed_form_2dim(self, leibniz2):

@@ -9,16 +9,25 @@ and the same errors, on drawn polynomials, cancelling sums, zero polynomials,
 variable-count mismatches and seeded Courant samples, pin the behaviour.
 
 Every result is also checked in its stored form: one positive denominator,
-integer numerators in lowest terms over it, sorted monomials, no zero term.
+integer numerators in lowest terms over it, sorted monomial keys, no zero term.
 Coefficients with large coprime denominators, and sums whose denominators
 cancel, exercise the integer arithmetic behind that form.
+
+`TuplePoly` below is the stored form that keyed each monomial by its exponent
+tuple, kept verbatim up to renaming, with its merge and its contraction kernel,
+which did not skip zero operands. The packed-key `Poly` must give the same
+`terms`, the same constant terms and the same errors on every operation, also
+on items and sums with zero operands, on mismatched variable counts and on
+large denominators.
 """
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
+from operator import add, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +35,7 @@ from hypothesis import strategies as st
 
 from leibniz_forge import OneForm, Poly, courant_samples, homotopy_quotient
 from leibniz_forge.courant import _dot
+from leibniz_forge.poly import _contract
 from leibniz_forge.linalg import as_q
 
 
@@ -89,6 +99,111 @@ def ref_homotopy_quotient(theta):
     return OneForm(n, rep), potential
 
 
+# -- the tuple-keyed stored form ----------------------------------------------------
+
+class TuplePoly(tuple):
+    __slots__ = ()
+    nvars, den, nums = (property(itemgetter(k)) for k in range(3))
+
+    def __new__(cls, nvars, terms):
+        """Validated: exponent tuples of length nvars, exact coefficients; repeats add up."""
+        clean = {}
+        for mono, coeff in terms:
+            if len(mono) != nvars or any(not isinstance(e, int) or isinstance(e, bool) or e < 0
+                                         for e in mono):
+                raise ValueError(f"bad exponent tuple {mono!r} for {nvars} variables")
+            mono, c = tuple(mono), as_q(coeff)
+            clean[mono] = clean[mono] + c if mono in clean else c
+        pairs = [(m, c.as_integer_ratio()) for m, c in sorted(clean.items())]
+        den = lcm(*(d for _, (_, d) in pairs))
+        return _tp_new(TuplePoly, (nvars, den, tuple((m, n * (den // d)) for m, (n, d) in pairs if n)))
+
+    @property
+    def terms(self):
+        """The sorted (exponent tuple, nonzero Fraction) pairs, made on each read."""
+        _, den, nums = self
+        return tuple((m, Fraction(c, den)) for m, c in nums)
+
+    @staticmethod
+    def from_dict(nvars, d):
+        return TuplePoly(nvars, d.items())
+
+    def __add__(self, other):
+        return _tp_merge(self, other, 1)
+
+    def __sub__(self, other):
+        return _tp_merge(self, other, -1)
+
+    def __neg__(self):
+        n, den, nums = self
+        return _tp_new(TuplePoly, (n, den, tuple((m, -c) for m, c in nums)))
+
+    def __mul__(self, other):
+        if isinstance(other, TuplePoly):
+            return _tp_contract(self.nvars, [(1, self, other, None)])
+        (cn, cd), (n, den, nums) = as_q(other).as_integer_ratio(), self
+        return _tp_reduced(n, den * cd, [(m, x * cn) for m, x in nums if cn])
+
+    def partial(self, i):
+        """Partial derivative in variable i; lowering exponent i keeps the sorted order."""
+        n, den, nums = self
+        if not 0 <= i < n:
+            raise ValueError(f"variable index {i} out of range")
+        return _tp_reduced(n, den, [(m[:i] + (e - 1,) + m[i + 1:], c * e)
+                                    for m, c in nums if (e := m[i])])
+
+    def constant_term(self):
+        _, den, nums = self  # the zero exponent tuple sorts first
+        return Fraction(nums[0][1], den) if nums and not any(nums[0][0]) else Q(0)
+
+
+_tp_new, _tp_second = tuple.__new__, itemgetter(1)  # _tp_new(TuplePoly, (nvars, den, nums)): no checks
+
+
+def _tp_reduced(nvars, den, nums):
+    """A TuplePoly from sorted nonzero (monomial, numerator) pairs over den > 0, in lowest terms."""
+    g = gcd(den, *map(_tp_second, nums)) if den != 1 else 1
+    if g != 1:
+        den, nums = den // g, [(m, c // g) for m, c in nums]
+    return _tp_new(TuplePoly, (nvars, den, tuple(nums)))
+
+
+def _tp_merge(p, q, sign):
+    """p + sign q, merged over the lcm of the two denominators."""
+    (n, pd, pt), (nq, qd, qt) = p, q
+    if n != nq:
+        raise ValueError("variable count mismatch")
+    den = lcm(pd, qd)
+    sp, sq = den // pd, sign * (den // qd)
+    acc = dict(pt) if sp == 1 else {m: c * sp for m, c in pt}
+    for m, c in qt:
+        acc[m] = acc[m] + c * sq if m in acc else c * sq
+    return _tp_reduced(n, den, [(m, c) for m, c in sorted(acc.items()) if c])
+
+
+def _tp_contract(nvars, items):
+    """sum w a d_i b over the items (w, a, b, i), i None for the plain product a b:
+    integer sums over the lcm of the items' denominators."""
+    parts, den = [], 1
+    for w, (na, ad, at), (nb, bd, bt), i in items:
+        if na != nvars or nb != nvars:
+            raise ValueError("variable count mismatch")
+        if i is not None:
+            bt = [(m[:i] + (e - 1,) + m[i + 1:], c * e) for m, c in bt if (e := m[i])]
+        if at and bt:
+            parts.append((w.numerator, w.denominator * ad * bd, at, bt))
+            den = lcm(den, parts[-1][1])
+    acc = {}
+    for wn, d, at, bt in parts:
+        scale = wn * (den // d)
+        for ma, ca in at:
+            ca *= scale
+            for mb, cb in bt:
+                mono = tuple(map(add, ma, mb))
+                acc[mono] = acc[mono] + ca * cb if mono in acc else ca * cb
+    return _tp_reduced(nvars, den, [(m, c) for m, c in sorted(acc.items()) if c])
+
+
 # -- comparison -----------------------------------------------------------------
 
 def outcome(fn, *args):
@@ -99,16 +214,29 @@ def outcome(fn, *args):
         return ("error", type(exc), str(exc))
 
 
+def pack(mono):
+    """The monomial key of an exponent tuple: 64 bits per variable, variable 0 highest."""
+    return sum(e << 64 * (len(mono) - 1 - k) for k, e in enumerate(mono))
+
+
+def unpack(nvars, key):
+    return tuple(key >> 64 * (nvars - 1 - k) & (2**64 - 1) for k in range(nvars))
+
+
 def assert_stored(p):
-    """den > 0, gcd(den, numerators) = 1, sorted distinct monomials, no zero numerator;
-    terms reads the same value, and rebuilding from it gives an equal, equally hashed Poly."""
+    """den > 0, gcd(den, numerators) = 1, sorted distinct monomial keys, each exponent
+    below 2**63, no zero numerator; terms reads the same value, and rebuilding from it
+    gives an equal, equally hashed Poly."""
     den, nums = p.den, p.nums
     assert type(den) is int and den > 0
-    assert all(type(c) is int and c != 0 for _, c in nums)
+    assert all(type(m) is int and type(c) is int and c != 0 for m, c in nums)
     assert gcd(den, *(c for _, c in nums)) == 1
-    monos = [m for m, _ in nums]
-    assert monos == sorted(set(monos))
-    assert p.terms == tuple((m, Fraction(c, den)) for m, c in nums)
+    keys = [m for m, _ in nums]
+    assert keys == sorted(set(keys)) and all(0 <= m < 2 ** (64 * p.nvars) for m in keys)
+    monos = [unpack(p.nvars, m) for m in keys]
+    assert all(e < 2**63 for mono in monos for e in mono) and monos == sorted(monos)
+    assert keys == [pack(mono) for mono in monos]
+    assert p.terms == tuple((mono, Fraction(c, den)) for mono, (_, c) in zip(monos, nums))
     again = Poly(p.nvars, p.terms[::-1])
     assert again == p and hash(again) == hash(p)
 
@@ -262,16 +390,129 @@ class TestStoredForm:
     def test_cancelling_denominators(self):
         sixth, third = Poly.const(1, Q(1, 6)), Poly.const(1, Q(1, 3))
         half = sixth + third
-        assert (half.den, half.nums) == (2, (((0,), 1),))
+        assert (half.den, half.nums) == (2, ((pack((0,)), 1),))
         assert half.terms == ref_add(sixth, third).terms == (((0,), Q(1, 2)),)
         x = Poly.var(2, 0)
         s = x * Q(1, 6) + x * Q(5, 6) - Poly.const(2, Q(1, M61)) * M61
-        assert (s.den, s.nums) == (1, (((0, 0), -1), ((1, 0), 1)))
+        assert (s.den, s.nums) == (1, ((pack((0, 0)), -1), (pack((1, 0)), 1)))
         assert_same(Poly.__sub__, ref_sub, x * Q(1, 6) + x * Q(5, 6), Poly.const(2, 1))
         for zero in (x * Q(1, M61) - x * Q(1, M61), Poly.const(2, Q(10**30, 7)) * 0):
             assert (zero.den, zero.nums) == (1, ()) and zero == Poly.zero(2)
         assert (x * x * Q(3, 2)).partial(0).terms == (((1, 0), Q(3)),)
         assert (x * x * Q(3, 2)).partial(0).den == 1
+
+
+# -- packed keys against the tuple-keyed form ----------------------------------------
+
+def as_tuple(p):
+    return TuplePoly(p.nvars, p.terms)
+
+
+def assert_same_as_tuple(got, want):
+    """Equal outcomes of a Poly and a TuplePoly computation: equal terms, or equal errors."""
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got == want
+        return
+    assert got[1].nvars == want[1].nvars and got[1].terms == want[1].terms
+    assert_exact(got[1])
+
+
+def sometimes_zero(n, coeffs=COEFFS):
+    """A polynomial that is zero about one time in three."""
+    return st.one_of(st.just(Poly.zero(n)), polys(n, 3, coeffs), polys(n, 3, coeffs))
+
+
+RAW_MONOS = st.lists(st.integers(-1, 3) | st.sampled_from([True, 2**40]), min_size=0, max_size=4)
+RAW_COEFFS = COEFFS | BIG_COEFFS | st.integers(-2, 2)
+
+
+@st.composite
+def raw_terms(draw):
+    """Outside input: monomials of any length with bad or repeated exponents now and then."""
+    n = draw(st.integers(0, 3))
+    good = st.tuples(*[st.integers(0, 2)] * n)
+    monos = st.one_of(good, good, good, RAW_MONOS.map(tuple)) if draw(st.integers(0, 3)) == 0 else good
+    return n, draw(st.lists(st.tuples(monos, RAW_COEFFS), max_size=5))
+
+
+@st.composite
+def contract_items(draw, coeffs=COEFFS):
+    """(nvars, items) for _contract, with zero operands, weights that cancel, and now
+    and then an operand over another variable count."""
+    n = draw(st.integers(1, 3))
+    items = []
+    for _ in range(draw(st.integers(0, 5))):
+        w = draw(st.sampled_from([1, -1, Q(1, 2), Q(-1, 2), Q(3, 7)]))
+        a, b = draw(sometimes_zero(n, coeffs)), draw(sometimes_zero(n, coeffs))
+        if draw(st.integers(0, 9)) == 0:
+            a, b = (draw(sometimes_zero(n % 3 + 1)), b) if draw(st.booleans()) else (a, Poly.zero(n % 3 + 1))
+        items.append((w, a, b, draw(st.none() | st.integers(0, n - 1))))
+    if items and draw(st.booleans()):
+        w, a, b, i = items[0]
+        items.append((-w, a, b, i))  # cancels the first item
+    return n, items
+
+
+class TestPackedKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_terms())
+    def test_construction(self, data):
+        n, terms = data
+        got, want = outcome(Poly, n, terms), outcome(TuplePoly, n, terms)
+        assert_same_as_tuple(got, want)
+        dictionary = dict(terms)
+        assert_same_as_tuple(outcome(Poly.from_dict, n, dictionary),
+                             outcome(TuplePoly.from_dict, n, dictionary))
+        if got[0] == "ok":
+            p = got[1]
+            assert repr(p) == f"Poly(nvars={n}, terms={want[1].terms!r})"
+            again = pickle.loads(pickle.dumps(p))
+            assert again == p and hash(again) == hash(p) and again.terms == p.terms
+            assert p.constant_term() == want[1].constant_term()
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs(), st.integers(-1, 3), COEFFS | st.integers(-2, 2))
+    def test_arithmetic(self, ab, i, c):
+        for x, y in (ab, ab[::-1], (ab[0], Poly.zero(ab[0].nvars)), (Poly.zero(ab[1].nvars), ab[1])):
+            tx, ty = as_tuple(x), as_tuple(y)
+            for op in ("__add__", "__sub__", "__mul__"):
+                assert_same_as_tuple(outcome(getattr(Poly, op), x, y),
+                                     outcome(getattr(TuplePoly, op), tx, ty))
+            assert_same_as_tuple(outcome(Poly.__neg__, x), outcome(TuplePoly.__neg__, tx))
+            assert_same_as_tuple(outcome(Poly.__mul__, x, c), outcome(TuplePoly.__mul__, tx, c))
+            assert_same_as_tuple(outcome(Poly.partial, x, i), outcome(TuplePoly.partial, tx, i))
+            assert x.constant_term() == tx.constant_term()
+
+    @settings(max_examples=150, deadline=None)
+    @given(contract_items())
+    def test_contract(self, data):
+        n, items = data
+        ref_items = [(w, as_tuple(a), as_tuple(b), i) for w, a, b, i in items]
+        assert_same_as_tuple(outcome(_contract, n, items), outcome(_tp_contract, n, ref_items))
+
+    @settings(max_examples=80, deadline=None)
+    @given(contract_items(BIG_COEFFS), pairs(BIG_COEFFS))
+    def test_large_denominators(self, data, ab):
+        n, items = data
+        ref_items = [(w, as_tuple(a), as_tuple(b), i) for w, a, b, i in items]
+        assert_same_as_tuple(outcome(_contract, n, items), outcome(_tp_contract, n, ref_items))
+        a, b = ab
+        for op in ("__add__", "__sub__", "__mul__"):
+            assert_same_as_tuple(outcome(getattr(Poly, op), a, b),
+                                 outcome(getattr(TuplePoly, op), as_tuple(a), as_tuple(b)))
+
+    def test_zero_operands_and_mismatches(self):
+        """A zero operand is skipped only after its variable count is checked."""
+        z2, z3, x = Poly.zero(2), Poly.zero(3), Poly.var(2, 0)
+        for items in ([(1, z2, z3, None)], [(1, z3, x, 0)], [(1, x, z2, 1), (1, z2, z3, None)],
+                      [(1, x, z2, None)], [], [(1, z2, x, 1)], [(1, x, x, 1)]):
+            ref_items = [(w, as_tuple(a), as_tuple(b), i) for w, a, b, i in items]
+            assert_same_as_tuple(outcome(_contract, 2, items), outcome(_tp_contract, 2, ref_items))
+        for p, q in ((z2, z3), (z3, z2), (x, z3), (z3, x), (z2, x), (x, z2), (z2, z2)):
+            for op in ("__add__", "__sub__", "__mul__"):
+                assert_same_as_tuple(outcome(getattr(Poly, op), p, q),
+                                     outcome(getattr(TuplePoly, op), as_tuple(p), as_tuple(q)))
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
