@@ -157,9 +157,6 @@ class StructureAlgebra:
         return StructureAlgebra(self.dim, materialize(self.dim, 2, cells), self.basis_names,
                                 self.name)
 
-    def symmetrized_part(self, x: Vec, y: Vec) -> Vec:
-        return vscale(Q(1, 2), vadd(self.product(x, y), self.product(y, x)))
-
     def skew_product(self, x: Vec, y: Vec) -> Vec:
         return vscale(Q(1, 2), vsub(self.product(x, y), self.product(y, x)))
 
@@ -335,6 +332,11 @@ def quotient_algebra(a: StructureAlgebra, m: Subspace) -> tuple[StructureAlgebra
     """
     if not is_ideal(a, m):
         raise NotAnIdealError("subspace is not a two-sided ideal")
+    return _quotient(a, m)
+
+
+def _quotient(a: StructureAlgebra, m: Subspace) -> tuple[StructureAlgebra, Matrix]:
+    """quotient_algebra for an m already known to be an ideal."""
     comp = m.complement_coords
     qdim = len(comp)
 

@@ -22,8 +22,8 @@ from typing import Sequence
 from .algebra import (
     StructureAlgebra,
     Subspace,
+    _quotient,
     kernel_of_lambda,
-    quotient_algebra,
     squares_ideal,
 )
 from .linalg import (
@@ -61,9 +61,6 @@ class EnvelopeTriple:
     @property
     def f_surjective(self) -> bool:
         return len(rref(self.f)[1]) == self.h.dim
-
-    def f_of(self, x: Vec) -> Vec:
-        return self.f.apply(x)
 
 
 def validate_envelope(e: StructureAlgebra, h: StructureAlgebra,
@@ -110,14 +107,17 @@ def validate_envelope(e: StructureAlgebra, h: StructureAlgebra,
 
 
 def canonical_envelope(e: StructureAlgebra, m: Subspace) -> EnvelopeTriple:
-    """Envelope with h = E/M for an ideal M squeezed between squares and ker lambda."""
+    """Envelope with h = E/M for an ideal M squeezed between squares and ker lambda.
+
+    The containments make M an ideal, so it is not tested again: m in M has m.x = 0
+    (M in ker lambda), and x.m = (x+m).(x+m) - x.x - m.m - m.x is in the squares ideal."""
     if m.ambient_dim != e.dim:
         raise EnvelopeError("ideal lives in the wrong ambient space")
     if not m.contains_subspace(squares_ideal(e)):
         raise EnvelopeError("ideal does not contain the squares ideal")
     if not kernel_of_lambda(e).contains_subspace(m):
         raise EnvelopeError("ideal is not contained in ker lambda")
-    h, q = quotient_algebra(e, m)
+    h, q = _quotient(e, m)
     mats = tuple(Matrix.from_cols(e.c[cb]) for cb in m.complement_coords)  # lambda(e_cb)
     action = ModuleAction(h, mats, space_dim=e.dim)
     return validate_envelope(e, h, action, q)

@@ -204,9 +204,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.entries]
-
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
@@ -448,10 +445,6 @@ class FloatMatrix:
     def inf_norm(self) -> float:
         return max((math.fsum(abs(x) for x in r) for r in self.entries), default=0.0)
 
-    def max_abs_diff(self, other: "FloatMatrix") -> float:
-        return max((abs(x - y) for a, b in zip(self.entries, other.entries)
-                    for x, y in zip(a, b)), default=0.0)
-
 
 def _fdot(r: Sequence[float], c: Sequence[float]) -> float:
     """The correctly rounded sum of the products; a ValueError when it is not finite."""
@@ -474,10 +467,13 @@ def mat_exp_float(m: Matrix | FloatMatrix, tol: float = 1e-12) -> FloatMatrix:
     n = fm.rows
     if n == 0:
         return fm
-    norm = fm.inf_norm()
+    try:
+        norm: float | Fraction = fm.inf_norm()
+    except OverflowError:  # a row sum is past the float range: halve its exact value
+        norm = max(sum(map(Fraction, map(abs, r))) for r in fm.entries)
     j = 0
     while norm > 0.5:
-        norm /= 2.0
+        norm /= 2
         j += 1
     scaled_cols = list(zip(*(fm * (0.5 ** j)).entries))
     out = term = FloatMatrix.identity(n).entries

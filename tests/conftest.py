@@ -12,7 +12,10 @@ import pytest
 
 from leibniz_forge import (
     ModuleAction,
+    OneForm,
     Pcg32,
+    Poly,
+    Section,
     StructureAlgebra,
     canonical_envelope,
     hemisemidirect,
@@ -81,6 +84,15 @@ def make_broken3() -> StructureAlgebra:
         3,
         {(0, 1): {2: 1}, (1, 0): {2: -1}, (0, 2): {0: 1}, (2, 0): {0: -1}},
         name="broken3")
+
+
+def linear_section(d: int, v) -> Section:
+    """Weinstein's linear section of T (+) T* over Q^d for v in gl(d) x Q^d, in the
+    coordinates of omni_algebras(d): E_pq -> x_p d/dx_q and e_k -> dx_k."""
+    vf = tuple(sum((Poly.var(d, p) * v[p * d + q] for p in range(d)), Poly.zero(d))
+               for q in range(d))
+    form = tuple(Poly.const(d, v[d * d + k]) for k in range(d))
+    return Section(OneForm(d, vf), OneForm(d, form))
 
 
 _RANDOM_NILPOTENT = ((11, 2), (12, 3), (13, 4), (14, 5), (15, 4))

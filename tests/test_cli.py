@@ -330,6 +330,24 @@ class TestDispatch:
                            "--ideal", ipath, "--format", "json")
         assert code == 0
 
+    @pytest.mark.parametrize("vectors, message", [
+        ([[0, 1]], "ideal does not contain the squares ideal"),  # e2.e2 = e1 leaves span(e2)
+        ([[1, 0, 0]], "ideal is not contained in ker lambda"),  # [e2, e1] = -e3 leaves span(e1)
+    ])
+    def test_envelope_non_ideal_file(self, files, capsys, vectors, message):
+        algebra = (LEIBNIZ2 if len(vectors[0]) == 2 else
+                   '{"dim": 3, "basis": ["e1", "e2", "e3"], "products": ['
+                   '{"left": "e1", "right": "e2", "result": {"e3": "1"}}, '
+                   '{"left": "e2", "right": "e1", "result": {"e3": "-1"}}]}')
+        apath = files("a.json", algebra)
+        ipath = files("ideal.json", json.dumps({"ambient_dim": len(vectors[0]),
+                                                "vectors": vectors}))
+        code, out = self.run(capsys, "envelope", "verify", apath, "--ideal", ipath,
+                             "--format", "json")
+        assert code == 1
+        assert json.loads(out)["checks"] == [
+            {"name": "envelope_conditions", "status": "fail", "witness": message}]
+
     def test_ly_check(self, files, capsys):
         path = files("ly.json",
                      '{"dim": 1, "binary": [], "ternary": []}')
@@ -412,6 +430,21 @@ class TestDispatch:
         assert code == 1
         assert json.loads(out)["checks"] == [
             {"name": "error", "status": "fail", "witness": f"non-finite {what}: beyond the float range"}]
+
+    @pytest.mark.parametrize("s", ["1" + "0" * 307, "1" + "0" * 308], ids=["1e307", "1e308"])
+    def test_loop_eval_float_with_s_lambda_past_the_float_range_is_a_report(self, files,
+                                                                            capsys, s):
+        # at 10^308 the row sums of s lambda_x overflow: an OverflowError traceback before
+        path = files("so3.json", json.dumps({
+            "dim": 3, "basis": ["e1", "e2", "e3"],
+            "products": [{"left": f"e{l}", "right": f"e{r}", "result": {f"e{k}": sign}}
+                         for a, b, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+                         for l, r, sign in ((a, b, "1"), (b, a, "-1"))]}))
+        code, out = self.run(capsys, "loop", "eval", "--algebra", path, "--float", "--s", s,
+                             "--x", "1,1,1", "--y", "0,1,1", "--format", "json")
+        [check] = json.loads(out)["checks"]
+        assert code == 1 and check["name"] == "error" and check["status"] == "fail"
+        assert check["witness"].startswith("non-finite entry ")
 
     def test_loop_eval_accepts_small_tol(self, files, capsys):
         path = files("a.json", LEIBNIZ2)

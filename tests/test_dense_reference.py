@@ -9,6 +9,7 @@ verdicts and the first failing basis tuple (the witness) of every check.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import cache
 from itertools import product
 
 import pytest
@@ -27,10 +28,11 @@ from leibniz_forge import (
     random_nilpotent_leibniz,
     validate_ly,
 )
-from leibniz_forge.linalg import Matrix, as_q, commutator, vadd, vneg, vscale, vsub
+from leibniz_forge.linalg import Matrix, commutator, vadd, vneg, vscale, vsub
 from leibniz_forge.products import GraphCriterionReport
 
 from conftest import make_broken3, make_heisenberg3, make_leibniz2, make_nl3, make_so3
+from test_linalg_reference import RefSubspace
 
 
 # -- dense reference ----------------------------------------------------------
@@ -194,6 +196,7 @@ seeds = st.integers(0, 2 ** 32 - 1)
 small = st.integers(-2, 2)
 
 
+@cache  # one strategy object per argument: building one costs more than a draw
 def random_algebras(top):
     return st.one_of(
         st.builds(lambda s, d: random_algebra(Pcg32(s), d), seeds, st.integers(1, top - 1)),
@@ -201,6 +204,7 @@ def random_algebras(top):
                   st.integers(2, top)))
 
 
+@cache  # one strategy object per argument: building one costs more than a draw
 def vectors(n):
     return st.tuples(*[small.map(Q)] * n)
 
@@ -277,18 +281,6 @@ def test_every_axiom_is_hit():
 
 # -- subspace coordinates -----------------------------------------------------
 
-def ref_coords(space, v):
-    """Coordinates by a dense rebuild of v from every basis row."""
-    w = tuple(as_q(x) for x in v)
-    out = tuple(w[p] for p in space.pivots)
-    rebuilt = (Q(0),) * space.ambient_dim
-    for cf, r in zip(out, space.basis):
-        rebuilt = vadd(rebuilt, vscale(cf, r))
-    if rebuilt != w:
-        raise ValueError("vector is not in the subspace")
-    return out
-
-
 def coords_outcome(f, space, v):
     try:
         return f(space, v)
@@ -311,8 +303,7 @@ def test_subspace_coords_match_dense_rebuild(n, data):
     short, long = inside[:-1], inside + (data.draw(sparse_rationals),)
     for v in (inside, outside, short, long, tuple(int(x) for x in inside if x.denominator == 1)):
         got = coords_outcome(Subspace.coords, space, v)
-        if len(v) == n:
-            assert got == coords_outcome(ref_coords, space, v)
-        else:  # the dense rebuild read the pivots of a short vector first
+        assert got == coords_outcome(RefSubspace.coords, RefSubspace(n, space.basis), v)
+        if len(v) != n:
             assert got == (ValueError, "vector length does not match the ambient dimension")
-    assert Subspace.coords(space, inside) == ref_coords(space, inside)
+    assert Subspace.coords(space, inside) == RefSubspace(n, space.basis).coords(inside)

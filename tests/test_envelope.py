@@ -96,6 +96,20 @@ class TestCanonicalConstruction:
             with pytest.raises(EnvelopeError, match="ker lambda"):
                 canonical_envelope(a, too_big)
 
+    def test_no_second_ideal_test(self, corpus, monkeypatch):
+        # the two containments already make M an ideal (proof in the docstring)
+        from leibniz_forge import algebra
+
+        def forbidden(*args):
+            raise AssertionError("is_ideal called")
+
+        monkeypatch.setattr(algebra, "is_ideal", forbidden)
+        for name, a in corpus.items():
+            for m in (squares_ideal(a), kernel_of_lambda(a)):
+                assert canonical_envelope(a, m).h.dim == a.dim - m.dim, name
+        with pytest.raises(AssertionError, match="is_ideal called"):
+            algebra.quotient_algebra(corpus["leibniz2"], Subspace.zero(2))
+
     def test_kernel_quotient(self, leibniz2):
         t = canonical_envelope(leibniz2, kernel_of_lambda(leibniz2))
         validate_envelope(t.e, t.h, t.action, t.f)
@@ -109,7 +123,7 @@ class TestCanonicalConstruction:
             for _ in range(6):
                 x = random_vector(rng, a.dim)
                 y = random_vector(rng, a.dim)
-                assert t.action.of(t.f_of(x)).apply(y) == a.product(x, y)
+                assert t.action.of(t.f.apply(x)).apply(y) == a.product(x, y)
 
 
 class TestSectionAndScaling:

@@ -1,15 +1,16 @@
-"""Envelope checks, action matrices and the LY envelope against the code kept here.
+"""Envelope checks, action matrices and the LY envelope against the dense
+definitions of tests/test_action_reference.py.
 
-validate_envelope checks a triple with three sparse identity scans. The code
-kept verbatim below then re-derived three consequences of them densely: f is
-a homomorphism on every basis pair, the squares ideal lies in ker f, and
-ker f lies in ker lambda. The package's docstring proves that the scans imply
-all three, and every envelope this file validates is checked for them
-(assert_consequences), so the dense cross-check lives on as a test. The code
-kept here also formed rho(xi) as a dense sum of matrices in ModuleAction.of
-and circle_product, and row-reduced the span of the inner derivations twice
-in ly_envelope. Equal results and equal exceptions, type and message, pin
-all four, h = 0 included.
+validate_envelope checks a triple with three sparse identity scans; the
+reference checks the same three conditions on every basis tuple, and each
+accepted triple is checked for their consequences, which the package's
+docstring proves follow from them (f is a homomorphism, the squares ideal lies
+in ker f, ker f in ker lambda).
+ModuleAction.of and circle_product contract the action's nonzero cells; the
+reference sums the matrices. ly_envelope scans the ternary for skewness first
+and reads only the pairs i < j; the reference reads every pair. Equal results
+and equal exceptions, type and message, pin all four, h = 0 included. The last
+tests pin that each fact is computed once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 from itertools import product
-from typing import Sequence
 
 import pytest
 from hypothesis import assume, given, settings
@@ -43,183 +43,39 @@ from leibniz_forge import (
 )
 from leibniz_forge import envelope, yamaguti
 from leibniz_forge.envelope import EnvelopeTriple
-from leibniz_forge.linalg import Matrix, Vec, as_q, is_zero_vec, kernel_basis, vadd, vscale, vzero
-from leibniz_forge.products import action_products, matrix_lie_algebra
-from leibniz_forge.tensor import SparseTensor, first_failure, skew_failure
-from leibniz_forge.yamaguti import LYEnvelope, delta_matrix, inner_derivations
+from leibniz_forge.linalg import Matrix
+from leibniz_forge.yamaguti import LYEnvelope
 
 from conftest import make_aff1_hemi, make_leibniz2, make_so3
 from test_action_reference import (
     ACTIONS,
     CORPUS,
-    action_key,
     algebra_key,
+    assert_consequences,
+    assert_same_ly_envelope,
     leibniz_algebras,
+    outcome,
     perturbed_algebra,
     perturbed_mats,
     random_ly,
+    ref_circle_product,
+    ref_ly_envelope,
     ref_of,
+    ref_validate_envelope,
+    unchecked_action,
 )
-
-
-# -- the package code before, kept verbatim -----------------------------------------
-
-def ref_validate_envelope(e: StructureAlgebra, h: StructureAlgebra,
-                          action: ModuleAction, f: Matrix) -> EnvelopeTriple:
-    """Check every envelope condition; raise EnvelopeError naming the first failure."""
-    if h.dim == 0:  # a Matrix with no rows reads cols as 0, so it cannot hold f
-        raise EnvelopeError(f"h = E/M is zero, and the 0 x {e.dim} map f has no Matrix form")
-    if action.h is not h:
-        if action.h != h:
-            raise EnvelopeError("action is not an action of the supplied h")
-    if action.v_dim != e.dim:
-        raise EnvelopeError("action matrices do not act on E")
-    if f.rows != h.dim or f.cols != e.dim:
-        raise EnvelopeError("f must map E to h")
-    if not h.is_lie:
-        raise EnvelopeError("h is not a Lie algebra")
-
-    n, hd = e.dim, h.dim
-    c, rho = e.sparse, action.sparse  # rho: (a, k) -> action.mats[a] e_k
-    fs = SparseTensor(tuple(f.col(i) for i in range(n)), 1)  # i -> f(e_i)
-    at = first_failure(hd, "aij", [(1, rho, "a*", c, "ij"), (-1, c, "*j", rho, "ai"),
-                                   (-1, c, "i*", rho, "aj")])
-    if at is not None:
-        raise EnvelopeError(
-            f"action matrix {at[0]} is not a derivation at basis pair ({at[1]}, {at[2]})")
-    at = first_failure(hd, "ai", [(1, fs, "*", rho, "ai"), (-1, h.sparse, "a*", fs, "i")])
-    if at is not None:
-        raise EnvelopeError(f"f is not equivariant at (h basis {at[0]}, E basis {at[1]})")
-    at = first_failure(n, "ij", [(1, rho, "*j", fs, "i"), (-1, c, "ij")])
-    if at is not None:
-        i, j = at
-        raise EnvelopeError(
-            f"acting by f(e_{i+1}) does not reproduce left multiplication at ({i}, {j})")
-
-    # consequences of the axioms, asserted as a cross-check
-    for i in range(n):
-        for j in range(n):
-            if f.apply(e.c[i][j]) != h.product(f.col(i), f.col(j)):
-                raise EnvelopeError(f"f is not a homomorphism at basis pair ({i}, {j})")
-
-    for v in squares_ideal(e).basis:
-        if not is_zero_vec(f.apply(v)):
-            raise EnvelopeError("squares ideal is not contained in ker f")
-    for v in kernel_basis(f):
-        if not e.left_mul(v).is_zero():
-            raise EnvelopeError("ker f is not contained in ker lambda")
-
-    return EnvelopeTriple(e, h, action, f)
-
-
-def ref_circle_product(h: StructureAlgebra, act: ModuleAction, a: Vec, b: Vec) -> Vec:
-    """circle_product with ModuleAction.of as it was (ref_of)."""
-    hd, vd = h.dim, act.v_dim
-    if len(a) != hd + vd or len(b) != hd + vd:
-        raise ValueError("vector length does not match h x V")
-    xi, x = a[:hd], a[hd:]
-    eta, y = b[:hd], b[hd:]
-    sym = vscale(Q(1, 2), vadd(ref_of(act.mats, act.v_dim, xi).apply(y),
-                               ref_of(act.mats, act.v_dim, eta).apply(x)))
-    return vzero(hd) + sym
-
-
-def ref_ly_envelope(ly: LieYamaguti,
-                    h: StructureAlgebra | None = None,
-                    action: ModuleAction | None = None,
-                    delta: Sequence[Sequence[Vec]] | None = None) -> LYEnvelope:
-    n = ly.dim
-    if (h is None) != (action is None) or (h is None) != (delta is None):
-        raise ValueError("supply h, action and delta together or none of them")
-
-    if h is None:
-        try:
-            action, span = matrix_lie_algebra(n, inner_derivations(ly)[0], "d")
-        except ValueError:
-            raise ValueError("inner derivations do not close under commutators") from None
-        h = action.h
-        delta_t = tuple(tuple(span.coords(delta_matrix(ly, i, j).flat) for j in range(n))
-                        for i in range(n))
-        d = SparseTensor(delta_t, 2)
-    else:
-        delta_t = tuple(tuple(tuple(as_q(x) for x in cell) for cell in row) for row in delta)
-        if action.v_dim != n:
-            raise ValueError("action matrices do not act on the LY space")
-        d = SparseTensor(delta_t, 2)
-        ref_check_delta(ly, h, action, d)
-
-    hd = h.dim
-    products = action_products(action, 1, -1)
-    for (i, j), cell in d.entries.items():
-        products[(hd + i, hd + j)] = dict(cell)
-    for (i, j), cell in SparseTensor(ly.b, 2).entries.items():
-        products.setdefault((hd + i, hd + j), {}).update({hd + k: x for k, x in cell.items()})
-    names = tuple(h.basis_names) + tuple(f"m{i+1}" for i in range(n))
-    g = StructureAlgebra.from_products(hd + n, products, names)
-    if not g.check_lie():
-        raise ValueError("envelope bracket fails Jacobi")
-    return LYEnvelope(g, h, action, delta_t)
-
-
-def ref_check_delta(ly: LieYamaguti, h: StructureAlgebra, action: ModuleAction,
-                    d: SparseTensor) -> None:
-    b, t = ly.sparse()
-    rho = action.sparse  # (a, k) -> rho(e_a) e_k
-    at = skew_failure(d)
-    if at is not None:
-        raise ValueError(f"delta is not skew at {at}")
-    at = first_failure(ly.dim, "ijk", [(1, rho, "*k", d, "ij"), (-1, t, "ijk")])
-    if at is not None:
-        raise ValueError(f"delta1 fails at {at}: delta does not act as the ternary")
-    at = first_failure(h.dim, "aij", [(1, h.sparse, "a*", d, "ij"), (-1, d, "*j", rho, "ai"),
-                                      (-1, d, "i*", rho, "aj")])
-    if at is not None:
-        raise ValueError(f"delta2 fails at (h {at[0]}, {at[1]}, {at[2]}): not equivariant")
-    at = first_failure(ly.dim, "ijk",
-                       [(1, d, "*" + z, b, x + y) for x, y, z in ("ijk", "jki", "kij")])
-    if at is not None:
-        raise ValueError(f"delta3 fails at {at}: cyclic sum over the binary")
 
 
 # -- comparison -----------------------------------------------------------------
 
-def assert_consequences(t: EnvelopeTriple) -> None:
-    """What the three scans imply: f a homomorphism, squares ideal in ker f,
-    ker f in ker lambda."""
-    e, h, f = t.e, t.h, t.f
-    for i in range(e.dim):
-        for j in range(e.dim):
-            assert f.apply(e.c[i][j]) == h.product(f.col(i), f.col(j)), (i, j)
-    assert all(is_zero_vec(f.apply(v)) for v in squares_ideal(e).basis)
-    assert all(e.left_mul(v).is_zero() for v in kernel_basis(f))
-
-
-def outcome(build, *args):
-    """What build(*args) gives: its comparable parts, or the exception it raises."""
-    try:
-        r = build(*args)
-    except ValueError as err:
-        return type(err), str(err)
-    if isinstance(r, EnvelopeTriple):
-        assert_consequences(r)
-        return algebra_key(r.e), algebra_key(r.h), action_key(r.action), r.f.entries
-    return action_key(r.action), r.h is r.action.h, algebra_key(r.g), r.delta
-
-
 def same_validation(e, h, action, f):
-    """The outcome of validate_envelope, asserted equal to the reference's."""
+    """The outcome of validate_envelope, asserted equal to the reference's; a triple
+    it accepts also satisfies what the three scans imply."""
     got = outcome(validate_envelope, e, h, action, f)
     assert got == outcome(ref_validate_envelope, e, h, action, f)
+    if got[0] is not EnvelopeError:
+        assert_consequences(validate_envelope(e, h, action, f))
     return got
-
-
-def unchecked_action(h: StructureAlgebra, mats: Sequence[Matrix], space_dim: int) -> ModuleAction:
-    """A ModuleAction built without its own checks, so that validate_envelope
-    sees h and the matrices exactly as given."""
-    act = object.__new__(ModuleAction)
-    for key, value in (("h", h), ("mats", tuple(mats)), ("space_dim", space_dim)):
-        object.__setattr__(act, key, value)
-    return act
 
 
 def triples(e: StructureAlgebra) -> list[EnvelopeTriple]:
@@ -394,39 +250,33 @@ def test_actions_on_the_zero_space_match():
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_ly_envelopes_match(name):
-    ly = ly_from_leibniz(CORPUS[name])
-    assert outcome(ly_envelope, ly) == outcome(ref_ly_envelope, ly)
+    assert_same_ly_envelope(ly_from_leibniz(CORPUS[name]))
 
 
 def test_omni_ly_envelope_matches():
-    ly = ly_from_leibniz(omni_algebras(2)[0])
-    assert outcome(ly_envelope, ly) == outcome(ref_ly_envelope, ly)
+    assert_same_ly_envelope(ly_from_leibniz(omni_algebras(2)[0]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(leibniz_algebras())
 def test_random_leibniz_ly_envelopes_match(e):
-    ly = ly_from_leibniz(e)
-    assert outcome(ly_envelope, ly) == outcome(ref_ly_envelope, ly)
+    assert_same_ly_envelope(ly_from_leibniz(e))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_random_ly_envelopes_match(n, data):
-    ly = random_ly(data, n)
-    assert outcome(ly_envelope, ly) == outcome(ref_ly_envelope, ly)
+    assert_same_ly_envelope(random_ly(data, n))
 
 
 def test_ternary_not_skew_matches():
-    """delta(e_1, e_0) is then outside the span of the delta(e_i, e_j), i < j,
-    where the code kept here fails inside Subspace.coords; ly_envelope scans
-    the ternary for skewness first and names the first failing tuple."""
+    """delta(e_1, e_0) is then outside the span of the delta(e_i, e_j), i < j;
+    the ternary is scanned for skewness first, at the first failing tuple."""
     n = 2
     t = [[[[Q(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     t[1][0][0][1] = Q(1)
     ly = LieYamaguti.from_tensors([[[Q(0)] * n for _ in range(n)] for _ in range(n)], t)
-    assert outcome(ref_ly_envelope, ly) == (ValueError, "vector is not in the subspace")
-    assert outcome(ly_envelope, ly) == (ValueError, "delta is not skew at (0, 1, 0)")
+    assert assert_same_ly_envelope(ly) == (ValueError, "delta is not skew at (0, 1, 0)")
 
 
 EXPLICIT_KINDS = {
@@ -455,8 +305,7 @@ def test_explicit_ly_envelopes_match():
         ly = ly_from_leibniz(e)
         env, n = ly_envelope(ly), ly.dim
         for h, action, delta in ((env.h, env.action, env.delta), widened(env, n)):
-            assert outcome(ly_envelope, ly, h, action, delta) \
-                == outcome(ref_ly_envelope, ly, h, action, delta)
+            assert_same_ly_envelope(ly, h, action, delta)
             for i in range(n):
                 for j in range(n):
                     for a in range(h.dim):
@@ -465,15 +314,14 @@ def test_explicit_ly_envelopes_match():
                             bad[i][j][a] += 1
                             if skew:
                                 bad[j][i][a] -= 1
-                            got = outcome(ly_envelope, ly, h, action, bad)
-                            assert got == outcome(ref_ly_envelope, ly, h, action, bad)
+                            got = assert_same_ly_envelope(ly, h, action, bad)
                             if got[0] is ValueError:
                                 seen.add(kind(got[1]))
     assert seen == EXPLICIT_KINDS
     ly = ly_from_leibniz(make_so3())
     env = ly_envelope(ly)
     for args in ((env.h, None, None), (env.h, gl_action(2), env.delta)):
-        assert outcome(ly_envelope, ly, *args) == outcome(ref_ly_envelope, ly, *args)
+        assert_same_ly_envelope(ly, *args)
 
 
 # -- each fact once ---------------------------------------------------------------

@@ -49,7 +49,7 @@ class TestRationalParsing:
 class TestRref:
     def test_worked_example(self):
         r, pivots = rref(Matrix.from_rows([[2, 4], [1, 2]]))
-        assert r.to_lists() == [[Q(1), Q(2)], [Q(0), Q(0)]]
+        assert [list(row) for row in r.entries] == [[Q(1), Q(2)], [Q(0), Q(0)]]
         assert pivots == (0,)
 
     def test_int_entries_stay_exact(self):
@@ -152,7 +152,17 @@ class TestNilpotencyAndExp:
         n = Matrix.from_rows([[0, Q(1, 3), 2], [0, 0, Q(-5, 2)], [0, 0, 0]])
         exact = FloatMatrix.from_exact(mat_exp_exact(n))
         approx = mat_exp_float(n)
-        assert exact.max_abs_diff(approx) < 1e-12
+        assert max(abs(x - y) for a, b in zip(exact.entries, approx.entries)
+                   for x, y in zip(a, b)) < 1e-12
+
+    def test_exp_float_scales_a_norm_past_the_float_range(self):
+        # the row sums 2e308 overflow fsum; the scaling exponent comes from their exact value
+        n = FloatMatrix(((0.0, 1e308, 1e308), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        assert mat_exp_float(n).entries == ((1.0, 1e308, 1e308), (0.0, 1.0, 0.0),
+                                            (0.0, 0.0, 1.0))
+        skew = FloatMatrix(((0.0, 1e308, -1e308), (-1e308, 0.0, 1e308), (1e308, -1e308, 0.0)))
+        with pytest.raises(ValueError, match="^non-finite entry "):
+            mat_exp_float(skew)
 
     def test_exp_float_rotation(self):
         import math

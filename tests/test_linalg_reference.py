@@ -1,13 +1,13 @@
 """Row reduction and Subspace reads against the dense code kept here.
 
 The package row-reduces through one elimination on nonzero entries, shared by
-rref and by Subspace.reduce, contains and coords. The code kept verbatim
-below is the dense Gauss-Jordan sweep that rref was, and the dense pivot
-sweep and off-pivot recombination check that Subspace read with. Equal values
-and equal exceptions, type and message, pin all four on hypothesis matrices
-(zero rows, duplicate rows, rank deficiency, 0 rows and 0 columns), on
-vectors inside and outside each span, and on the spans of every algebra in
-the shared corpus.
+rref and by Subspace.reduce, contains and coords, and reads coordinates at the
+pivots. The code kept below is the dense Gauss-Jordan sweep that rref was, the
+dense pivot sweep that Subspace reduced with, and coordinates checked by a
+dense rebuild from every basis row. Equal values and equal exceptions, type
+and message, pin all four on hypothesis matrices (zero rows, duplicate rows,
+rank deficiency, 0 rows and 0 columns), on vectors inside and outside each
+span, and on the spans of every algebra in the shared corpus.
 """
 
 from __future__ import annotations
@@ -93,12 +93,16 @@ class RefSubspace:
         return is_zero_vec(self.reduce(v))
 
     def coords(self, v):
+        """The entries at the pivots, checked by a dense rebuild of v from every basis row."""
         w = tuple(as_q(x) for x in v)
         if len(w) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
         out = tuple(w[p] for p in self.pivots)
-        terms = [(cf, r) for cf, r in zip(out, self.basis) if cf]
-        if any(w[j] != sum(cf * r[j] for cf, r in terms if r[j]) for j in self.complement_coords):
+        rebuilt = (Q(0),) * self.ambient_dim
+        for cf, r in zip(out, self.basis):
+            if cf:
+                rebuilt = vadd(rebuilt, vscale(cf, r))
+        if rebuilt != w:
             raise ValueError("vector is not in the subspace")
         return out
 

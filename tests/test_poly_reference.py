@@ -1,24 +1,19 @@
-"""Poly arithmetic against the validated-rebuild code it replaced.
+"""Poly arithmetic against the dict arithmetic kept here.
 
-The references below are the former `Poly.__add__`, `__sub__`, `__mul__`,
-`partial`, `courant._dot` and `homotopy_quotient`, kept verbatim up to the
-renaming of `self` and of the operators they call: every result is rebuilt
-through `Poly.from_dict`, and a sum of k products is k successive additions.
-Equal `Poly` values (the same `terms` tuples, with `Fraction` coefficients)
-and the same errors, on drawn polynomials, cancelling sums, zero polynomials,
+The references below are the first `Poly.__add__`, `__sub__`, `__mul__`,
+`partial`, `courant._dot` and `homotopy_quotient`, up to the renaming of
+`self` and of the operators they call: every result is rebuilt through
+`Poly.from_dict`, and a sum of k products is k successive additions.
+`ref_terms` reads a term list as the constructor's docstring says, and
+`ref_contract` writes `poly._contract` as that sum of products. Equal `terms`
+tuples (`Fraction` coefficients, `int` exponents, sorted order) and the same
+errors, on drawn polynomials, raw term lists, cancelling sums, zero operands,
 variable-count mismatches and seeded Courant samples, pin the behaviour.
 
 Every result is also checked in its stored form: one positive denominator,
-integer numerators in lowest terms over it, sorted monomial keys, no zero term.
-Coefficients with large coprime denominators, and sums whose denominators
-cancel, exercise the integer arithmetic behind that form.
-
-`TuplePoly` below is the stored form that keyed each monomial by its exponent
-tuple, kept verbatim up to renaming, with its merge and its contraction kernel,
-which did not skip zero operands. The packed-key `Poly` must give the same
-`terms`, the same constant terms and the same errors on every operation, also
-on items and sums with zero operands, on mismatched variable counts and on
-large denominators.
+integer numerators in lowest terms over it, sorted packed monomial keys, no
+zero term. Coefficients with large coprime denominators, and sums whose
+denominators cancel, exercise the integer arithmetic behind that form.
 """
 
 from __future__ import annotations
@@ -26,8 +21,8 @@ from __future__ import annotations
 import pickle
 from fractions import Fraction
 from fractions import Fraction as Q
-from math import gcd, lcm
-from operator import add, itemgetter
+from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +36,24 @@ from leibniz_forge.linalg import as_q
 
 # -- references -----------------------------------------------------------------
 
+def ref_terms(nvars, terms):
+    """The sorted nonzero (exponent tuple, Fraction) pairs of a term list; repeats add up."""
+    d = {}
+    for mono, coeff in terms:
+        if len(mono) != nvars or any(not isinstance(e, int) or isinstance(e, bool) or e < 0
+                                     for e in mono):
+            raise ValueError(f"bad exponent tuple {mono!r} for {nvars} variables")
+        d[tuple(mono)] = d.get(tuple(mono), Q(0)) + as_q(coeff)
+    return tuple(sorted((m, c) for m, c in d.items() if c))
+
+
+def require_same(p, q):
+    if p.nvars != q.nvars:
+        raise ValueError("variable count mismatch")
+
+
 def ref_add(self, other):
-    self._require_same(other)
+    require_same(self, other)
     d = dict(self.terms)
     for mono, coeff in other.terms:
         d[mono] = d.get(mono, Q(0)) + coeff
@@ -55,7 +66,7 @@ def ref_sub(self, other):
 
 def ref_mul(self, other):
     if isinstance(other, Poly):
-        self._require_same(other)
+        require_same(self, other)
         d = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -88,6 +99,17 @@ def ref_dot(nvars, ps, qs):
     return out
 
 
+def ref_contract(nvars, items):
+    """sum w a d_i b over the items (w, a, b, i), i None for the plain product a b."""
+    for _, a, b, _ in items:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise ValueError("variable count mismatch")
+    out = Poly.zero(nvars)
+    for w, a, b, i in items:
+        out = ref_add(out, ref_mul(ref_mul(a, b if i is None else ref_partial(b, i)), w))
+    return out
+
+
 def ref_homotopy_quotient(theta):
     n = theta.nvars
     potential = Poly.zero(n)
@@ -97,111 +119,6 @@ def ref_homotopy_quotient(theta):
             potential = ref_add(potential, Poly.monomial(n, lifted, coeff * Q(1, sum(mono) + 1)))
     rep = tuple(ref_sub(c, ref_partial(potential, i)) for i, c in enumerate(theta.components))
     return OneForm(n, rep), potential
-
-
-# -- the tuple-keyed stored form ----------------------------------------------------
-
-class TuplePoly(tuple):
-    __slots__ = ()
-    nvars, den, nums = (property(itemgetter(k)) for k in range(3))
-
-    def __new__(cls, nvars, terms):
-        """Validated: exponent tuples of length nvars, exact coefficients; repeats add up."""
-        clean = {}
-        for mono, coeff in terms:
-            if len(mono) != nvars or any(not isinstance(e, int) or isinstance(e, bool) or e < 0
-                                         for e in mono):
-                raise ValueError(f"bad exponent tuple {mono!r} for {nvars} variables")
-            mono, c = tuple(mono), as_q(coeff)
-            clean[mono] = clean[mono] + c if mono in clean else c
-        pairs = [(m, c.as_integer_ratio()) for m, c in sorted(clean.items())]
-        den = lcm(*(d for _, (_, d) in pairs))
-        return _tp_new(TuplePoly, (nvars, den, tuple((m, n * (den // d)) for m, (n, d) in pairs if n)))
-
-    @property
-    def terms(self):
-        """The sorted (exponent tuple, nonzero Fraction) pairs, made on each read."""
-        _, den, nums = self
-        return tuple((m, Fraction(c, den)) for m, c in nums)
-
-    @staticmethod
-    def from_dict(nvars, d):
-        return TuplePoly(nvars, d.items())
-
-    def __add__(self, other):
-        return _tp_merge(self, other, 1)
-
-    def __sub__(self, other):
-        return _tp_merge(self, other, -1)
-
-    def __neg__(self):
-        n, den, nums = self
-        return _tp_new(TuplePoly, (n, den, tuple((m, -c) for m, c in nums)))
-
-    def __mul__(self, other):
-        if isinstance(other, TuplePoly):
-            return _tp_contract(self.nvars, [(1, self, other, None)])
-        (cn, cd), (n, den, nums) = as_q(other).as_integer_ratio(), self
-        return _tp_reduced(n, den * cd, [(m, x * cn) for m, x in nums if cn])
-
-    def partial(self, i):
-        """Partial derivative in variable i; lowering exponent i keeps the sorted order."""
-        n, den, nums = self
-        if not 0 <= i < n:
-            raise ValueError(f"variable index {i} out of range")
-        return _tp_reduced(n, den, [(m[:i] + (e - 1,) + m[i + 1:], c * e)
-                                    for m, c in nums if (e := m[i])])
-
-    def constant_term(self):
-        _, den, nums = self  # the zero exponent tuple sorts first
-        return Fraction(nums[0][1], den) if nums and not any(nums[0][0]) else Q(0)
-
-
-_tp_new, _tp_second = tuple.__new__, itemgetter(1)  # _tp_new(TuplePoly, (nvars, den, nums)): no checks
-
-
-def _tp_reduced(nvars, den, nums):
-    """A TuplePoly from sorted nonzero (monomial, numerator) pairs over den > 0, in lowest terms."""
-    g = gcd(den, *map(_tp_second, nums)) if den != 1 else 1
-    if g != 1:
-        den, nums = den // g, [(m, c // g) for m, c in nums]
-    return _tp_new(TuplePoly, (nvars, den, tuple(nums)))
-
-
-def _tp_merge(p, q, sign):
-    """p + sign q, merged over the lcm of the two denominators."""
-    (n, pd, pt), (nq, qd, qt) = p, q
-    if n != nq:
-        raise ValueError("variable count mismatch")
-    den = lcm(pd, qd)
-    sp, sq = den // pd, sign * (den // qd)
-    acc = dict(pt) if sp == 1 else {m: c * sp for m, c in pt}
-    for m, c in qt:
-        acc[m] = acc[m] + c * sq if m in acc else c * sq
-    return _tp_reduced(n, den, [(m, c) for m, c in sorted(acc.items()) if c])
-
-
-def _tp_contract(nvars, items):
-    """sum w a d_i b over the items (w, a, b, i), i None for the plain product a b:
-    integer sums over the lcm of the items' denominators."""
-    parts, den = [], 1
-    for w, (na, ad, at), (nb, bd, bt), i in items:
-        if na != nvars or nb != nvars:
-            raise ValueError("variable count mismatch")
-        if i is not None:
-            bt = [(m[:i] + (e - 1,) + m[i + 1:], c * e) for m, c in bt if (e := m[i])]
-        if at and bt:
-            parts.append((w.numerator, w.denominator * ad * bd, at, bt))
-            den = lcm(den, parts[-1][1])
-    acc = {}
-    for wn, d, at, bt in parts:
-        scale = wn * (den // d)
-        for ma, ca in at:
-            ca *= scale
-            for mb, cb in bt:
-                mono = tuple(map(add, ma, mb))
-                acc[mono] = acc[mono] + ca * cb if mono in acc else ca * cb
-    return _tp_reduced(nvars, den, [(m, c) for m, c in sorted(acc.items()) if c])
 
 
 # -- comparison -----------------------------------------------------------------
@@ -278,6 +195,7 @@ BIG_COEFFS = st.sampled_from([Q(10**30, 7), Q(-10**30, 7), Q(1, M61), Q(-3, M61)
                               Q(1, 6), Q(1, 3), Q(-1, 2), Q(5, 6)])
 
 
+@cache  # one strategy object per argument: building one costs more than a draw
 def polys(n, max_size=4, coeffs=COEFFS):
     monos = st.tuples(*[st.integers(0, 2)] * n)
     return st.dictionaries(monos, coeffs, max_size=max_size).map(lambda d: Poly.from_dict(n, d))
@@ -402,22 +320,9 @@ class TestStoredForm:
         assert (x * x * Q(3, 2)).partial(0).den == 1
 
 
-# -- packed keys against the tuple-keyed form ----------------------------------------
+# -- construction, zero operands and contractions -----------------------------------
 
-def as_tuple(p):
-    return TuplePoly(p.nvars, p.terms)
-
-
-def assert_same_as_tuple(got, want):
-    """Equal outcomes of a Poly and a TuplePoly computation: equal terms, or equal errors."""
-    assert got[0] == want[0], (got, want)
-    if got[0] == "error":
-        assert got == want
-        return
-    assert got[1].nvars == want[1].nvars and got[1].terms == want[1].terms
-    assert_exact(got[1])
-
-
+@cache  # one strategy object per argument: building one costs more than a draw
 def sometimes_zero(n, coeffs=COEFFS):
     """A polynomial that is zero about one time in three."""
     return st.one_of(st.just(Poly.zero(n)), polys(n, 3, coeffs), polys(n, 3, coeffs))
@@ -459,60 +364,52 @@ class TestPackedKeys:
     @given(raw_terms())
     def test_construction(self, data):
         n, terms = data
-        got, want = outcome(Poly, n, terms), outcome(TuplePoly, n, terms)
-        assert_same_as_tuple(got, want)
-        dictionary = dict(terms)
-        assert_same_as_tuple(outcome(Poly.from_dict, n, dictionary),
-                             outcome(TuplePoly.from_dict, n, dictionary))
-        if got[0] == "ok":
-            p = got[1]
-            assert repr(p) == f"Poly(nvars={n}, terms={want[1].terms!r})"
-            again = pickle.loads(pickle.dumps(p))
-            assert again == p and hash(again) == hash(p) and again.terms == p.terms
-            assert p.constant_term() == want[1].constant_term()
+        got, want = outcome(Poly, n, terms), outcome(ref_terms, n, terms)
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got == want
+            return
+        p = got[1]
+        assert p.nvars == n and p.terms == want[1]
+        assert_exact(p)
+        assert_same(Poly.from_dict, lambda n, d: Poly(n, ref_terms(n, d.items())), n, dict(terms))
+        assert repr(p) == f"Poly(nvars={n}, terms={want[1]!r})"
+        again = pickle.loads(pickle.dumps(p))
+        assert again == p and hash(again) == hash(p) and again.terms == p.terms
+        assert p.constant_term() == dict(want[1]).get((0,) * n, Q(0))
 
     @settings(max_examples=150, deadline=None)
     @given(pairs(), st.integers(-1, 3), COEFFS | st.integers(-2, 2))
     def test_arithmetic(self, ab, i, c):
         for x, y in (ab, ab[::-1], (ab[0], Poly.zero(ab[0].nvars)), (Poly.zero(ab[1].nvars), ab[1])):
-            tx, ty = as_tuple(x), as_tuple(y)
-            for op in ("__add__", "__sub__", "__mul__"):
-                assert_same_as_tuple(outcome(getattr(Poly, op), x, y),
-                                     outcome(getattr(TuplePoly, op), tx, ty))
-            assert_same_as_tuple(outcome(Poly.__neg__, x), outcome(TuplePoly.__neg__, tx))
-            assert_same_as_tuple(outcome(Poly.__mul__, x, c), outcome(TuplePoly.__mul__, tx, c))
-            assert_same_as_tuple(outcome(Poly.partial, x, i), outcome(TuplePoly.partial, tx, i))
-            assert x.constant_term() == tx.constant_term()
+            for fn, ref in ((Poly.__add__, ref_add), (Poly.__sub__, ref_sub), (Poly.__mul__, ref_mul)):
+                assert_same(fn, ref, x, y)
+            assert_same(Poly.__neg__, lambda p: ref_mul(p, -1), x)
+            assert_same(Poly.__mul__, ref_mul, x, c)
+            assert_same(Poly.partial, ref_partial, x, i)
+            assert x.constant_term() == dict(x.terms).get((0,) * x.nvars, Q(0))
 
     @settings(max_examples=150, deadline=None)
     @given(contract_items())
     def test_contract(self, data):
-        n, items = data
-        ref_items = [(w, as_tuple(a), as_tuple(b), i) for w, a, b, i in items]
-        assert_same_as_tuple(outcome(_contract, n, items), outcome(_tp_contract, n, ref_items))
+        assert_same(_contract, ref_contract, *data)
 
     @settings(max_examples=80, deadline=None)
     @given(contract_items(BIG_COEFFS), pairs(BIG_COEFFS))
     def test_large_denominators(self, data, ab):
-        n, items = data
-        ref_items = [(w, as_tuple(a), as_tuple(b), i) for w, a, b, i in items]
-        assert_same_as_tuple(outcome(_contract, n, items), outcome(_tp_contract, n, ref_items))
-        a, b = ab
-        for op in ("__add__", "__sub__", "__mul__"):
-            assert_same_as_tuple(outcome(getattr(Poly, op), a, b),
-                                 outcome(getattr(TuplePoly, op), as_tuple(a), as_tuple(b)))
+        assert_same(_contract, ref_contract, *data)
+        for fn, ref in ((Poly.__add__, ref_add), (Poly.__sub__, ref_sub), (Poly.__mul__, ref_mul)):
+            assert_same(fn, ref, *ab)
 
     def test_zero_operands_and_mismatches(self):
         """A zero operand is skipped only after its variable count is checked."""
         z2, z3, x = Poly.zero(2), Poly.zero(3), Poly.var(2, 0)
         for items in ([(1, z2, z3, None)], [(1, z3, x, 0)], [(1, x, z2, 1), (1, z2, z3, None)],
                       [(1, x, z2, None)], [], [(1, z2, x, 1)], [(1, x, x, 1)]):
-            ref_items = [(w, as_tuple(a), as_tuple(b), i) for w, a, b, i in items]
-            assert_same_as_tuple(outcome(_contract, 2, items), outcome(_tp_contract, 2, ref_items))
+            assert_same(_contract, ref_contract, 2, items)
         for p, q in ((z2, z3), (z3, z2), (x, z3), (z3, x), (z2, x), (x, z2), (z2, z2)):
-            for op in ("__add__", "__sub__", "__mul__"):
-                assert_same_as_tuple(outcome(getattr(Poly, op), p, q),
-                                     outcome(getattr(TuplePoly, op), as_tuple(p), as_tuple(q)))
+            for fn, ref in ((Poly.__add__, ref_add), (Poly.__sub__, ref_sub), (Poly.__mul__, ref_mul)):
+                assert_same(fn, ref, p, q)
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
