@@ -68,13 +68,15 @@ class StructureAlgebra:
                       products: Mapping[tuple[int, int], Mapping[int, Scalar]],
                       basis_names: Sequence[str] | None = None,
                       name: str = "") -> "StructureAlgebra":
-        """Sparse constructor: omitted basis products are zero."""
-        zero = Q(0)  # one object for every zero entry, which the sparse walk skips by identity
-        c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), result in products.items():
-            for k, coeff in result.items():
-                c[i][j][k] = as_q(coeff)
-        return StructureAlgebra.from_constants(c, basis_names, name)
+        """Sparse constructor: omitted basis products are zero. Keys are pairs (i, j) and
+        outputs indices k, all in 0..dim-1; anything else is a ValueError."""
+        cells = {key: {k: as_q(x) for k, x in out.items()} for key, out in products.items()}
+        for key, cell in cells.items():
+            if not (type(key) is tuple and len(key) == 2) or any(
+                    not isinstance(i, int) or not 0 <= i < dim for i in (*key, *cell)):
+                raise ValueError(f"basis product {key!r} -> {list(cell)!r} is not over 0..{dim - 1}")
+        names = tuple(basis_names) if basis_names is not None else tuple(f"e{i+1}" for i in range(dim))
+        return StructureAlgebra(dim, materialize(dim, 2, cells), names, name)
 
     @staticmethod
     def abelian(dim: int, name: str = "") -> "StructureAlgebra":

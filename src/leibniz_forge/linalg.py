@@ -443,7 +443,10 @@ class FloatMatrix:
         return tuple(_fdot(r, v) for r in self.entries)
 
     def inf_norm(self) -> float:
-        return max((math.fsum(abs(x) for x in r) for r in self.entries), default=0.0)
+        try:  # the largest absolute row sum; fsum of terms >= 0 overflows only when the sum does
+            return max((math.fsum(abs(x) for x in r) for r in self.entries), default=0.0)
+        except OverflowError:
+            return math.inf
 
 
 def _fdot(r: Sequence[float], c: Sequence[float]) -> float:
@@ -467,9 +470,8 @@ def mat_exp_float(m: Matrix | FloatMatrix, tol: float = 1e-12) -> FloatMatrix:
     n = fm.rows
     if n == 0:
         return fm
-    try:
-        norm: float | Fraction = fm.inf_norm()
-    except OverflowError:  # a row sum is past the float range: halve its exact value
+    norm: float | Fraction = fm.inf_norm()
+    if math.isinf(norm):  # a row sum is past the float range: halve its exact value
         norm = max(sum(map(Fraction, map(abs, r))) for r in fm.entries)
     j = 0
     while norm > 0.5:

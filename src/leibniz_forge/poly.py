@@ -82,10 +82,6 @@ class Poly(tuple):
     def is_zero(self) -> bool:
         return not self[2]
 
-    def _require_same(self, other: "Poly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-
     def __add__(self, other: "Poly") -> "Poly":
         return _merge(self, other, 1)
 

@@ -86,6 +86,19 @@ class TestLeibnizCheck:
             with pytest.raises(ValueError, match="basis names must be distinct and match"):
                 StructureAlgebra(a.dim, a.c, names)
 
+    @pytest.mark.parametrize("products", [
+        {(-1, 0): {0: 1}},  # used to wrap around to e2 e1 = e1
+        {(0, 0): {-1: 5}},  # used to write e1 e1 = 5 e2
+        {(2, 0): {0: 1}},  # used to end in an IndexError
+        {(0, 0): {2: 1}},
+        {(0,): {0: 1}},
+        {(0, 1, 0): {0: 1}},
+    ])
+    def test_products_outside_the_basis_are_value_errors(self, products):
+        with pytest.raises(ValueError, match=r"^basis product .* is not over 0\.\.1$"):
+            StructureAlgebra.from_products(2, products)
+
+
 class TestProductOperations:
     @settings(max_examples=30)
     @given(xs=st.lists(rationals, min_size=2, max_size=2),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -164,8 +165,12 @@ class TestNilpotencyAndExp:
         with pytest.raises(ValueError, match="^non-finite entry "):
             mat_exp_float(skew)
 
+    def test_inf_norm_past_the_float_range_is_inf(self):
+        assert FloatMatrix(((1e308, 1e308),)).inf_norm() == math.inf
+        assert FloatMatrix(((1e308, -1e308), (1.0, 2.0))).inf_norm() == math.inf
+        assert FloatMatrix(((1e308, 0.0), (-3.0, 2.0))).inf_norm() == 1e308
+
     def test_exp_float_rotation(self):
-        import math
         r = mat_exp_float(Matrix.from_rows([[0, -1], [1, 0]]))
         assert abs(r.entries[0][0] - math.cos(1.0)) < 1e-12
         assert abs(r.entries[1][0] - math.sin(1.0)) < 1e-12
