@@ -86,14 +86,6 @@ def make_broken3() -> StructureAlgebra:
         name="broken3")
 
 
-def forbid(monkeypatch, owner, *names: str) -> None:
-    """Make each named attribute of owner raise when it is called."""
-    for name in names:
-        def refuse(*args, name=name, **kwargs):
-            raise AssertionError(f"{name} called")
-        monkeypatch.setattr(owner, name, refuse)
-
-
 def linear_section(d: int, v) -> Section:
     """Weinstein's linear section of T (+) T* over Q^d for v in gl(d) x Q^d, in the
     coordinates of omni_algebras(d): E_pq -> x_p d/dx_q and e_k -> dx_k."""

@@ -17,7 +17,6 @@ from leibniz_forge import (
     canonical_envelope,
     kernel_of_lambda,
     lambda_envelope,
-    omni_algebras,
     projected_bracket_delta,
     random_vector,
     recovery_check,
@@ -27,19 +26,7 @@ from leibniz_forge import (
     squares_ideal,
     validate_envelope,
 )
-from leibniz_forge import envelope, products
-from leibniz_forge.envelope import EnvelopeTriple
 from leibniz_forge.linalg import basis_vec, vscale, vzero
-
-from conftest import forbid
-from test_action_reference import (
-    SIGMA_TRIPLES,
-    ref_projected_bracket_delta,
-    ref_recovery_check,
-    ref_scaling_check,
-    ref_sigma_one_embed_check,
-    triples,
-)
 
 
 def canonical(a):
@@ -199,36 +186,3 @@ class TestZeroH:
         with pytest.raises(EnvelopeError, match=f"^{self.MESSAGE}$"):
             validate_envelope(e, h, ModuleAction(h, (), space_dim=2), Matrix(()))
 
-
-class TestEachFactOnce:
-    """validate_envelope is three identity scans, and the sigma_s checks scan
-    f, rho and the structure constants: the dense paths are patched to raise."""
-
-    def test_validation_is_the_three_scans(self, monkeypatch):
-        ts = triples(omni_algebras(2)[0])
-        forbid(monkeypatch, envelope, "squares_ideal")
-        forbid(monkeypatch, StructureAlgebra, "left_mul")
-        forbid(monkeypatch, Matrix, "apply")
-        for t in ts:
-            validate_envelope(t.e, t.h, t.action, t.f)
-
-    def test_sigma_checks_read_no_dense_g_sigma_or_algebra(self, monkeypatch):
-        """With every dense path patched to raise they still give the reference results."""
-        refs = [(ref_recovery_check(t), ref_scaling_check(t), ref_sigma_one_embed_check(t),
-                 ref_projected_bracket_delta(t, Q(2, 3), (1,) * t.e.dim,
-                                             (0,) + (1,) * (t.e.dim - 1)))
-                for t in SIGMA_TRIPLES]
-
-        def dense(*args, **kwargs):
-            raise AssertionError("a sigma_s check read a dense g, sigma_s or algebra")
-
-        monkeypatch.setattr(EnvelopeTriple, "g", property(dense))
-        monkeypatch.setattr(envelope, "section_sigma", dense)
-        monkeypatch.setattr(envelope, "hemisemidirect", dense, raising=False)
-        monkeypatch.setattr(products, "hemisemidirect", dense)
-        monkeypatch.setattr(StructureAlgebra, "from_constants", staticmethod(dense))
-        monkeypatch.setattr(StructureAlgebra, "from_products", staticmethod(dense))
-        for t, ref in zip(SIGMA_TRIPLES, refs):
-            n = t.e.dim
-            assert (recovery_check(t), scaling_check(t), sigma_one_embed_check(t),
-                    projected_bracket_delta(t, Q(2, 3), (1,) * n, (0,) + (1,) * (n - 1))) == ref

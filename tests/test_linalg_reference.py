@@ -242,24 +242,3 @@ def test_corpus_spans_match_dense_reference(name):
     for s, ref in ((squares_ideal(a), ref_squares_ideal(a)),
                    (kernel_of_lambda(a), ref_kernel_of_lambda(a))):
         assert_same_reads(s, ref, probes(n, consts))
-
-
-sparse_rationals = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-9, 9), st.integers(1, 5)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 6), st.data())
-def test_subspace_coords_match_dense_rebuild(n, data):
-    gens = data.draw(st.lists(st.tuples(*[sparse_rationals] * n), max_size=4))
-    space = Subspace.span(n, gens)
-    ref = RefSubspace(n, space.basis)
-    cfs = data.draw(st.lists(sparse_rationals, min_size=len(gens), max_size=len(gens)))
-    inside = tuple(sum((cf * g[k] for cf, g in zip(cfs, gens)), Q(0)) for k in range(n))
-    outside = vadd(inside, data.draw(st.tuples(*[sparse_rationals] * n)))
-    short, long = inside[:-1], inside + (data.draw(sparse_rationals),)
-    for v in (inside, outside, short, long, tuple(int(x) for x in inside if x.denominator == 1)):
-        got = outcome(space.coords, v)
-        assert got == outcome(ref.coords, v)
-        if len(v) != n:
-            assert got == (ValueError, "vector length does not match the ambient dimension")
-    assert space.coords(inside) == ref.coords(inside)

@@ -230,44 +230,35 @@ def one_forms(draw):
     return OneForm(n, tuple(draw(polys(n)) for _ in range(n)))
 
 
-@cache  # one strategy object per argument: building one costs more than a draw
-def sometimes_zero(n, coeffs=COEFFS):
-    """A polynomial that is zero about one time in three."""
-    return st.one_of(st.just(Poly.zero(n)), polys(n, 3, coeffs), polys(n, 3, coeffs))
-
-
-RAW_MONOS = st.lists(st.integers(-1, 3) | st.sampled_from([True, 2**40]), min_size=0, max_size=4)
-RAW_COEFFS = COEFFS | BIG_COEFFS | st.integers(-2, 2)
-
-
-@st.composite
-def raw_terms(draw):
-    """Outside input: monomials of any length with bad or repeated exponents now and then."""
-    n = draw(st.integers(0, 3))
-    good = st.tuples(*[st.integers(0, 2)] * n)
-    monos = st.one_of(good, good, good, RAW_MONOS.map(tuple)) if draw(st.integers(0, 3)) == 0 else good
-    return n, draw(st.lists(st.tuples(monos, RAW_COEFFS), max_size=5))
-
-
-@st.composite
-def contract_items(draw, coeffs=COEFFS):
-    """(nvars, items) for _contract, with zero operands, weights that cancel, and now
-    and then an operand over another variable count."""
-    n = draw(st.integers(1, 3))
-    items = []
-    for _ in range(draw(st.integers(0, 5))):
-        w = draw(st.sampled_from([1, -1, Q(1, 2), Q(-1, 2), Q(3, 7)]))
-        a, b = draw(sometimes_zero(n, coeffs)), draw(sometimes_zero(n, coeffs))
-        if draw(st.integers(0, 9)) == 0:
-            a, b = (draw(sometimes_zero(n % 3 + 1)), b) if draw(st.booleans()) else (a, Poly.zero(n % 3 + 1))
-        items.append((w, a, b, draw(st.none() | st.integers(0, n - 1))))
-    if items and draw(st.booleans()):
-        w, a, b, i = items[0]
-        items.append((-w, a, b, i))  # cancels the first item
-    return n, items
-
-
 class TestArithmetic:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs())
+    def test_add_sub_mul(self, ab):
+        a, b = ab
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert_same(Poly.__add__, ref_add, x, y)
+            assert_same(Poly.__sub__, ref_sub, x, y)
+            assert_same(Poly.__mul__, ref_mul, x, y)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs(), COEFFS | st.integers(-3, 3))
+    def test_cancelling_sums_and_scalars(self, ab, c):
+        a, _ = ab
+        zero = Poly.zero(a.nvars)
+        assert_same(Poly.__add__, ref_add, a, -a)
+        assert_same(Poly.__sub__, ref_sub, a, a)
+        assert_same(Poly.__mul__, ref_mul, a, zero)
+        assert_same(Poly.__mul__, ref_mul, zero, a)
+        assert_same(Poly.__add__, ref_add, zero, zero)
+        assert_same(Poly.__mul__, ref_mul, a, c)
+        assert (a - a).terms == () and (a + (-a)).terms == ()
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs(), st.integers(-1, 3))
+    def test_partial(self, ab, i):
+        for p in ab:
+            assert_same(Poly.partial, ref_partial, p, i)
+
     @settings(max_examples=120, deadline=None)
     @given(dot_inputs())
     def test_dot(self, data):
@@ -279,12 +270,18 @@ class TestArithmetic:
     def test_homotopy_quotient(self, theta):
         assert_same_quotient(theta)
 
+    def test_unequal_variable_counts_raise(self):
+        a, b = Poly.var(2, 0), Poly.var(3, 0)
+        for fn, ref in ((Poly.__add__, ref_add), (Poly.__sub__, ref_sub), (Poly.__mul__, ref_mul)):
+            assert outcome(fn, a, b) == outcome(ref, a, b) == ("error", ValueError, "variable count mismatch")
+        assert outcome(_dot, 3, [a], [a]) == outcome(ref_dot, 3, [a], [a])
+        assert outcome(_dot, 3, [a], [a])[0] == "error"
+
 
 class TestStoredForm:
     @settings(max_examples=120, deadline=None)
-    @given(pairs(BIG_COEFFS), BIG_COEFFS, contract_items(BIG_COEFFS))
-    def test_large_coprime_denominators(self, ab, c, data):
-        assert_same(_contract, ref_contract, *data)
+    @given(pairs(BIG_COEFFS), BIG_COEFFS)
+    def test_large_coprime_denominators(self, ab, c):
         a, b = ab
         for x, y in ((a, b), (b, a), (a, a)):
             assert_same(Poly.__add__, ref_add, x, y)
@@ -323,6 +320,45 @@ class TestStoredForm:
         assert (x * x * Q(3, 2)).partial(0).den == 1
 
 
+# -- construction, zero operands and contractions -----------------------------------
+
+@cache  # one strategy object per argument: building one costs more than a draw
+def sometimes_zero(n, coeffs=COEFFS):
+    """A polynomial that is zero about one time in three."""
+    return st.one_of(st.just(Poly.zero(n)), polys(n, 3, coeffs), polys(n, 3, coeffs))
+
+
+RAW_MONOS = st.lists(st.integers(-1, 3) | st.sampled_from([True, 2**40]), min_size=0, max_size=4)
+RAW_COEFFS = COEFFS | BIG_COEFFS | st.integers(-2, 2)
+
+
+@st.composite
+def raw_terms(draw):
+    """Outside input: monomials of any length with bad or repeated exponents now and then."""
+    n = draw(st.integers(0, 3))
+    good = st.tuples(*[st.integers(0, 2)] * n)
+    monos = st.one_of(good, good, good, RAW_MONOS.map(tuple)) if draw(st.integers(0, 3)) == 0 else good
+    return n, draw(st.lists(st.tuples(monos, RAW_COEFFS), max_size=5))
+
+
+@st.composite
+def contract_items(draw, coeffs=COEFFS):
+    """(nvars, items) for _contract, with zero operands, weights that cancel, and now
+    and then an operand over another variable count."""
+    n = draw(st.integers(1, 3))
+    items = []
+    for _ in range(draw(st.integers(0, 5))):
+        w = draw(st.sampled_from([1, -1, Q(1, 2), Q(-1, 2), Q(3, 7)]))
+        a, b = draw(sometimes_zero(n, coeffs)), draw(sometimes_zero(n, coeffs))
+        if draw(st.integers(0, 9)) == 0:
+            a, b = (draw(sometimes_zero(n % 3 + 1)), b) if draw(st.booleans()) else (a, Poly.zero(n % 3 + 1))
+        items.append((w, a, b, draw(st.none() | st.integers(0, n - 1))))
+    if items and draw(st.booleans()):
+        w, a, b, i = items[0]
+        items.append((-w, a, b, i))  # cancels the first item
+    return n, items
+
+
 class TestPackedKeys:
     @settings(max_examples=150, deadline=None)
     @given(raw_terms())
@@ -343,24 +379,27 @@ class TestPackedKeys:
         assert p.constant_term() == dict(want[1]).get((0,) * n, Q(0))
 
     @settings(max_examples=150, deadline=None)
-    @given(pairs(), st.integers(-1, 3), COEFFS | st.integers(-3, 3))
+    @given(pairs(), st.integers(-1, 3), COEFFS | st.integers(-2, 2))
     def test_arithmetic(self, ab, i, c):
-        a, b = ab
-        zero = Poly.zero(a.nvars)
-        for x, y in ((a, b), (b, a), (a, a), (a, -a), (a, zero), (zero, a), (zero, zero),
-                     (Poly.zero(b.nvars), b)):
+        for x, y in (ab, ab[::-1], (ab[0], Poly.zero(ab[0].nvars)), (Poly.zero(ab[1].nvars), ab[1])):
             for fn, ref in ((Poly.__add__, ref_add), (Poly.__sub__, ref_sub), (Poly.__mul__, ref_mul)):
                 assert_same(fn, ref, x, y)
             assert_same(Poly.__neg__, lambda p: ref_mul(p, -1), x)
             assert_same(Poly.__mul__, ref_mul, x, c)
             assert_same(Poly.partial, ref_partial, x, i)
             assert x.constant_term() == dict(x.terms).get((0,) * x.nvars, Q(0))
-        assert (a - a).terms == () and (a + (-a)).terms == ()
 
     @settings(max_examples=150, deadline=None)
     @given(contract_items())
     def test_contract(self, data):
         assert_same(_contract, ref_contract, *data)
+
+    @settings(max_examples=80, deadline=None)
+    @given(contract_items(BIG_COEFFS), pairs(BIG_COEFFS))
+    def test_large_denominators(self, data, ab):
+        assert_same(_contract, ref_contract, *data)
+        for fn, ref in ((Poly.__add__, ref_add), (Poly.__sub__, ref_sub), (Poly.__mul__, ref_mul)):
+            assert_same(fn, ref, *ab)
 
     def test_zero_operands_and_mismatches(self):
         """A zero operand is skipped only after its variable count is checked."""
@@ -368,14 +407,9 @@ class TestPackedKeys:
         for items in ([(1, z2, z3, None)], [(1, z3, x, 0)], [(1, x, z2, 1), (1, z2, z3, None)],
                       [(1, x, z2, None)], [], [(1, z2, x, 1)], [(1, x, x, 1)]):
             assert_same(_contract, ref_contract, 2, items)
-        y = Poly.var(3, 0)
-        for p, q in ((z2, z3), (z3, z2), (x, z3), (z3, x), (z2, x), (x, z2), (z2, z2), (x, y)):
+        for p, q in ((z2, z3), (z3, z2), (x, z3), (z3, x), (z2, x), (x, z2), (z2, z2)):
             for fn, ref in ((Poly.__add__, ref_add), (Poly.__sub__, ref_sub), (Poly.__mul__, ref_mul)):
                 assert_same(fn, ref, p, q)
-        for fn in (Poly.__add__, Poly.__sub__, Poly.__mul__):
-            assert outcome(fn, x, y) == ("error", ValueError, "variable count mismatch")
-        assert outcome(_dot, 3, [x], [x]) == outcome(ref_dot, 3, [x], [x])
-        assert outcome(_dot, 3, [x], [x])[0] == "error"
 
 
 @pytest.mark.parametrize("nvars", [2, 3])

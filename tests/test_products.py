@@ -24,8 +24,7 @@ from leibniz_forge import (
 )
 from leibniz_forge.linalg import Matrix, basis_vec, vadd
 
-from conftest import forbid, make_broken3, make_idem1, make_nl3, make_so3
-from test_action_reference import ref_circle_product, ref_of
+from conftest import make_broken3, make_idem1, make_nl3, make_so3
 
 
 @pytest.fixture(scope="module")
@@ -183,15 +182,3 @@ class TestGraphCriterion:
         assert rep.circle_vanishes_on_graph
         assert rep.graph_is_lie_subalgebra
         assert rep.closure_witness is None and rep.circle_witness is None
-
-
-def test_action_matrices_sum_no_dense_matrices(monkeypatch):
-    act = gl_action(3)
-    hvec = tuple(Q(a + 1, 3) for a in range(9))
-    want = ref_of(act.mats, 3, hvec)
-    a = hvec + (Q(1), Q(0), Q(-2))
-    want_circle = ref_circle_product(act.h, act, a, a)
-    forbid(monkeypatch, Matrix, "zeros", "__add__")
-    assert act.of(hvec) == want
-    forbid(monkeypatch, ModuleAction, "of")
-    assert circle_product(act.h, act, a, a) == want_circle

@@ -1,22 +1,34 @@
-"""The tensor core against the Fraction scan, and the checks on it against dense walks.
+"""Identity scans of the sparse tensor core against the Fraction scan kept here.
 
-tensor.first_failure evaluates an identity on integer numerators over one
-denominator per tensor and reads the inner tensor through a by-output index;
-tensor.skew_failure compares each cell with its partner. The Fraction scan
-kept below adds products cell by cell over index groups it builds itself and
-tests skewness as one more identity. Every check reports the tuple that
-first_failure returns, so equal tuples on every identity the package states
-(Leibniz, Jacobi, skew, LY1-LY6, the conditions of validate_envelope and the
-delta conditions of ly_envelope) pin every witness. Entries are p/q with
-|p| <= 60 and q <= 7, with other denominators per tensor, and known-valid
-structures are scaled and perturbed in one cell, so that scans fail deep.
+tensor.first_failure evaluates an identity on the integer numerators of each
+tensor over one denominator per tensor, reads the inner tensor through a
+by-output index, and tensor.skew_failure compares each cell with its partner,
+the cell with the first two indices swapped. The scan kept below, the first
+one the package had, adds Fraction products cell by cell over index groups it
+builds itself, and tests skewness as one more identity. Every check of the
+package reports the tuple that first_failure returns, so equal tuples on every
+identity the package states pin every witness: Leibniz, Jacobi and skew on
+structure constants, LY1-LY6, the three conditions of validate_envelope and
+the delta conditions of ly_envelope.
 
-The view is pinned to the dense tensor it reads: the very entry objects, the
-numerators over the lcm, and on every slice the residual of the scan run on
-those numerators, on tensors whose zeros are shared, distinct, or in rows
-rebuilt as the omni_tensor benchmark perturbs them. (Those tests still say
-"the parent".) Last, products, check_leibniz, graph_criterion and validate_ly
-against dense walks over every index tuple in lexicographic order.
+The view itself is pinned to the dense tensor it reads: equal entries (the
+very Fraction objects of the dense tensor), equal integer cells over the lcm
+denominator, and on every slice of every identity the residual of the same
+scan run on those integers, each term weighted by L / (den_outer den_inner),
+on tensors whose zero cells and zeros are shared, distinct per entry, or in
+rows rebuilt as the omni_tensor benchmark perturbs them. (The names of those
+tests still say "the parent".)
+
+Entries are rationals p/q with |p| <= 60 and q <= 7, and the tensors of one
+identity carry different denominators, so that each term is scaled by its own
+factor. Known-valid structures scaled by a rational and perturbed in one cell
+fail deep in the scan, not at its first tuple.
+
+The sigma_s checks scan identities on f, rho and the structure constants.
+The code kept here builds sigma_s as a matrix and multiplies its columns in
+the semidirect sum g, or in the hemisemidirect product for sigma_1; the
+s-scaling, recovery and sigma_1 checks and projected_bracket_delta are pinned
+to it the same way: equal results and witnesses.
 """
 
 from __future__ import annotations
@@ -25,7 +37,6 @@ import math
 from fractions import Fraction
 from fractions import Fraction as Q
 from functools import cache, lru_cache
-from itertools import product
 from typing import Sequence
 
 import pytest
@@ -33,23 +44,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_forge import (
+    EnvelopeTriple,
     LieYamaguti,
     Pcg32,
     StructureAlgebra,
     canonical_envelope,
-    gl_algebra,
-    graph_criterion,
+    direct_sum,
+    lambda_envelope,
     ly_envelope,
     ly_from_leibniz,
     omni_algebras,
-    random_algebra,
+    projected_bracket_delta,
     random_nilpotent_leibniz,
+    recovery_check,
+    scaling_check,
+    sigma_one_embed_check,
     squares_ideal,
     validate_ly,
 )
-from leibniz_forge import tensor
-from leibniz_forge.linalg import Matrix, commutator, vadd, vneg, vscale, vsub
-from leibniz_forge.products import GraphCriterionReport
+from leibniz_forge import envelope, products, tensor
+from leibniz_forge.envelope import DEFAULT_S_VALUES
+from leibniz_forge.linalg import Matrix, as_q, basis_vec, vscale, vsub
+from leibniz_forge.products import hemisemidirect, semidirect_lie
 from leibniz_forge.tensor import SparseTensor, materialize
 from leibniz_forge.yamaguti import LYReport
 
@@ -250,6 +266,14 @@ SCALES = st.sampled_from([Q(1), Q(1, 2), Q(-3), Q(2, 3), Q(5, 7), Q(-1, 6)])
 
 # -- algebra identities ---------------------------------------------------------
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_random_structure_constants_match(n, data):
+    den = data.draw(st.sampled_from([None, 1, 2, 6, 7]))
+    c = SparseTensor(frozen(sparse_dense(data, (n, n, n), den)), 2)
+    assert_same_scans(algebra_identities(c), skew=[c])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(range(len(VALID))), SCALES, st.data())
 def test_scaled_perturbed_algebras_match(which, factor, data):
@@ -275,6 +299,15 @@ def test_public_algebra_checks_report_the_reference_tuple():
 
 # -- Lie-Yamaguti identities -----------------------------------------------------
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_random_ly_tensors_match(n, data):
+    bden, tden = data.draw(st.sampled_from([(None, None), (2, 6), (1, 7), (3, 4), (5, 1)]))
+    b = SparseTensor(frozen(sparse_dense(data, (n, n, n), bden)), 2)
+    t = SparseTensor(frozen(sparse_dense(data, (n, n, n, n), tden)), 3)
+    assert_same_scans(ly_identities(n, b, t), skew=[b, t])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(range(len(LEIBNIZ))), SCALES, st.data())
 def test_scaled_perturbed_ly_structures_match(which, factor, data):
@@ -298,6 +331,19 @@ SKEW_CASES = {  # cells at keys (i, j), and the first failing pair
     "off by one value": ({(0, 2): {0: Q(1), 1: Q(2)}, (2, 0): {0: Q(-1), 1: Q(-1)},
                           (2, 1): {1: Q(4)}}, (0, 2)),
 }
+
+
+@pytest.mark.parametrize("case", SKEW_CASES)
+@pytest.mark.parametrize("arity", [2, 3])
+def test_skew_failures_by_hand_match(case, arity):
+    """At arity 3 each cell (i, j) is written at (i, j, 0) and (i, j, 1), and
+    the first failing tuple is (i, j, 0)."""
+    cells, (i, j) = SKEW_CASES[case]
+    if arity == 3:
+        cells = {key + (k,): cell for key, cell in cells.items() for k in (0, 1)}
+    t = SparseTensor(materialize(3, arity, cells), arity)
+    want = (i, j) if arity == 2 else (i, j, 0)
+    assert tensor.skew_failure(t) == skew_failure(t) == want
 
 
 # -- validate_ly on rebuilt rows ----------------------------------------------------
@@ -329,14 +375,12 @@ def shifted(dense, arity: int, changes):
     return frozen(rows)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3]), st.sampled_from(["LY1", "LY2", "LY3"]), st.data())
 def test_validate_ly_on_perturbed_omni_copies_matches(d, axiom, data):
-    """Rows rebuilt and cells shared, as the omni_tensor benchmark perturbs an
-    LY structure: a change of b at one pair fails LY1, of t at one triple fails
-    LY2, and of t at a skew pair of triples (i, j, k) and (j, i, k) of distinct
-    indices keeps LY1 and LY2 and fails LY3. At d = 2 every slice of LY1-LY6 is
-    also pinned against the scan on the numerators."""
+    """A change of b at one pair fails LY1, of t at one triple fails LY2, and
+    of t at a skew pair of triples (i, j, k) and (j, i, k) of distinct
+    indices keeps LY1 and LY2 and fails LY3."""
     ly = OMNI_LY[d]
     n = ly.dim
     i, j, k = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
@@ -349,8 +393,6 @@ def test_validate_ly_on_perturbed_omni_copies_matches(d, axiom, data):
         copy = LieYamaguti(n, ly.b, shifted(ly.t, 3, pair))
     report = validate_ly(copy)
     assert report == ref_validate_ly(copy) and report.axiom == axiom
-    if d == 2:
-        assert_views(lambda b, t: ly_identities(n, b, t), (copy.b, 2), (copy.t, 3))
 
 
 # -- envelope conditions --------------------------------------------------------
@@ -381,6 +423,17 @@ def test_perturbed_envelope_conditions_match(which, factor, data):
     assert_same_scans(envelope_identities(n, hd, *parts))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_random_envelope_conditions_match(n, hd, data):
+    dens = data.draw(st.lists(st.sampled_from([None, 1, 2, 3, 12]), min_size=4, max_size=4))
+    c = SparseTensor(frozen(sparse_dense(data, (n, n, n), dens[0])), 2)
+    hs = SparseTensor(frozen(sparse_dense(data, (hd, hd, hd), dens[1])), 2)
+    rho = SparseTensor(frozen(sparse_dense(data, (hd, n, n), dens[2])), 2)
+    fs = SparseTensor(frozen(sparse_dense(data, (n, hd), dens[3])), 1)
+    assert_same_scans(envelope_identities(n, hd, c, hs, rho, fs))
+
+
 # -- delta conditions of ly_envelope --------------------------------------------
 
 def delta_parts(a: StructureAlgebra) -> tuple:
@@ -404,6 +457,18 @@ def test_perturbed_delta_conditions_match(which, data):
     d = SparseTensor(frozen(delta), 2)
     assert_same_scans(delta_identities(n, hd, b, t, env.h.sparse, env.action.sparse, d),
                       skew=[d])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_random_delta_conditions_match(n, hd, data):
+    dens = data.draw(st.lists(st.sampled_from([None, 1, 4, 6]), min_size=5, max_size=5))
+    b = SparseTensor(frozen(sparse_dense(data, (n, n, n), dens[0])), 2)
+    t = SparseTensor(frozen(sparse_dense(data, (n, n, n, n), dens[1])), 3)
+    hs = SparseTensor(frozen(sparse_dense(data, (hd, hd, hd), dens[2])), 2)
+    rho = SparseTensor(frozen(sparse_dense(data, (hd, n, n), dens[3])), 2)
+    d = SparseTensor(frozen(sparse_dense(data, (n, n, hd), dens[4])), 2)
+    assert_same_scans(delta_identities(n, hd, b, t, hs, rho, d), skew=[d])
 
 
 # -- empty, all-zero, dim-0 and dim-1 tensors ------------------------------------
@@ -526,46 +591,51 @@ def cells_of(data, shape: Sequence[int], den: int | None = None) -> dict:
     return cells
 
 
-def drawn_dense(data, shape: Sequence[int], style: str, den: int | None = None):
-    """A few cells in a zero style of dense_of, or ("lists") a few entries of a
-    zero nested list, frozen; den fixes the denominator of every entry."""
-    if style == "lists":
-        return frozen(sparse_dense(data, shape, den))
-    return dense_of(shape, cells_of(data, shape, den), style)
-
-
-STYLES = ZERO_STYLES + ("lists",)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 4), st.sampled_from(STYLES), st.data())
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.sampled_from(ZERO_STYLES), st.data())
 def test_algebra_scans_match_the_parent(n, style, data):
     """Leibniz leads with i in the outer tensor only, Jacobi with *i."""
-    den = data.draw(st.sampled_from([None, 1, 2, 6, 7]))
-    assert_views(algebra_identities, (drawn_dense(data, (n, n, n), style, den), 2))
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 3), st.sampled_from(STYLES), st.data())
-def test_ly_scans_match_the_parent(n, style, data):
-    """LY4 leads with *i and LY5, LY6 with ij*: the lead in the outer tensor only."""
-    bden, tden = data.draw(st.sampled_from([(None, None), (2, 6), (1, 7), (3, 4), (5, 1)]))
-    b, t = drawn_dense(data, (n,) * 3, style, bden), drawn_dense(data, (n,) * 4, style, tden)
-    assert_views(lambda b, t: ly_identities(n, b, t), (b, 2), (t, 3))
+    den = data.draw(st.sampled_from([None, 1, 6]))
+    c = dense_of((n, n, n), cells_of(data, (n, n, n), den), style)
+    assert_views(algebra_identities, (c, 2))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 3), st.integers(0, 3), st.sampled_from(STYLES), st.data())
+@given(st.integers(0, 3), st.sampled_from(ZERO_STYLES), st.data())
+def test_ly_scans_match_the_parent(n, style, data):
+    """LY4 leads with *i and LY5, LY6 with ij*: the lead in the outer tensor only."""
+    b = dense_of((n, n, n), cells_of(data, (n, n, n)), style)
+    t = dense_of((n,) * 4, cells_of(data, (n,) * 4), style)
+    assert_views(lambda b, t: ly_identities(n, b, t), (b, 2), (t, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.sampled_from(ZERO_STYLES), st.data())
 def test_envelope_and_delta_scans_match_the_parent(n, hd, style, data):
-    """The binary of the delta conditions is c itself, or a tensor of its own."""
     shapes = ((n, n, n), (hd, hd, hd), (hd, n, n), (n, hd), (n, n, n, n), (n, n, hd))
-    dens = data.draw(st.lists(st.sampled_from([None, 1, 2, 3, 4, 6, 12]), min_size=7, max_size=7))
-    c, hs, rho, fs, t, d = (drawn_dense(data, shape, style, den) for shape, den in zip(shapes, dens))
-    b = c if data.draw(st.booleans()) else drawn_dense(data, (n, n, n), style, dens[6])
+    c, hs, rho, fs, t, d = (dense_of(shape, cells_of(data, shape), style) for shape in shapes)
     assert_views(lambda c, hs, rho, fs: envelope_identities(n, hd, c, hs, rho, fs),
-                 (c, 2), (hs, 2), (rho, 2), (fs, 1))
+                     (c, 2), (hs, 2), (rho, 2), (fs, 1))
     assert_views(lambda b, t, hs, rho, d: delta_identities(n, hd, b, t, hs, rho, d),
-                 (b, 2), (t, 3), (hs, 2), (rho, 2), (d, 2))
+                     (c, 2), (t, 3), (hs, 2), (rho, 2), (d, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["LY1", "LY2", "LY3"]), st.data())
+def test_perturbed_omni_copies_match_the_parent(axiom, data):
+    """Rows rebuilt and cells shared, as the omni_tensor benchmark perturbs an
+    LY structure; every slice of LY1-LY6 against the scan above."""
+    ly = OMNI_LY[2]
+    n = ly.dim
+    i, j, k = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                                 unique=axiom == "LY3"))
+    l, x = data.draw(st.integers(0, n - 1)), data.draw(rationals().filter(bool))
+    b, t = ly.b, ly.t
+    if axiom == "LY1":
+        b = shifted(b, 2, [((i, j), l, x)])
+    else:
+        t = shifted(t, 3, [((i, j, k), l, x)] + ([((j, i, k), l, -x)] if axiom == "LY3" else []))
+    assert_views(lambda b, t: ly_identities(n, b, t), (b, 2), (t, 3))
 
 
 @settings(max_examples=120, deadline=None)
@@ -592,252 +662,161 @@ def test_skew_failures_match_the_parent(n, arity, style, data):
 
 @pytest.mark.parametrize("case", SKEW_CASES)
 @pytest.mark.parametrize("arity", [2, 3])
-def test_skew_failures_by_hand_match(case, arity):
-    """A key (2, 1) with no partner, a nonzero diagonal cell, and partners that
-    differ in one value or one output index. At arity 3 each cell (i, j) is
-    written at (i, j, 0) and (i, j, 1), and the first failing tuple is (i, j, 0)."""
-    cells, (i, j) = SKEW_CASES[case]
+def test_skew_failures_by_hand_match_the_parent(case, arity):
+    """A key (2, 1) with no partner, a nonzero diagonal cell, and partners
+    that differ in one value or one output index."""
+    cells, _ = SKEW_CASES[case]
     if arity == 3:
         cells = {key + (k,): cell for key, cell in cells.items() for k in (0, 1)}
-    dense = materialize(3, arity, cells)
-    t = SparseTensor(dense, arity)
-    assert tensor.skew_failure(t) == skew_failure(t) == ((i, j) if arity == 2 else (i, j, 0))
-    assert_views(lambda t: [], (dense, arity))
+    assert_views(lambda t: [], (materialize(3, arity, cells), arity))
 
 
-# -- the dense walks: products and checks as the definitions read ----------------
+# -- sigma_s checks, kept verbatim -----------------------------------------------
 
-def e(n, i):
-    return tuple(Q(int(k == i)) for k in range(n))
-
-
-def vsum(vs, n):
-    out = (Q(0),) * n
-    for v in vs:
-        out = vadd(out, v)
-    return out
+def ref_section_sigma(t, s) -> Matrix:
+    """Matrix of sigma_s: E -> g, x -> (s f(x), x)."""
+    sq = as_q(s)
+    top = (t.f * sq).entries
+    bottom = Matrix.identity(t.e.dim).entries
+    return Matrix(top + bottom)
 
 
-def comb(rows, v):
-    """sum_l v[l] rows[l]."""
-    return vsum((vscale(vl, rows[l]) for l, vl in enumerate(v) if vl), len(rows[0]))
+_REF_G: dict[int, tuple] = {}
 
 
-def ref_product(c, x, y):
-    n = len(c)
-    return vsum((vscale(x[i] * y[j], c[i][j])
-                 for i, j in product(range(n), repeat=2) if x[i] and y[j]), n)
+def ref_g(t) -> StructureAlgebra:
+    """The semidirect sum g of h and E, built once per triple (the triple is kept alive)."""
+    if id(t) not in _REF_G:
+        _REF_G[id(t)] = (t, semidirect_lie(t.h, t.action))
+    return _REF_G[id(t)][1]
 
 
-def ref_ternary(t, x, y, z):
-    n = len(t)
-    return vsum((vscale(x[i] * y[j] * z[k], t[i][j][k])
-                 for i, j, k in product(range(n), repeat=3) if x[i] and y[j] and z[k]), n)
+def ref_projected_bracket_delta(t, s, x, y):
+    sq = as_q(s)
+    sigma = ref_section_sigma(t, sq)
+    w = ref_g(t).product(sigma.apply(x), sigma.apply(y))
+    hd = t.h.dim
+    h_raw, e_part = w[:hd], w[hd:]
+    delta = vsub(h_raw, vscale(sq, t.f.apply(e_part)))
+    return e_part, delta
 
 
-def ref_left_mul(c, x):
-    n = len(c)
-    return Matrix.from_cols([ref_product(c, x, e(n, j)) for j in range(n)])
+def ref_recovery_check(t) -> bool:
+    n = t.e.dim
+    half = Q(1, 2)
+    for i in range(n):
+        for j in range(n):
+            e_part, _ = ref_projected_bracket_delta(t, half, basis_vec(n, i), basis_vec(n, j))
+            if e_part != t.e.skew_product(basis_vec(n, i), basis_vec(n, j)):
+                return False
+    return True
 
 
-def ref_check_leibniz(c):
-    n = len(c)
-    for i, j, k in product(range(n), repeat=3):
-        lhs = ref_product(c, e(n, i), c[j][k])
-        rhs = vadd(ref_product(c, c[i][j], e(n, k)), ref_product(c, e(n, j), c[i][k]))
-        if lhs != rhs:
-            return False, (i, j, k, lhs, rhs)
+def ref_sigma_one_embed_check(t) -> bool:
+    hemi = hemisemidirect(t.h, t.action)
+    sigma = ref_section_sigma(t, 1)
+    n = t.e.dim
+    for i in range(n):
+        for j in range(n):
+            lhs = hemi.product(sigma.apply(basis_vec(n, i)), sigma.apply(basis_vec(n, j)))
+            if lhs != sigma.apply(t.e.c[i][j]):
+                return False
+    return True
+
+
+def ref_scaling_check(t, svals=DEFAULT_S_VALUES):
+    n = t.e.dim
+    for s in svals:
+        sq = as_q(s)
+        for i in range(n):
+            for j in range(n):
+                x, y = basis_vec(n, i), basis_vec(n, j)
+                e_part, delta = ref_projected_bracket_delta(t, sq, x, y)
+                br = t.e.skew_product(x, y)
+                if e_part != vscale(2 * sq, br):
+                    return False, (str(sq), i, j, "bracket")
+                if delta != vscale(-(sq * sq), t.f.apply(br)):
+                    return False, (str(sq), i, j, "delta")
     return True, None
 
 
-def ref_graph_criterion(c):
-    """Closure, circle product, demi-closure and graph Jacobi, as matrices."""
-    n = len(c)
-    lam = [ref_left_mul(c, e(n, i)) for i in range(n)]
-    pairs = list(product(range(n), repeat=2))
-    closure = next(((i, j) for i, j in pairs
-                    if commutator(lam[i], lam[j]) != ref_left_mul(c, c[i][j])), None)
-    circle = next(((i, j) for i, j in pairs if i <= j and any(vadd(c[i][j], c[j][i]))), None)
-    demi = all(commutator(lam[i], lam[j])
-               == ref_left_mul(c, vscale(Q(1, 2), vsub(c[i][j], c[j][i]))) for i, j in pairs)
+def sigma_triples() -> list[EnvelopeTriple]:
+    """Valid envelopes, and triples whose f breaks the bracket or only the delta part.
 
-    def bracket(x, y):
-        return commutator(x[0], y[0]), vscale(Q(1, 2), vsub(x[0].apply(y[1]), y[0].apply(x[1])))
-
-    pts = [(lam[m], e(n, m)) for m in range(n)]
-
-    def jacobi(i, j, k):
-        terms = [bracket(bracket(pts[x], pts[y]), pts[z])
-                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
-        return ((terms[0][0] + terms[1][0] + terms[2][0]).is_zero()
-                and not any(vsum([v for _, v in terms], n)))
-
-    lie_sub = (demi and circle is None
-               and all(jacobi(*ijk) for ijk in product(range(n), repeat=3)))
-    return GraphCriterionReport(closure is None, lie_sub, circle is None, closure, circle)
+    On heis3 + Q the last basis vector acts by zero and is central in h = E, so
+    adding it to f keeps every E-projection and moves only the h-projection.
+    """
+    valid = [lambda_envelope(a) for a in LEIBNIZ[:6]] + [t for t, *_ in ENVELOPES]
+    out = list(valid)
+    for t in valid[:6]:
+        for r, col in ((0, -1), (-1, 0)):
+            rows = thawed(t.f.entries)
+            rows[r][col] += Q(1, 3)
+            out.append(EnvelopeTriple(t.e, t.h, t.action, Matrix.from_rows(rows)))
+    e = direct_sum(make_heisenberg3(), StructureAlgebra.abelian(1))
+    t = canonical_envelope(e, squares_ideal(e))
+    rows = thawed(t.f.entries)
+    rows[3][2] += Q(2, 5)
+    out.append(EnvelopeTriple(t.e, t.h, t.action, Matrix.from_rows(rows)))
+    return out
 
 
-def dense_validate_ly(ly) -> LYReport:
-    """LY1-LY6 in order, each walked over basis tuples in lexicographic order."""
-    n, b, t = ly.dim, ly.b, ly.t
-    idx = range(n)
-
-    def cyc(i, j, k):
-        return (i, j, k), (j, k, i), (k, i, j)
-
-    def ly3(i, j, k):
-        return not any(vsum([vadd(comb([b[l][z] for l in idx], b[x][y]), t[x][y][z])
-                             for x, y, z in cyc(i, j, k)], n))
-
-    def ly4(i, j, k, u):
-        return not any(vsum([comb([t[l][z][u] for l in idx], b[x][y])
-                             for x, y, z in cyc(i, j, k)], n))
-
-    def ly5(i, j, u, v):
-        return comb(t[i][j], b[u][v]) == vadd(comb([b[l][v] for l in idx], t[i][j][u]),
-                                              comb([b[u][l] for l in idx], t[i][j][v]))
-
-    def ly6(i, j, u, v, w):
-        return comb(t[i][j], t[u][v][w]) == vsum(
-            [comb([t[l][v][w] for l in idx], t[i][j][u]),
-             comb([t[u][l][w] for l in idx], t[i][j][v]),
-             comb([t[u][v][l] for l in idx], t[i][j][w])], n)
-
-    for name, arity, holds in (
-            ("LY1", 2, lambda i, j: b[i][j] == vneg(b[j][i])),
-            ("LY2", 3, lambda i, j, k: t[i][j][k] == vneg(t[j][i][k])),
-            ("LY3", 3, ly3), ("LY4", 4, ly4), ("LY5", 4, ly5), ("LY6", 5, ly6)):
-        for at in product(idx, repeat=arity):
-            if not holds(*at):
-                return LYReport(False, name, at)
-    return LYReport(True)
+SIGMA_TRIPLES = sigma_triples()
 
 
-
-def ly_tensors(a):
-    """Skew part and -(e_i e_j) e_k / 4 of any algebra; a valid LY iff a is Leibniz."""
-    n, c = a.dim, a.c
-    b = tuple(tuple(vscale(Q(1, 2), vsub(c[i][j], c[j][i])) for j in range(n))
-              for i in range(n))
-    t = tuple(tuple(tuple(vscale(Q(-1, 4), ref_product(c, c[i][j], e(n, k)))
-                          for k in range(n)) for j in range(n)) for i in range(n))
-    return LieYamaguti(n, b, t)
-
-
-def bump(tensor, key, v):
-    """Copy of a nested-tuple tensor with v added at key."""
-    i = key[0]
-    inner = tensor[i] + v if len(key) == 1 else bump(tensor[i], key[1:], v)
-    return tensor[:i] + (inner,) + tensor[i + 1:]
+@pytest.mark.parametrize("k", range(len(SIGMA_TRIPLES)))
+def test_sigma_checks_match_reference(k):
+    t = SIGMA_TRIPLES[k]
+    svals = (Q(1), Q(1, 2), Q(-2), Q(3, 7), 5)
+    assert scaling_check(t) == ref_scaling_check(t)
+    assert scaling_check(t, svals) == ref_scaling_check(t, svals)
+    assert recovery_check(t) == ref_recovery_check(t)
+    assert sigma_one_embed_check(t) == ref_sigma_one_embed_check(t)
 
 
-def perturb_ly(ly, binary, key, v, skew):
-    """Add v at key and, if skew, -v at key with its first two slots swapped."""
-    b, t = ly.b, ly.t
-    swapped = (key[1], key[0]) + key[2:]
-    if binary:
-        b = bump(b, key, v)
-        b = bump(b, swapped, -v) if skew else b
-    else:
-        t = bump(t, key, v)
-        t = bump(t, swapped, -v) if skew else t
-    return LieYamaguti(ly.dim, b, t)
+@pytest.mark.parametrize("svals", [(0, Q(1, 2), Q(-2)), (0, 0, 5), (Q(3, 7), Q(3, 7), 1),
+                                   (Q(-2), 0, Q(-2)), (0,), ()])
+@pytest.mark.parametrize("k", range(len(SIGMA_TRIPLES)))
+def test_scaling_check_with_zero_or_repeated_s(k, svals):
+    t = SIGMA_TRIPLES[k]
+    assert scaling_check(t, svals) == ref_scaling_check(t, svals)
 
 
-def pair2(beta, d):
-    """2-dim skew pair with b(e0, e1) = beta and t(e0, e1, .) = D."""
-    zero = (Q(0), Q(0))
-    b01 = tuple(map(Q, beta))
-    t01 = tuple(tuple(Q(d[l][k]) for l in range(2)) for k in range(2))
-    b = ((zero, b01), (vneg(b01), zero))
-    t = (((zero, zero), t01), (tuple(map(vneg, t01)), (zero, zero)))
-    return LieYamaguti(2, b, t)
-
-
-HEMI2, DEMI2 = omni_algebras(2)
-FIXED = {
-    "omni_hemi2": HEMI2, "omni_demi2": DEMI2, "gl2": gl_algebra(2),
-    "so3": make_so3(), "heis3": make_heisenberg3(), "leibniz2": make_leibniz2(),
-    "nl3": make_nl3(), "broken3": make_broken3(),
-}
-
-seeds = st.integers(0, 2 ** 32 - 1)
-small = st.integers(-2, 2)
-
-
-@cache  # one strategy object per argument: building one costs more than a draw
-def random_algebras(top):
-    return st.one_of(
-        st.builds(lambda s, d: random_algebra(Pcg32(s), d), seeds, st.integers(1, top - 1)),
-        st.builds(lambda s, d: random_nilpotent_leibniz(Pcg32(s), d), seeds,
-                  st.integers(2, top)))
-
-
-@cache  # one strategy object per argument: building one costs more than a draw
-def vectors(n):
-    return st.tuples(*[small.map(Q)] * n)
-
-
-def check_products(a, x, y):
-    assert a.product(x, y) == ref_product(a.c, x, y)
-    assert a.left_mul(x) == ref_left_mul(a.c, x)
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_algebras(5), st.data())
-def test_random_algebras_match_reference(a, data):
-    x, y = data.draw(vectors(a.dim)), data.draw(vectors(a.dim))
-    check_products(a, x, y)
-    assert a.check_leibniz() == ref_check_leibniz(a.c)
-    assert graph_criterion(a) == ref_graph_criterion(a.c)
-
-
-@pytest.mark.parametrize("name", sorted(FIXED))
-def test_fixed_algebras_match_reference(name):
-    a = StructureAlgebra(FIXED[name].dim, FIXED[name].c, FIXED[name].basis_names)
-    n = a.dim
-    check_products(a, tuple(Q(k - 1, 2) for k in range(n)), tuple(Q(3 - k) for k in range(n)))
-    assert a.check_leibniz() == ref_check_leibniz(a.c)
-    assert graph_criterion(a) == ref_graph_criterion(a.c)
-
-
-def ly_case(ly):
-    rep = validate_ly(ly)
-    assert rep == dense_validate_ly(ly)
-    return rep.axiom
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(random_algebras(4), st.sampled_from([HEMI2, DEMI2])), st.data())
-def test_perturbed_ly_matches_reference(a, data):
-    ly = ly_tensors(a)
-    n = a.dim
-    binary = data.draw(st.booleans())
-    key = data.draw(st.tuples(*[st.integers(0, n - 1)] * (3 if binary else 4)))
-    v = data.draw(st.sampled_from([-2, -1, 1, 2]).map(Q))
-    ly = perturb_ly(ly, binary, key, v, skew=data.draw(st.booleans()) and key[0] != key[1])
-    ly_case(ly)
-    x, y, z = (data.draw(vectors(n)) for _ in range(3))
-    assert ly.binary(x, y) == ref_product(ly.b, x, y)
-    assert ly.ternary(x, y, z) == ref_ternary(ly.t, x, y, z)
+def test_sigma_triples_reach_every_outcome():
+    results = [ref_scaling_check(t) for t in SIGMA_TRIPLES]
+    parts = {w[3] for ok, w in results if not ok}
+    assert (True, None) in results and parts == {"bracket", "delta"}
+    assert results[-1] == (False, ("1", 0, 1, "delta"))
+    assert {ref_recovery_check(t) for t in SIGMA_TRIPLES} == {True, False}
+    assert {ref_sigma_one_embed_check(t) for t in SIGMA_TRIPLES} == {True, False}
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.tuples(small, small), st.tuples(st.tuples(small, small), st.tuples(small, small)))
-def test_two_dimensional_skew_pairs_match_reference(beta, d):
-    ly_case(pair2(beta, d))
+@given(st.sampled_from(range(len(SIGMA_TRIPLES))), st.one_of(st.just(0), rationals()), st.data())
+def test_projected_bracket_delta_matches_reference(k, s, data):
+    t = SIGMA_TRIPLES[k]
+    x, y = (tuple(data.draw(st.lists(rationals(), min_size=t.e.dim, max_size=t.e.dim)))
+            for _ in range(2))
+    assert projected_bracket_delta(t, s, x, y) == ref_projected_bracket_delta(t, s, x, y)
 
 
-def test_every_axiom_is_hit():
-    hemi_ly = ly_tensors(HEMI2)
-    cases = [
-        hemi_ly,                                             # valid
-        perturb_ly(hemi_ly, True, (0, 1, 2), Q(1), False),      # LY1
-        perturb_ly(hemi_ly, False, (0, 1, 2, 3), Q(1), False),  # LY2
-        perturb_ly(hemi_ly, True, (0, 1, 2), Q(1), True),       # LY3
-        perturb_ly(hemi_ly, False, (0, 1, 0, 0), Q(1), True),   # LY4
-        pair2((1, 0), ((0, 0), (0, 1))),                     # LY5
-        pair2((0, 0), ((1, 0), (0, 0))),                     # LY6
-    ]
-    hit = [ly_case(ly) for ly in cases]
-    assert hit == [None, "LY1", "LY2", "LY3", "LY4", "LY5", "LY6"]
+def test_sigma_checks_read_no_dense_g_sigma_or_algebra(monkeypatch):
+    """The checks scan f, rho and the structure constants: with every dense
+    path patched to raise they still give the reference results."""
+    refs = [(ref_recovery_check(t), ref_scaling_check(t), ref_sigma_one_embed_check(t),
+             ref_projected_bracket_delta(t, Q(2, 3), (1,) * t.e.dim, (0,) + (1,) * (t.e.dim - 1)))
+            for t in SIGMA_TRIPLES]
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a sigma_s check read a dense g, sigma_s or algebra")
+
+    monkeypatch.setattr(EnvelopeTriple, "g", property(dense))
+    monkeypatch.setattr(envelope, "section_sigma", dense)
+    monkeypatch.setattr(envelope, "hemisemidirect", dense, raising=False)
+    monkeypatch.setattr(products, "hemisemidirect", dense)
+    monkeypatch.setattr(StructureAlgebra, "from_constants", staticmethod(dense))
+    monkeypatch.setattr(StructureAlgebra, "from_products", staticmethod(dense))
+    for t, ref in zip(SIGMA_TRIPLES, refs):
+        n = t.e.dim
+        assert (recovery_check(t), scaling_check(t), sigma_one_embed_check(t),
+                projected_bracket_delta(t, Q(2, 3), (1,) * n, (0,) + (1,) * (n - 1))) == ref

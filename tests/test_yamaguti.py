@@ -9,22 +9,18 @@ import pytest
 
 from leibniz_forge import (
     LieYamaguti,
-    Subspace,
     delta_matrix,
     inner_derivations,
     ly_envelope,
     ly_from_decomposition,
     ly_from_leibniz,
-    omni_algebras,
     torsion_curvature,
     validate_ly,
 )
-from leibniz_forge import yamaguti
 from leibniz_forge.cli import parse_ly_text
 from leibniz_forge.linalg import Matrix, basis_vec, vneg, vscale, vzero
 
 from conftest import make_nl3, make_so3
-from test_action_reference import outcome, ref_ly_envelope
 from test_tensor import all_cells
 
 
@@ -247,28 +243,3 @@ class TestSharedZeroCells:
         ly = parse_ly_text('{"dim": 3, "binary": [[0, 1, 2, "1"], [1, 0, 2, "0"]], '
                            '"ternary": [[0, 1, 2, 0, "1/2"], [2, 2, 2, 2, 0]]}')
         self.assert_shared(ly.b, ly.t)
-
-
-class TestEnvelopeReadsOnce:
-    def test_ly_envelope_row_reduces_once(self, monkeypatch):
-        ly = ly_from_leibniz(omni_algebras(2)[0])
-        spans, span = [], Subspace.span
-        monkeypatch.setattr(Subspace, "span",
-                            staticmethod(lambda *args: spans.append(args) or span(*args)))
-        ly_envelope(ly)
-        assert len(spans) == 1
-
-    def test_ly_envelope_reads_the_pairs_below_the_diagonal(self, monkeypatch):
-        """Skewness of the ternary gives delta(e_j, e_i) and delta(e_i, e_i), so only
-        the n(n - 1)/2 pairs i < j are read and given coordinates."""
-        ly = ly_from_leibniz(omni_algebras(2)[0])
-        want = outcome(ref_ly_envelope, ly)
-        calls = {"delta_matrix": 0, "coords": 0}
-        delta, coords = yamaguti.delta_matrix, Subspace.coords
-
-        def counted(name, fn):
-            return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
-        monkeypatch.setattr(yamaguti, "delta_matrix", counted("delta_matrix", delta))
-        monkeypatch.setattr(Subspace, "coords", counted("coords", coords))
-        assert outcome(ly_envelope, ly) == want
-        assert calls == {"delta_matrix": 15, "coords": 0}  # coordinates are read at the pivots
