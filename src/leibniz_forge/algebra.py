@@ -272,22 +272,28 @@ class Subspace:
 def squares_ideal(a: StructureAlgebra) -> Subspace:
     """Two-sided ideal generated by all squares x . x.
 
-    The span of squares is polarized to e_i.e_i and e_i.e_j + e_j.e_i, then
-    closed under left and right multiplication by basis elements in rounds on
-    one set of canonical rows: a round adds the 2n products of each row the
-    last round added, read with 0 at every pivot so far. Rows so read are
-    independent, so they span the ideal when a round adds no row.
+    The squares are polarized to e_i.e_i and e_i.e_j + e_j.e_i of the nonzero cells,
+    then closed under left and right multiplication by basis elements in rounds on
+    one set of canonical rows: a round adds the 2n products of each row the last
+    round added, read with 0 at every pivot so far. Rows so read are independent, so
+    they span the ideal when a round adds no row. Canonical rows depend neither on
+    insertion order nor on zero generators.
     """
-    n, rows, done = a.dim, {}, set()
-    new = [a.c[i][i] if i == j else vadd(a.c[i][j], a.c[j][i])
-           for i in range(n) for j in range(i, n)]
+    n, rows, done, new, cells = a.dim, {}, set(), {}, a.sparse.entries.items()
+    for (i, j), cell in cells:
+        _add(new, (min(i, j), max(i, j)), cell, 1)
     while new:
-        for v in new:
-            _insert_row(rows, {j: x for j, x in enumerate(v) if x})
-        added = [tuple(rows[p].get(j, Q(0)) for j in range(n)) for p in sorted(rows.keys() - done)]
+        for v in new.values():
+            _insert_row(rows, v)
+        added = [rows[p] for p in sorted(rows.keys() - done)]
         done |= rows.keys()
-        new = [w for v in added for k in range(n)
-               for w in (a.lmul_basis(k, v), a.rmul_basis(v, k))]
+        new = {}
+        for r, v in enumerate(added):
+            for (i, j), cell in cells:  # e_i . v and v . e_j
+                if j in v:
+                    _add(new, (r, 0, i), cell, v[j])
+                if i in v:
+                    _add(new, (r, 1, j), cell, v[i])
     return Subspace(n, tuple(tuple(rows[p].get(j, Q(0)) for j in range(n)) for p in sorted(rows)))
 
 
@@ -338,17 +344,13 @@ def quotient_algebra(a: StructureAlgebra, m: Subspace) -> tuple[StructureAlgebra
 
 
 def _quotient(a: StructureAlgebra, m: Subspace) -> tuple[StructureAlgebra, Matrix]:
-    """quotient_algebra for an m already known to be an ideal."""
+    """quotient_algebra for an m already known to be an ideal: each nonzero cell on the
+    complement, cleared at M's pivots."""
     comp = m.complement_coords
-    qdim = len(comp)
-
-    def coords(v: Vec) -> Vec:
-        red = m.reduce(v)
-        return tuple(red[j] for j in comp)
-
-    qmat = Matrix.from_cols([coords(basis_vec(a.dim, j)) for j in range(a.dim)])
-    c = tuple(tuple(coords(a.c[ca][cb]) for cb in comp) for ca in comp)
-    names = tuple(a.basis_names[j] for j in comp)
-    quotient = StructureAlgebra(qdim, c, names, f"{a.name}/M" if a.name else "")
-    return quotient, qmat
-
+    pos = {j: q for q, j in enumerate(comp)}
+    products = {(pos[i], pos[j]): {pos[k]: x for k, x in _eliminate(cell, m._rows).items()}
+                for (i, j), cell in a.sparse.entries.items() if i in pos and j in pos}
+    cols = [_eliminate({j: Q(1)}, m._rows) for j in range(a.dim)]  # e_j cleared at the pivots
+    qmat = Matrix.from_cols([tuple(col.get(k, Q(0)) for k in comp) for col in cols])
+    return StructureAlgebra.from_products(len(comp), products, [a.basis_names[j] for j in comp],
+                                          f"{a.name}/M" if a.name else ""), qmat

@@ -23,7 +23,6 @@ from .algebra import (
     StructureAlgebra,
     Subspace,
     _quotient,
-    kernel_of_lambda,
     squares_ideal,
 )
 from .linalg import (
@@ -110,12 +109,14 @@ def canonical_envelope(e: StructureAlgebra, m: Subspace) -> EnvelopeTriple:
     """Envelope with h = E/M for an ideal M squeezed between squares and ker lambda.
 
     The containments make M an ideal, so it is not tested again: m in M has m.x = 0
-    (M in ker lambda), and x.m = (x+m).(x+m) - x.x - m.m - m.x is in the squares ideal."""
+    (M in ker lambda), and x.m = (x+m).(x+m) - x.x - m.m - m.x is in the squares ideal.
+    M in ker lambda is decided on M's basis: v.e_j = 0 for each right factor e_j."""
     if m.ambient_dim != e.dim:
         raise EnvelopeError("ideal lives in the wrong ambient space")
     if not m.contains_subspace(squares_ideal(e)):
         raise EnvelopeError("ideal does not contain the squares ideal")
-    if not kernel_of_lambda(e).contains_subspace(m):
+    right = {j for _, j in e.sparse.entries}
+    if any(any(e.rmul_basis(v, j)) for v in m.basis for j in right):
         raise EnvelopeError("ideal is not contained in ker lambda")
     h, q = _quotient(e, m)
     mats = tuple(Matrix.from_cols(e.c[cb]) for cb in m.complement_coords)  # lambda(e_cb)

@@ -47,7 +47,6 @@ from test_action_reference import (
     leibniz_algebras,
     outcome,
     perturbed_algebra,
-    random_ly,
     ref_canonical_envelope,
     ref_h_times_v,
     ref_lambda_envelope,
@@ -88,7 +87,13 @@ def assert_same(a: StructureAlgebra) -> None:
 # -- inputs ---------------------------------------------------------------------
 
 CORPUS = build_corpus()
-SMALL = [StructureAlgebra.abelian(0), StructureAlgebra.abelian(2)] + NEGATIVES
+# dim 24 with five products, most cells zero: the span of squares is e2 + e24 and
+# e11 (e6.e7 + e7.e6 cancels at e2), and the ideal reaches e4, e5 - e7 and then e2
+# in three more rounds
+WIDE = StructureAlgebra.from_products(24, {(0, 0): {1: Q(1), 23: Q(1)}, (1, 2): {3: Q(1)},
+                                           (3, 2): {4: Q(2, 3), 6: Q(-2, 3)},
+                                           (5, 6): {1: Q(1)}, (6, 5): {1: Q(-1), 10: Q(1)}})
+SMALL = [StructureAlgebra.abelian(0), StructureAlgebra.abelian(2)] + NEGATIVES + [WIDE]
 
 
 @st.composite
@@ -163,12 +168,6 @@ def test_products_on_h_times_v_match(k):
             for name in ("", "p"):
                 assert outcome(build, h, act, name) == outcome(ref_h_times_v, h, act, left, right,
                                                                name)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.data())
-def test_random_ly_envelopes_match(n, data):
-    assert_same_ly_envelope(random_ly(data, n))
 
 
 @pytest.mark.parametrize("name", ["aff1_hemi", "so3", "so3_hemi", "omni_hemi2", "env_omni_hemi1"])

@@ -40,7 +40,10 @@ from leibniz_forge.courant import (
     interior_two_form,
 )
 from leibniz_forge.poly import Poly
+from leibniz_forge.products import omni_algebras
 from leibniz_forge.sampling import Pcg32, random_vector_field
+
+from conftest import make_nl3
 
 LEIBNIZ2 = """{
   "name": "leibniz2", "dim": 2, "basis": ["e1", "e2"],
@@ -329,6 +332,53 @@ class TestDispatch:
         code, _ = self.run(capsys, "envelope", "verify", apath,
                            "--ideal", ipath, "--format", "json")
         assert code == 0
+
+    @pytest.mark.parametrize("verb", ["build", "verify"])
+    def test_envelope_files_are_read_before_the_leibniz_check(self, files, capsys, tmp_path,
+                                                               verb):
+        """On nl3, which is not Leibniz, a missing ideal file is the one error check;
+        a readable ideal of the wrong dimension gives the report without --ideal."""
+        apath = files("nl3.json", json.dumps(algebra_to_doc(make_nl3())))
+        missing = str(tmp_path / "missing.json")
+        code, out = self.run(capsys, "envelope", verb, apath, "--ideal", missing,
+                             "--format", "json")
+        assert code == 1
+        [check] = json.loads(out)["checks"]
+        assert check["name"] == "error" and check["witness"].startswith(f"cannot read {missing}")
+        ipath = files("ideal2.json", '{"ambient_dim": 2, "vectors": [[1, 0]]}')
+        with_ideal = self.run(capsys, "envelope", verb, apath, "--ideal", ipath, "--format", "json")
+        assert with_ideal == self.run(capsys, "envelope", verb, apath, "--format", "json")
+
+    def test_non_leibniz_builds_no_ideal(self, files, capsys, monkeypatch):
+        """nl3 and demi2 are rejected before the squares or kernel ideal is built."""
+        paths = [files(f"{a.name}.json", json.dumps(algebra_to_doc(a)))
+                 for a in (make_nl3(), omni_algebras(2)[1])]
+        argvs = [["envelope", verb, path, "--format", fmt, *ideal]
+                 for verb in ("build", "verify") for path in paths for fmt in ("json", "text")
+                 for ideal in ([], ["--ideal", "kernel"])]
+        expected = [self.run(capsys, *argv) for argv in argvs]
+
+        def forbidden(*args):
+            raise AssertionError("an ideal was built")
+
+        monkeypatch.setattr(cli, "squares_ideal", forbidden)
+        monkeypatch.setattr(cli, "kernel_of_lambda", forbidden)
+        assert [self.run(capsys, *argv) for argv in argvs] == expected
+        assert all(code == 1 for code, _ in expected)
+
+    @pytest.mark.parametrize("verb, ideal", [("verify", "squares"), ("verify", "kernel"),
+                                             ("build", "kernel")])
+    def test_envelope_of_omni_hemi4(self, files, capsys, verb, ideal):
+        """omni_hemi(4), dim 20: five passing sigma_s checks; with M = ker lambda,
+        h of dim 16, an ideal of 4 vectors and g of dim 36."""
+        path = files("hemi4.json", json.dumps(algebra_to_doc(omni_algebras(4)[0])))
+        code, out = self.run(capsys, "envelope", verb, path, "--ideal", ideal, "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        if verb == "verify":
+            assert [c["status"] for c in doc["checks"]] == ["pass"] * 5
+        else:
+            assert (doc["h"]["dim"], len(doc["ideal"]["vectors"]), doc["g"]["dim"]) == (16, 4, 36)
 
     @pytest.mark.parametrize("vectors, message", [
         ([[0, 1]], "ideal does not contain the squares ideal"),  # e2.e2 = e1 leaves span(e2)

@@ -110,6 +110,34 @@ class TestCanonicalConstruction:
         with pytest.raises(AssertionError, match="is_ideal called"):
             algebra.quotient_algebra(corpus["leibniz2"], Subspace.zero(2))
 
+    def test_no_kernel_of_lambda_is_built(self, corpus, monkeypatch):
+        """M in ker lambda is decided on M's basis: with kernel_basis refusing, the
+        triples and errors on the corpus and on the two non-ideal files stay the same."""
+        from leibniz_forge import linalg
+
+        def outcome(a, m):
+            try:
+                t = canonical_envelope(a, m)
+            except EnvelopeError as e:
+                return str(e)
+            return t.h, t.action.mats, t.f
+
+        three = StructureAlgebra.from_products(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})
+        cases = [(a, m) for a in corpus.values()
+                 for m in (squares_ideal(a), kernel_of_lambda(a), Subspace.zero(a.dim),
+                           Subspace.whole(a.dim))]
+        cases += [(corpus["leibniz2"], Subspace.span(2, [[0, 1]])),
+                  (three, Subspace.span(3, [[1, 0, 0]]))]
+        expected = [outcome(a, m) for a, m in cases]
+
+        def forbidden(*args):
+            raise AssertionError("kernel_basis called")
+
+        monkeypatch.setattr(linalg, "kernel_basis", forbidden)
+        assert [outcome(a, m) for a, m in cases] == expected
+        assert expected[-2:] == ["ideal does not contain the squares ideal",
+                                 "ideal is not contained in ker lambda"]
+
     def test_kernel_quotient(self, leibniz2):
         t = canonical_envelope(leibniz2, kernel_of_lambda(leibniz2))
         validate_envelope(t.e, t.h, t.action, t.f)
