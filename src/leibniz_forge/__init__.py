@@ -78,7 +78,6 @@ from .linalg import (
     mat_exp_float,
     parse_rational,
     rref,
-    solve_linear,
 )
 from .loops import (
     LoopContext,

@@ -21,6 +21,7 @@ from .linalg import (
     Vec,
     _eliminate,
     _insert_row,
+    _kernel,
     as_q,
     basis_vec,
     rref,
@@ -132,10 +133,12 @@ class StructureAlgebra:
         return skew_failure(self.sparse) is None
 
     def check_jacobi(self) -> bool:
-        """Cyclic Jacobi sum on all basis triples (no skewness assumed)."""
+        """Cyclic Jacobi sum on all basis triples (no skewness assumed); on i < j < k only
+        for a skew product, whose cyclic sum of (x y) z is then totally antisymmetric."""
         c = self.sparse
         return first_failure(self.dim, "ijk", [(1, c, "*k", c, "ij"), (1, c, "*i", c, "jk"),
-                                               (1, c, "*j", c, "ki")]) is None
+                                               (1, c, "*j", c, "ki")],
+                             3 if self.is_skew else 0) is None
 
     def check_lie(self) -> bool:
         return self.is_skew and self.check_jacobi()
@@ -279,9 +282,7 @@ def squares_ideal(a: StructureAlgebra) -> Subspace:
     they span the ideal when a round adds no row. Canonical rows depend neither on
     insertion order nor on zero generators.
     """
-    n, rows, done, new, cells = a.dim, {}, set(), {}, a.sparse.entries.items()
-    for (i, j), cell in cells:
-        _add(new, (min(i, j), max(i, j)), cell, 1)
+    n, rows, done, new, cells = a.dim, {}, set(), _squares(a), a.sparse.entries.items()
     while new:
         for v in new.values():
             _insert_row(rows, v)
@@ -297,16 +298,22 @@ def squares_ideal(a: StructureAlgebra) -> Subspace:
     return Subspace(n, tuple(tuple(rows[p].get(j, Q(0)) for j in range(n)) for p in sorted(rows)))
 
 
-def kernel_of_lambda(a: StructureAlgebra) -> Subspace:
-    """{x : lambda(x) = 0}, the kernel of the left-multiplication map."""
-    from .linalg import kernel_basis
+def _squares(a: StructureAlgebra) -> dict[tuple[int, int], dict[int, Q]]:
+    """e_i.e_j + e_j.e_i at (i, j), i < j, and e_i.e_i at (i, i): they span the squares."""
+    out: dict = {}
+    for (i, j), cell in a.sparse.entries.items():
+        _add(out, (min(i, j), max(i, j)), cell, 1)
+    return out
 
-    rows = []
-    for j in range(a.dim):
-        for k in range(a.dim):
-            rows.append(tuple(a.c[i][j][k] for i in range(a.dim)))
-    ker = kernel_basis(Matrix(tuple(rows))) if rows else []
-    return Subspace.span(a.dim, ker)
+
+def kernel_of_lambda(a: StructureAlgebra) -> Subspace:
+    """{x : lambda(x) = 0}, the kernel of the left-multiplication map: the null space
+    of the rows (j, k) -> {i: c_ij^k}, read from the nonzero cells."""
+    lam: dict[tuple[int, int], dict[int, Q]] = {}
+    for (i, j), cell in a.sparse.entries.items():
+        for k, x in cell.items():
+            lam.setdefault((j, k), {})[i] = x
+    return Subspace.span(a.dim, _kernel(lam.values(), a.dim))
 
 
 def is_ideal(a: StructureAlgebra, s: Subspace) -> bool:

@@ -23,6 +23,7 @@ from .algebra import (
     StructureAlgebra,
     Subspace,
     _quotient,
+    _squares,
     squares_ideal,
 )
 from .linalg import (
@@ -30,6 +31,7 @@ from .linalg import (
     Q,
     Scalar,
     Vec,
+    _eliminate,
     as_q,
     rref,
     vscale,
@@ -110,13 +112,17 @@ def canonical_envelope(e: StructureAlgebra, m: Subspace) -> EnvelopeTriple:
 
     The containments make M an ideal, so it is not tested again: m in M has m.x = 0
     (M in ker lambda), and x.m = (x+m).(x+m) - x.x - m.m - m.x is in the squares ideal.
-    M in ker lambda is decided on M's basis: v.e_j = 0 for each right factor e_j."""
+    M in ker lambda is decided on M's basis: v.e_j = 0 for each right factor e_j.
+    Such an M holds the squares ideal once it holds every square (the same sum puts x.m
+    in M); only an M outside ker lambda builds that ideal, to name the failing test."""
     if m.ambient_dim != e.dim:
         raise EnvelopeError("ideal lives in the wrong ambient space")
-    if not m.contains_subspace(squares_ideal(e)):
-        raise EnvelopeError("ideal does not contain the squares ideal")
     right = {j for _, j in e.sparse.entries}
-    if any(any(e.rmul_basis(v, j)) for v in m.basis for j in right):
+    in_ker = not any(any(e.rmul_basis(v, j)) for v in m.basis for j in right)
+    if not (all(not _eliminate(v, m._rows) for v in _squares(e).values()) if in_ker
+            else m.contains_subspace(squares_ideal(e))):
+        raise EnvelopeError("ideal does not contain the squares ideal")
+    if not in_ker:
         raise EnvelopeError("ideal is not contained in ker lambda")
     h, q = _quotient(e, m)
     mats = tuple(Matrix.from_cols(e.c[cb]) for cb in m.complement_coords)  # lambda(e_cb)

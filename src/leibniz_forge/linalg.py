@@ -251,32 +251,17 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Exact basis of the null space, one vector per rref free column."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[Vec] = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [Q(0)] * m.cols
-        v[free] = Q(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i, free]
-        basis.append(tuple(v))
-    return basis
+    return _kernel(({j: x for j, x in enumerate(r) if x} for r in m.entries), m.cols)
 
 
-def solve_linear(m: Matrix, b: Vec) -> Vec | None:
-    """One exact solution of m x = b (free variables set to 0), or None."""
-    if len(b) != m.rows:
-        raise ValueError(f"shape mismatch: {m.rows}x{m.cols} vs rhs length {len(b)}")
-    aug = Matrix(tuple(r + (bi,) for r, bi in zip(m.entries, b))) if m.rows else Matrix(())
-    red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [Q(0)] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = red[i, m.cols]
-    return tuple(x)
+def _kernel(rows: Iterable[dict[int, Scalar]], n: int) -> list[Vec]:
+    """Null space of the rows (column -> entry) over n columns: for each free column f
+    of their canonical rows, e_f minus column f of those rows, read at their pivots."""
+    red: dict[int, dict[int, Fraction]] = {}
+    for r in rows:
+        _insert_row(red, r)
+    return [tuple(Q(1) if j == f else -red[j].get(f, _ZERO) if j in red else _ZERO
+                  for j in range(n)) for f in range(n) if f not in red]
 
 
 def inverse(m: Matrix) -> Matrix | None:

@@ -40,7 +40,7 @@ class ModuleAction:
     The homomorphism check is one identity scan over (i, j, k) of column k of
     D(i, j) = [rho_i, rho_j] - rho(e_i e_j). For a Lie h, D is skew in (i, j)
     and zero at i = j, so the first failing triple has i < j and names the
-    first failing pair of the loop over i < j.
+    first failing pair of the loop over i < j; the scan reads only i < j.
     """
 
     h: StructureAlgebra
@@ -61,7 +61,7 @@ class ModuleAction:
             raise InvalidActionError("h is not a Lie algebra")
         rho = self.sparse  # (a, k) -> rho(e_a) e_k
         at = first_failure(self.h.dim, "ijk", [(1, rho, "i*", rho, "jk"), (-1, rho, "j*", rho, "ik"),
-                                               (-1, rho, "*k", self.h.sparse, "ij")])
+                                               (-1, rho, "*k", self.h.sparse, "ij")], 2)
         if at is not None:
             raise InvalidActionError(f"action is not a Lie homomorphism at basis pair {at[:2]}")
 

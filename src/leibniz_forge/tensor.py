@@ -19,7 +19,8 @@ inner value goes. first_failure walks the leading variable in order, builds
 that slice's residual from the nonzero entries alone, and returns the least
 failing tuple of the first failing slice: the lexicographically first
 failing basis tuple, as a dense scan would report it, without scanning past
-it. skew_failure finds it by partner lookup, the first two indices swapped.
+it, reading every slice through one plan of its terms. skew_failure finds it
+by partner lookup, the first two indices swapped.
 
 Scans add integers: `scaled` holds a tensor's numerators over its lcm
 denominator (1 when empty), built in the walk that makes the view, and each
@@ -33,8 +34,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, neg
-from typing import Mapping, Sequence, Union
+from operator import itemgetter, lt, neg
+from typing import Iterable, Mapping, Sequence, Union
 
 Cell = dict[int, Fraction]
 Residual = dict[tuple[int, ...], dict[int, int]]
@@ -142,49 +143,66 @@ def _add(res: dict, key: tuple[int, ...], cell: Mapping, f) -> None:
         r[m] = r.get(m, 0) + f * x
 
 
-def residual(variables: str, i: int, terms: Sequence[Term]) -> Residual:
-    """The identity's value at every basis tuple whose leading variable is i,
-    keyed by the values of the other variables (zero keys may be absent), times
-    L: term t is scaled by L / (den_outer * den_inner), L the lcm over the terms."""
-    lead, rest = variables[0], variables[1:]
+def _plan(variables: str, fixed: int, terms: Sequence[Term], increasing: int):
+    """A scan's set-up, built once, as a function from a slice (the values of the first
+    `fixed` variables) to its residual: the identity's value at the slice's basis tuples,
+    keyed by the other variables (zero keys may be absent) on which the first `increasing`
+    variables increase, times L: term t is scaled by L / (den_outer * den_inner)."""
+    lead, rest = variables[:fixed], variables[fixed:]
     dens = [math.prod([t.scaled[1] for t in term[1::2]]) for term in terms]
-    scale = math.lcm(*dens)
-    res: Residual = {}
+    scale, steps = math.lcm(*dens), []  # (weight, driving group, joined index, slot, pick)
     for (sign, outer, oargs, *inner), den in zip(terms, dens):
-        f = sign * (scale // den)
-        if not inner:
-            pick = _pick([oargs.index(v) for v in rest])
-            for key, cell in outer.group((oargs.index(lead),), True).get((i,), ()):
-                _add(res, pick(key), cell, f)
-            continue
-        tensor, iargs = inner
-        slot = oargs.index("*")
-        pick = _pick([(iargs + oargs).index(v) for v in rest])
-        if lead in iargs:  # each inner entry at i meets the outer cells at its output
-            outs = outer.group((slot,), True)
-            products = ((ikey, c, okey, ocell)
-                        for ikey, icell in tensor.group((iargs.index(lead),), True).get((i,), ())
-                        for l, c in icell.items() for okey, ocell in outs.get((l,), ()))
-        else:  # each outer cell at i meets the inner entries whose output is at its slot
-            ins = tensor._by_output
-            products = ((ikey, c, okey, ocell)
-                        for okey, ocell in outer.group((oargs.index(lead),), True).get((i,), ())
-                        for ikey, c in ins.get(okey[slot], ()))
-        for ikey, c, okey, ocell in products:  # _add, inlined
-            fc = f * c
-            r = res.setdefault(pick(ikey + okey), {})
-            for m, x in ocell.items():
-                r[m] = r.get(m, 0) + fc * x
-    return res
+        tensor, iargs = inner or (None, "")
+        f, pick = sign * (scale // den), _pick([*map((iargs + oargs).index, rest)])
+        if inner and set(lead) <= set(iargs):  # inner entries meet the outer cells at their output
+            steps.append((f, tensor.group(tuple(map(iargs.index, lead)), True),
+                          outer.group((oargs.index("*"),), True), None, pick))
+        else:  # each outer cell meets the inner entries, if any, whose output is at its slot
+            steps.append((f, outer.group(tuple(map(oargs.index, lead)), True),
+                          tensor and tensor._by_output, oargs.find("*"), pick))
+    m = max(increasing - fixed, 0)  # leading key entries that must each exceed the one before
+
+    def at_slice(at: tuple[int, ...]) -> Residual:
+        res: Residual = {}
+        lo = at[-1]
+        for f, drive, join, slot, pick in steps:
+            if join is None:
+                products = [(pick(key), f, cell) for key, cell in drive.get(at, ())]
+            elif slot is None:
+                products = [(pick(ikey + okey), f * c, ocell) for ikey, icell in drive.get(at, ())
+                            for l, c in icell.items() for okey, ocell in join.get((l,), ())]
+            else:
+                products = [(pick(ikey + okey), f * c, ocell) for okey, ocell in drive.get(at, ())
+                            for ikey, c in join.get(okey[slot], ())]
+            for key, fc, cell in products:  # _add, inlined
+                if m and not (lo < key[0] < key[1] if m == 2 else lo < key[0] if m == 1
+                              else all(map(lt, (lo,) + key[:m - 1], key[:m]))):
+                    continue
+                r = res.setdefault(key, {})
+                for k, x in cell.items():
+                    r[k] = r.get(k, 0) + fc * x
+        return res
+    return at_slice
 
 
-def first_failure(n: int, variables: str, terms: Sequence[Term]) -> tuple[int, ...] | None:
-    """Lexicographically first basis tuple, leading index below n, at which
-    the identity fails; None if it holds everywhere."""
-    for i in range(n):
-        bad = [key for key, r in residual(variables, i, terms).items() if any(r.values())]
+def first_failure(n: int, variables: str, terms: Sequence[Term], increasing: int = 0,
+                  slices: Iterable[tuple[int, ...]] | None = None) -> tuple[int, ...] | None:
+    """Lexicographically first basis tuple, leading index below n, at which the
+    identity fails; None if it holds everywhere. The scan walks slices, each fixing the
+    leading variables, in order through one plan: (i,) for i < n, or the `slices` named.
+
+    A caller that has proved the residual totally antisymmetric in the first
+    `increasing` variables scans only tuples on which they strictly increase, and
+    finds the same first failure: the residual vanishes when two of them are equal,
+    and at a permutation of them it is, up to sign, the residual at their sorted
+    order, a lexicographically lesser tuple. Named slices must keep that order too.
+    """
+    scan = None
+    for at in ((i,) for i in range(n)) if slices is None else slices:
+        scan = scan or _plan(variables, len(at), terms, increasing)
+        bad = [key for key, r in scan(at).items() if any(r.values())]
         if bad:
-            return (i,) + min(bad)
+            return at + min(bad)
     return None
 
 

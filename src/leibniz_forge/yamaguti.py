@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import StructureAlgebra, Subspace
-from .linalg import Matrix, Q, Vec, as_q, is_zero_vec
+from .linalg import Matrix, Q, Vec, _insert_row, as_q, is_zero_vec
 from .products import ModuleAction, action_products, matrix_lie_algebra
 from .tensor import SparseTensor, _add, first_failure, materialize, skew_failure
 
@@ -69,7 +69,7 @@ class LieYamaguti:
 
 
 def validate_ly(ly: LieYamaguti) -> LYReport:
-    """Check LY1-LY6 on full basis tuple ranges, lexicographic first failure.
+    """Check LY1-LY6 on basis tuples; the lexicographically first failure.
 
     With b the binary and t the ternary tensor, on basis elements:
 
@@ -80,22 +80,37 @@ def validate_ly(ly: LieYamaguti) -> LYReport:
       LY5  t(i, j, b(u, v)) = b(t(i, j, u), v) + b(u, t(i, j, v))
       LY6  t(i, j, t(u, v, w)) = t(t(i, j, u), v, w) + t(u, t(i, j, v), w)
                                  + t(u, v, t(i, j, w))
+
+    Once LY1 and LY2 hold, symmetry decides part of each scan and keeps its first
+    failure. LY3 and LY4 run on i < j < k (first_failure's increasing prefix): each is
+    a cyclic sum over (i, j, k) of a term skew in its first two variables, so it is
+    totally antisymmetric. LY5 and LY6 run on the kept pairs, the i < j whose
+    D = delta(e_i, e_j) adds a pivot when the nonzero D go in key order into one set of
+    canonical rows. Both residuals at (i, j) are linear in D (D derives b and t), LY2
+    gives D(j, i) = -D(i, j) and D(i, i) = 0, and a pair not kept has its D in the span
+    of the kept pairs before it: if it fails, one of those fails, so the first is kept.
     """
     b, t = ly.sparse()
     for name, tensor in (("LY1", b), ("LY2", t)):
         if (at := skew_failure(tensor)) is not None:
             return LYReport(False, name, at)
-    cyclic = ("ijk", "jki", "kij")
+    n, cyclic = ly.dim, ("ijk", "jki", "kij")
     for name, variables, terms in (
             ("LY3", "ijk", [term for x, y, z in cyclic
                             for term in ((1, b, "*" + z, b, x + y), (1, t, x + y + z))]),
-            ("LY4", "ijku", [(1, t, "*" + z + "u", b, x + y) for x, y, z in cyclic]),
+            ("LY4", "ijku", [(1, t, "*" + z + "u", b, x + y) for x, y, z in cyclic])):
+        if (at := first_failure(n, variables, terms, increasing=3)) is not None:
+            return LYReport(False, name, at)
+    rows: dict = {}
+    kept = [(i, j) for (i, j), cells in sorted(t.group((0, 1), True).items()) if i < j
+            and _insert_row(rows, {k * n + l: x for (_, _, k), cell in cells
+                                   for l, x in cell.items()})]
+    for name, variables, terms in (
             ("LY5", "ijuv", [(1, t, "ij*", b, "uv"), (-1, b, "*v", t, "iju"),
                              (-1, b, "u*", t, "ijv")]),
             ("LY6", "ijuvw", [(1, t, "ij*", t, "uvw"), (-1, t, "*vw", t, "iju"),
                               (-1, t, "u*w", t, "ijv"), (-1, t, "uv*", t, "ijw")])):
-        at = first_failure(ly.dim, variables, terms)
-        if at is not None:
+        if (at := first_failure(n, variables, terms, slices=kept)) is not None:
             return LYReport(False, name, at)
     return LYReport(True)
 

@@ -41,6 +41,7 @@ from leibniz_forge import (
     ly_envelope,
     ly_from_decomposition,
     ly_from_leibniz,
+    omni_algebras,
     random_algebra,
     random_one_form,
     random_section,
@@ -123,6 +124,7 @@ def test_criterion_04_lie_yamaguti():
     start = time.monotonic()
     failures = []
     small = {n: a for n, a in CORPUS.items() if a.dim <= 6}
+    small["omni_hemi5"] = omni_algebras(5)[0]  # dim 30
     for name, a in small.items():
         ly = ly_from_leibniz(a)
         rep = validate_ly(ly)
@@ -140,7 +142,8 @@ def test_criterion_04_lie_yamaguti():
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 60.0
     record("04 lie-yamaguti", ok,
-           f"{len(small)} algebras with round-trip in {elapsed:.2f}s")
+           f"{len(small)} algebras up to dim {max(a.dim for a in small.values())} "
+           f"with round-trip in {elapsed:.2f}s")
     assert not failures, failures
     assert elapsed < 60.0, f"{elapsed:.2f}s"
 

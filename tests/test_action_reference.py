@@ -28,6 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import leibniz_forge
+from leibniz_forge import tensor
 from leibniz_forge import (
     EnvelopeError,
     InvalidActionError,
@@ -536,13 +537,25 @@ def test_omni_algebras_match(d):
 
 # -- rejected actions and negatives -------------------------------------------------
 
+def full_scan_outcome(h: StructureAlgebra, mats: Sequence[Matrix]):
+    """outcome(ModuleAction, h, mats) for a Lie h, from the homomorphism scan run on
+    every triple (i, j, k) of the action's identity, not only on i < j."""
+    rho = unchecked_action(h, mats, mats[0].rows).sparse
+    at = tensor.first_failure(h.dim, "ijk", [(1, rho, "i*", rho, "jk"), (-1, rho, "j*", rho, "ik"),
+                                             (-1, rho, "*k", h.sparse, "ij")])
+    return (key(unchecked_action(h, mats, mats[0].rows)) if at is None else
+            (InvalidActionError, f"action is not a Lie homomorphism at basis pair {at[:2]}"))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(range(len(ACTIONS))), st.data())
 def test_perturbed_actions_match(which, data):
-    """One matrix cell moved: the first failing pair must be the reference's."""
+    """One matrix cell moved: the first failing pair must be the reference's, and
+    the full scan's."""
     act = ACTIONS[which]
     mats = perturbed_mats(data, act.mats)
-    assert outcome(ModuleAction, act.h, mats) == outcome(ref_action, act.h, mats)
+    assert (outcome(ModuleAction, act.h, mats) == outcome(ref_action, act.h, mats)
+            == full_scan_outcome(act.h, mats))
     assert (outcome(ModuleAction, act.h, mats, act.v_dim)
             == outcome(ref_action, act.h, mats, act.v_dim))
 

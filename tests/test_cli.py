@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from leibniz_forge import cli, validate_ly
+from leibniz_forge import cli, ly_from_leibniz, squares_ideal, validate_ly
 from leibniz_forge.cli import (
     MAX_ALGEBRA_DIM,
     MAX_LY_DIM,
@@ -365,6 +365,24 @@ class TestDispatch:
         monkeypatch.setattr(cli, "kernel_of_lambda", forbidden)
         assert [self.run(capsys, *argv) for argv in argvs] == expected
         assert all(code == 1 for code, _ in expected)
+
+    @pytest.mark.parametrize("verb", ["build", "verify"])
+    def test_one_squares_ideal_per_envelope(self, files, capsys, monkeypatch, verb):
+        """The default ideal is built once: canonical_envelope decides that it holds
+        the squares ideal on the squares themselves."""
+        from leibniz_forge import envelope
+
+        built = []
+
+        def counted(a):
+            built.append(a)
+            return squares_ideal(a)
+
+        monkeypatch.setattr(cli, "squares_ideal", counted)
+        monkeypatch.setattr(envelope, "squares_ideal", counted)
+        path = files("hemi2.json", json.dumps(algebra_to_doc(omni_algebras(2)[0])))
+        assert self.run(capsys, "envelope", verb, path, "--format", "json")[0] == 0
+        assert len(built) == 1
 
     @pytest.mark.parametrize("verb, ideal", [("verify", "squares"), ("verify", "kernel"),
                                              ("build", "kernel")])
@@ -899,9 +917,17 @@ class TestFileDimBounds:
             tracemalloc.stop()
         assert report.ok and peak < 8 * 2 ** 20
 
-    def test_bounds_admit_the_largest_documented_inputs(self):
-        # omni --dim 8 emits a dim-72 algebra; omni_hemi(6) has dim 42
+    def test_bounds_admit_the_largest_documented_inputs(self, files, capsys):
+        # omni --dim 8 emits a dim-72 algebra; omni_hemi(6) has dim 42, and the LY
+        # structure of omni_hemi(6), at the bound, passes ly check
         assert MAX_ALGEBRA_DIM >= 8 * 8 + 8 and MAX_LY_DIM >= 6 * 6 + 6
+        ly = ly_from_leibniz(omni_algebras(6)[0])
+        doc = {"dim": ly.dim, **{key: [[*k, l, str(x)] for k, cell in s.entries.items()
+                                       for l, x in cell.items()]
+                                 for key, s in zip(("binary", "ternary"), ly.sparse())}}
+        path = files("hemi6_ly.json", json.dumps(doc))
+        assert ly.dim == MAX_LY_DIM and main(["ly", "check", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def _algebra(**changes) -> str:

@@ -111,9 +111,10 @@ class TestCanonicalConstruction:
             algebra.quotient_algebra(corpus["leibniz2"], Subspace.zero(2))
 
     def test_no_kernel_of_lambda_is_built(self, corpus, monkeypatch):
-        """M in ker lambda is decided on M's basis: with kernel_basis refusing, the
-        triples and errors on the corpus and on the two non-ideal files stay the same."""
-        from leibniz_forge import linalg
+        """M in ker lambda is decided on M's basis: with the null-space reader that
+        kernel_of_lambda calls refusing, the triples and errors on the corpus and on
+        the two non-ideal files stay the same."""
+        from leibniz_forge import algebra
 
         def outcome(a, m):
             try:
@@ -131,9 +132,11 @@ class TestCanonicalConstruction:
         expected = [outcome(a, m) for a, m in cases]
 
         def forbidden(*args):
-            raise AssertionError("kernel_basis called")
+            raise AssertionError("_kernel called")
 
-        monkeypatch.setattr(linalg, "kernel_basis", forbidden)
+        monkeypatch.setattr(algebra, "_kernel", forbidden)
+        with pytest.raises(AssertionError, match="_kernel called"):
+            kernel_of_lambda(corpus["leibniz2"])
         assert [outcome(a, m) for a, m in cases] == expected
         assert expected[-2:] == ["ideal does not contain the squares ideal",
                                  "ideal is not contained in ker lambda"]

@@ -22,7 +22,6 @@ from leibniz_forge import (
     parse_rational,
     random_unimodular,
     rref,
-    solve_linear,
 )
 from leibniz_forge.linalg import FloatMatrix, basis_vec, exp_apply, format_rational, vdot, vzero
 
@@ -81,20 +80,6 @@ class TestKernelAndSolve:
     def test_kernel_vectors_annihilated(self, m):
         for v in kernel_basis(m):
             assert m.apply(v) == vzero(m.rows)
-
-    @settings(max_examples=40)
-    @given(st.integers(1, 3).flatmap(square),
-           st.lists(rationals, min_size=3, max_size=3))
-    def test_solve_consistent_system(self, m, xs):
-        x = tuple(xs[: m.cols])
-        b = m.apply(x)
-        sol = solve_linear(m, b)
-        assert sol is not None
-        assert m.apply(sol) == b
-
-    def test_solve_inconsistent(self):
-        m = Matrix.from_rows([[1, 0], [1, 0]])
-        assert solve_linear(m, (Q(1), Q(2))) is None
 
 
 class TestInverse:
