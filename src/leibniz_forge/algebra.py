@@ -22,8 +22,10 @@ from .linalg import (
     _eliminate,
     _insert_row,
     _kernel,
+    _read,
     as_q,
     basis_vec,
+    inverse,
     rref,
     vadd,
     vscale,
@@ -166,19 +168,26 @@ class StructureAlgebra:
         return vscale(Q(1, 2), vsub(self.product(x, y), self.product(y, x)))
 
     def change_basis(self, p: Matrix) -> "StructureAlgebra":
-        """Structure constants in the new basis u_a = (column a of p)."""
-        from .linalg import inverse
-
+        """Structure constants in the new basis u_a = (column a of p): u_a . u_b =
+        sum P_ia P_jb c_ij over the nonzero cells and the nonzero entries of p's rows,
+        each nonzero product then mapped by the nonzero entries of p^-1's columns."""
         if p.rows != self.dim or p.cols != self.dim:
             raise ValueError("change of basis must be dim x dim")
         pinv = inverse(p)
         if pinv is None:
             raise ValueError("change of basis must be invertible")
-        cols = [p.col(a) for a in range(self.dim)]
-        c = tuple(tuple(pinv.apply(self.product(cols[a], cols[b]))
-                        for b in range(self.dim))
-                  for a in range(self.dim))
-        return StructureAlgebra(self.dim, c, self.basis_names, self.name)
+        rows = [{a: x for a, x in enumerate(r) if x} for r in p.entries]
+        products: dict = {}
+        for (i, j), cell in self.sparse.entries.items():
+            for a, x in rows[i].items():
+                for b, y in rows[j].items():
+                    _add(products, (a, b), cell, x * y)
+        cols = [{l: x for l, x in enumerate(pinv.col(k)) if x} for k in range(self.dim)]
+        cells: dict = {}
+        for ab, cell in products.items():
+            for k, z in cell.items():
+                _add(cells, ab, cols[k], z)
+        return StructureAlgebra.from_products(self.dim, cells, self.basis_names, self.name)
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -216,17 +225,18 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
-    def _rows(self) -> dict[int, dict[int, Q]]:
-        """The basis as pivot -> {column: nonzero entry}, built once. The basis must be
-        canonical rref rows of length ambient_dim: pivots of 1 moving strictly right,
-        and 0 in every other row."""
-        rows: dict[int, dict[int, Q]] = {}
+    def _rows(self) -> dict[int, dict[int, int]]:
+        """The basis as canonical integer rows (linalg._eliminate), built once. The basis must
+        be canonical rref rows of int or Fraction entries and length ambient_dim: pivots of 1
+        moving strictly right, and 0 in every other row."""
+        rows: dict[int, dict[int, int]] = {}
         for b in self.basis:
             r = {j: x for j, x in enumerate(b) if x}
             p = min(r, default=-1)
-            if len(b) != self.ambient_dim or p <= next(reversed(rows), -1) or r[p] != 1:
+            if len(b) != self.ambient_dim or p <= next(reversed(rows), -1) or r[p] != 1 \
+                    or not all(isinstance(x, (int, Q)) for x in b):
                 break
-            rows[p] = r
+            rows[p] = _eliminate(r, {})[0]  # r times the lcm of its denominators
         if len(rows) < len(self.basis) or any(len(rows.keys() & r.keys()) > 1 for r in rows.values()):
             raise ValueError(f"subspace basis is not canonical rref in Q^{self.ambient_dim}")
         return rows
@@ -239,12 +249,17 @@ class Subspace:
     def complement_coords(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.ambient_dim) if j not in self._rows)
 
+    def _cleared(self, v: dict[int, Scalar]) -> dict[int, Q]:
+        """The nonzero entries of v (column -> entry) left after clearing every pivot."""
+        nums, den = _eliminate(v, self._rows)
+        return {j: Q(x, den) for j, x in nums.items()}
+
     def _residual(self, v: Sequence[Scalar]) -> tuple[Vec, dict[int, Q]]:
         """v as exact entries, and the nonzero entries left after clearing every pivot."""
         w = tuple(as_q(x) for x in v)
         if len(w) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
-        return w, _eliminate({j: x for j, x in enumerate(w) if x}, self._rows)
+        return w, self._cleared({j: x for j, x in enumerate(w) if x})
 
     def reduce(self, v: Sequence[Scalar]) -> Vec:
         """Residual of v after eliminating every pivot coordinate."""
@@ -277,12 +292,12 @@ def squares_ideal(a: StructureAlgebra) -> Subspace:
 
     The squares are polarized to e_i.e_i and e_i.e_j + e_j.e_i of the nonzero cells,
     then closed under left and right multiplication by basis elements in rounds on
-    one set of canonical rows: a round adds the 2n products of each row the last
-    round added, read with 0 at every pivot so far. Rows so read are independent, so
-    they span the ideal when a round adds no row. Canonical rows depend neither on
-    insertion order nor on zero generators.
+    one set of canonical integer rows from the integer cells: a round adds the 2n products
+    of each row the last round added, read with 0 at every pivot so far. Rows so read are
+    independent, so they span the ideal when a round adds no row. Canonical rows depend
+    neither on insertion order nor on zero generators, nor on scaling the constants.
     """
-    n, rows, done, new, cells = a.dim, {}, set(), _squares(a), a.sparse.entries.items()
+    n, rows, done, new, cells = a.dim, {}, set(), _squares(a), a.sparse.scaled[0].items()
     while new:
         for v in new.values():
             _insert_row(rows, v)
@@ -295,13 +310,13 @@ def squares_ideal(a: StructureAlgebra) -> Subspace:
                     _add(new, (r, 0, i), cell, v[j])
                 if i in v:
                     _add(new, (r, 1, j), cell, v[i])
-    return Subspace(n, tuple(tuple(rows[p].get(j, Q(0)) for j in range(n)) for p in sorted(rows)))
+    return Subspace(n, _read(rows, n))
 
 
-def _squares(a: StructureAlgebra) -> dict[tuple[int, int], dict[int, Q]]:
-    """e_i.e_j + e_j.e_i at (i, j), i < j, and e_i.e_i at (i, i): they span the squares."""
+def _squares(a: StructureAlgebra) -> dict[tuple[int, int], dict[int, int]]:
+    """e_i.e_j + e_j.e_i at (i, j), i < j, and e_i.e_i at (i, i), of the integer cells."""
     out: dict = {}
-    for (i, j), cell in a.sparse.entries.items():
+    for (i, j), cell in a.sparse.scaled[0].items():
         _add(out, (min(i, j), max(i, j)), cell, 1)
     return out
 
@@ -321,9 +336,7 @@ def is_ideal(a: StructureAlgebra, s: Subspace) -> bool:
         raise ValueError("ambient dimension mismatch")
     for v in s.basis:
         for k in range(a.dim):
-            if not s.contains(a.lmul_basis(k, v)):
-                return False
-            if not s.contains(a.rmul_basis(v, k)):
+            if not (s.contains(a.lmul_basis(k, v)) and s.contains(a.rmul_basis(v, k))):
                 return False
     return True
 
@@ -355,9 +368,9 @@ def _quotient(a: StructureAlgebra, m: Subspace) -> tuple[StructureAlgebra, Matri
     complement, cleared at M's pivots."""
     comp = m.complement_coords
     pos = {j: q for q, j in enumerate(comp)}
-    products = {(pos[i], pos[j]): {pos[k]: x for k, x in _eliminate(cell, m._rows).items()}
+    products = {(pos[i], pos[j]): {pos[k]: x for k, x in m._cleared(cell).items()}
                 for (i, j), cell in a.sparse.entries.items() if i in pos and j in pos}
-    cols = [_eliminate({j: Q(1)}, m._rows) for j in range(a.dim)]  # e_j cleared at the pivots
+    cols = [m._cleared({j: 1}) for j in range(a.dim)]  # e_j cleared at the pivots
     qmat = Matrix.from_cols([tuple(col.get(k, Q(0)) for k in comp) for col in cols])
     return StructureAlgebra.from_products(len(comp), products, [a.basis_names[j] for j in comp],
                                           f"{a.name}/M" if a.name else ""), qmat

@@ -119,7 +119,7 @@ def canonical_envelope(e: StructureAlgebra, m: Subspace) -> EnvelopeTriple:
         raise EnvelopeError("ideal lives in the wrong ambient space")
     right = {j for _, j in e.sparse.entries}
     in_ker = not any(any(e.rmul_basis(v, j)) for v in m.basis for j in right)
-    if not (all(not _eliminate(v, m._rows) for v in _squares(e).values()) if in_ker
+    if not (all(not _eliminate(v, m._rows)[0] for v in _squares(e).values()) if in_ker
             else m.contains_subspace(squares_ideal(e))):
         raise EnvelopeError("ideal does not contain the squares ideal")
     if not in_ker:

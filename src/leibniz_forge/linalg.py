@@ -209,29 +209,46 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
-def _eliminate(v: dict[int, Fraction], rows: dict[int, dict[int, Fraction]]) -> dict[int, Fraction]:
-    """v (column -> nonzero entry) cleared at every pivot of canonical rows, pivot ->
-    {column: nonzero entry} with 1 at its own pivot and 0 at every other."""
-    out = dict(v)
-    for p, f in v.items():
-        for j, y in rows.get(p, {}).items():
-            out[j] = out.get(j, _ZERO) - f * y
-    return {j: x for j, x in out.items() if x}
+def _eliminate(v: dict[int, Scalar], rows: dict[int, dict[int, int]]) -> tuple[dict[int, int], int]:
+    """v (column -> int or Fraction entry) cleared at every pivot of canonical rows: the
+    nonzero residual as integer numerators over one positive denominator. Canonical rows
+    are primitive integer rows, pivot -> {column: nonzero int} with gcd 1, positive at
+    their pivot and 0 at every other, each standing for itself over its pivot entry.
+    Clearing cross-multiplies, a v - b row with a / b = row[p] / v[p] in lowest terms,
+    so no Fraction is made, and it leaves v at the other pivots as it was."""
+    den = math.lcm(*[x.denominator for x in v.values()])
+    out = {j: x.numerator * (den // x.denominator) for j, x in v.items()}
+    for p in v:
+        if p in rows and out[p]:
+            g = math.gcd(rows[p][p], out[p])
+            a, b = rows[p][p] // g, out[p] // g
+            if a != 1:
+                out, den = {j: a * x for j, x in out.items()}, den * a
+            for j, y in rows[p].items():
+                out[j] = out.get(j, 0) - b * y
+    return {j: x for j, x in out.items() if x}, den
 
 
-def _insert_row(rows: dict[int, dict[int, Fraction]], r: dict[int, Scalar]) -> bool:
-    """Add the row r (column -> entry) to canonical rows: clear it at their pivots,
-    scale what is left to 1 at its first nonzero column and clear that column from
-    them. False, and rows unchanged, when r lies in their span."""
-    v = _eliminate(r, rows)
+def _insert_row(rows: dict[int, dict[int, int]], r: dict[int, Scalar]) -> bool:
+    """Add the row r (column -> int or Fraction entry) to canonical rows: clear it at their
+    pivots, keep what is left as a primitive row, positive at its first nonzero column p,
+    and clear p from them; False, and rows unchanged, when r lies in their span. A row space
+    has one rref and each rref row one such multiple, so equal spans give equal rows."""
+    v = _eliminate(r, rows)[0]
     if not v:
         return False
     p = min(v)
-    pivot = Q(v[p])  # a Fraction, so int entries divide exactly
-    v = {j: x / pivot for j, x in v.items()}
-    rows.update({q: _eliminate(row, {p: v}) for q, row in rows.items() if p in row})
-    rows[p] = v
+    for q in [p, *(q for q, row in rows.items() if p in row)]:  # the new row, then those it clears
+        w = v if q == p else _eliminate(rows[q], {p: rows[p]})[0]
+        g = math.gcd(*w.values()) if w[q] > 0 else -math.gcd(*w.values())
+        rows[q] = w if g == 1 else {j: x // g for j, x in w.items()}
     return True
+
+
+def _read(rows: dict[int, dict[int, int]], n: int) -> tuple[Vec, ...]:
+    """Canonical rows in pivot order as rref rows of length n, each over its pivot entry."""
+    return tuple(tuple(Q(r[j], r[p]) if j in r else _ZERO for j in range(n))
+                 for p, r in sorted(rows.items()))
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -241,12 +258,11 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     right, zero rows sink to the bottom. rref is idempotent, so equal row
     spaces yield identical results. Rows are inserted one by one on their nonzero entries.
     """
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for r in m.entries:
         _insert_row(rows, {j: x for j, x in enumerate(r) if x})
-    pivots = tuple(sorted(rows))
-    out = tuple(tuple(rows[p].get(j, _ZERO) for j in range(m.cols)) for p in pivots)
-    return Matrix(out + (vzero(m.cols),) * (m.rows - len(out))), pivots
+    out = _read(rows, m.cols)
+    return Matrix(out + (vzero(m.cols),) * (m.rows - len(out))), tuple(sorted(rows))
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
@@ -257,10 +273,10 @@ def kernel_basis(m: Matrix) -> list[Vec]:
 def _kernel(rows: Iterable[dict[int, Scalar]], n: int) -> list[Vec]:
     """Null space of the rows (column -> entry) over n columns: for each free column f
     of their canonical rows, e_f minus column f of those rows, read at their pivots."""
-    red: dict[int, dict[int, Fraction]] = {}
+    red: dict[int, dict[int, int]] = {}
     for r in rows:
         _insert_row(red, r)
-    return [tuple(Q(1) if j == f else -red[j].get(f, _ZERO) if j in red else _ZERO
+    return [tuple(Q(1) if j == f else Q(-red[j][f], red[j][j]) if f in red.get(j, ()) else _ZERO
                   for j in range(n)) for f in range(n) if f not in red]
 
 

@@ -40,6 +40,7 @@ from .linalg import (
 from .poly import Poly
 from .products import ModuleAction
 from .sampling import Pcg32, random_vector
+from .tensor import _add
 
 _GATE_SEED = 32
 _GATE_SAMPLES = 32
@@ -67,20 +68,20 @@ def _envelope_nilpotent(a: StructureAlgebra) -> bool:
     A^k E, so A is nilpotent iff it reaches 0. W_1 = A E lies in E and A keeps
     inclusions, so W_(k+1) lies in W_k; once the dimension stops falling the
     chain is constant and never dies. At most n + 1 spans in E are built, each
-    as canonical rows; e_i . w is read from the integer cells, which scale it
-    by their common denominator and so leave every span as it is.
+    as canonical integer rows; e_i . w is read from the integer cells, which scale
+    it by their common denominator and so leave every span as it is, and no
+    Fraction is made.
     """
     cells = a.sparse.scaled[0]
     chain: dict[int, dict] = {i: {i: 1} for i in range(a.dim)}
     while chain:
         nxt: dict[int, dict] = {}
         for w in chain.values():
-            prods: list[dict] = [{} for _ in range(a.dim)]
+            prods: dict[int, dict] = {}  # i -> e_i . w
             for (i, j), cell in cells.items():
                 if j in w:
-                    for k, c in cell.items():
-                        prods[i][k] = prods[i].get(k, 0) + w[j] * c
-            for v in prods:
+                    _add(prods, i, cell, w[j])
+            for v in prods.values():
                 _insert_row(nxt, v)
         if len(nxt) == len(chain):
             return False

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_forge import (
+    Matrix,
     NotAnIdealError,
     Pcg32,
     StructureAlgebra,
@@ -131,15 +132,20 @@ class TestProductOperations:
         assert so3.skew_symmetrize().c == so3.c
 
     def test_change_basis_preserves_leibniz(self, corpus):
+        """Unimodular and permutation bases: Leibniz is kept, the inverse basis goes back,
+        and the constants are the dense formula's, p^-1 applied to each u_a . u_b."""
         rng = Pcg32(21)
         for name in ("leibniz2", "nilp4_s13", "omni_hemi1"):
             a = corpus[name]
-            p = random_unimodular(rng, a.dim)
-            b = a.change_basis(p)
-            assert b.is_leibniz
-            q = inverse(p)
-            assert q is not None
-            assert b.change_basis(q).c == a.c
+            shift = Matrix.from_cols([basis_vec(a.dim, (k + 1) % a.dim) for k in range(a.dim)])
+            for p in (random_unimodular(rng, a.dim), shift):
+                b = a.change_basis(p)
+                assert b.is_leibniz
+                q = inverse(p)
+                assert q is not None
+                assert b.change_basis(q).c == a.c
+                cols = [p.col(k) for k in range(a.dim)]
+                assert b.c == tuple(tuple(q.apply(a.product(x, y)) for y in cols) for x in cols)
 
 
 class TestSquaresIdeal:
@@ -251,7 +257,7 @@ class TestSubspace:
 
     @pytest.mark.parametrize("basis", [((1, 1), (1, 0)), ((0, 1), (1, 0)), ((1, 1), (0, 1)),
                                        ((2, 0),), ((0, 0),), ((1, 0), (1, 0)), ((1, 0, 5),),
-                                       ((0, 1), (0, 0, 1))])
+                                       ((0, 1), (0, 0, 1)), ((1.0, 0.5),)])
     def test_rejects_a_basis_not_in_canonical_rref(self, basis):
         s = Subspace(2, basis)
         for read in (lambda: s.pivots, lambda: s.contains((0, 1)), lambda: s.coords((1, 1)),

@@ -23,9 +23,18 @@ from leibniz_forge import (
     random_unimodular,
     rref,
 )
-from leibniz_forge.linalg import FloatMatrix, basis_vec, exp_apply, format_rational, vdot, vzero
+from leibniz_forge.linalg import (
+    FloatMatrix,
+    _insert_row,
+    basis_vec,
+    exp_apply,
+    format_rational,
+    vdot,
+    vzero,
+)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+big_rationals = st.builds(Q, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30))
 # mostly zeros, as in the sparse lambda(x) and their products
 zero_heavy = st.one_of(st.just(Q(0)), st.just(Q(0)), rationals)
 
@@ -66,6 +75,19 @@ class TestRref:
         r, pivots = rref(m)
         r2, pivots2 = rref(r)
         assert r2 == r and pivots2 == pivots
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(zero_heavy, min_size=4, max_size=4), max_size=6))
+    def test_canonical_rows_are_primitive_integer_rows(self, vectors):
+        """Fraction rows go in; every stored row holds only ints with gcd 1, leads at its
+        pivot with a positive entry and is 0 at every other pivot."""
+        rows: dict = {}
+        for v in vectors:
+            _insert_row(rows, {j: x for j, x in enumerate(v) if x})
+        for p, r in rows.items():
+            assert all(type(x) is int and x for x in r.values())
+            assert math.gcd(*r.values()) == 1 and min(r) == p and r[p] > 0
+            assert not r.keys() & rows.keys() - {p}
 
     @settings(max_examples=40)
     @given(st.integers(1, 3).flatmap(square))

@@ -5,9 +5,10 @@ rref and by Subspace.reduce, contains and coords, and reads coordinates at the
 pivots. The code kept below is the dense Gauss-Jordan sweep that rref was, the
 dense pivot sweep that Subspace reduced with, and coordinates checked by a
 dense rebuild from every basis row. Equal values and equal exceptions, type
-and message, pin all four on hypothesis matrices (zero rows, duplicate rows,
-rank deficiency, 0 rows and 0 columns), on vectors inside and outside each
-span, and on the spans of every algebra in the shared corpus.
+and message, pin all four on hypothesis matrices (small, 40-digit and integer
+entries, zero rows, duplicate rows, rank deficiency, 0 rows and 0 columns), on
+vectors inside and outside each span, and on the spans of every algebra in the
+shared corpus.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from leibniz_forge import Subspace, kernel_of_lambda, squares_ideal
 from leibniz_forge.linalg import Matrix, as_q, basis_vec, is_zero_vec, rref, vadd, vscale
 
 from conftest import build_corpus
-from test_linalg import rationals, zero_heavy
+from test_linalg import big_rationals, rationals, zero_heavy
 
 
 # -- dense reference ----------------------------------------------------------
@@ -178,11 +179,20 @@ def probes(n: int, gens) -> list:
     return out + [basis_vec(n + 1, 0)]
 
 
+ENTRIES = [
+    zero_heavy,
+    st.one_of(st.just(Q(0)), big_rationals),  # 40-digit numerators, 30-digit denominators
+    # integer rows whose primitive form mostly leads with neither 1 nor -1
+    st.one_of(st.just(Q(0)), st.sampled_from([2, 3, -4, 6, -9, 10, 15]).map(Q)),
+]
+
+
 @st.composite
 def matrices(draw):
-    """Rows with many zeros, then zero rows and multiples or sums of earlier rows."""
-    nr, nc = draw(st.integers(0, 5)), draw(st.integers(0, 6))
-    rows = draw(st.lists(st.lists(zero_heavy, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    """Rows with many zeros, of small, big or integer entries, then zero rows and
+    multiples or sums of earlier rows."""
+    nr, nc, entries = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.sampled_from(ENTRIES))
+    rows = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
         kind = draw(st.sampled_from(["zero", "dup", "mul", "sum"]))

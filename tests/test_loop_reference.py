@@ -73,6 +73,7 @@ from leibniz_forge.loops import (
 )
 
 from conftest import make_idem1, make_nl3, make_so3, make_so3_hemi
+from test_linalg import big_rationals
 
 S = Q(1, 2)
 
@@ -324,7 +325,6 @@ seeds = st.integers(0, 2 ** 32 - 1)
 small = st.integers(-2, 2).map(Q)
 rationals = st.builds(Q, st.integers(-60, 60), st.integers(1, 7))
 nonzero_rationals = rationals.filter(bool)
-big_rationals = st.builds(Q, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30))
 mixed = st.one_of(rationals, big_rationals)
 s_values = st.sampled_from([Q(1, 2), Q(2, 3), Q(-3, 5), Q(7)])
 wide_s = st.one_of(st.sampled_from([Q(0), Q(2, 3), Q(-3, 5), Q(7)]), big_rationals.filter(bool))
@@ -346,6 +346,17 @@ def nilpotent_algebras(draw, scales=None):
     t = draw(scales)
     return StructureAlgebra.from_constants([[[t * x for x in cell] for cell in row]
                                             for row in a.c])
+
+
+@st.composite
+def big_basis_algebras(draw):
+    """A random nilpotent Leibniz algebra in the basis of the columns of an upper
+    triangular matrix with big entries and a nonzero diagonal, its rows permuted."""
+    a = draw(nilpotent_algebras())
+    n, perm = a.dim, draw(st.permutations(range(a.dim)))
+    rows = [[draw(big_rationals.filter(bool)) if j == i else draw(big_rationals) if j > i
+             else Q(0) for j in range(n)] for i in range(n)]
+    return a.change_basis(Matrix.from_rows([rows[perm[i]] for i in range(n)]))
 
 
 @st.composite
@@ -484,7 +495,7 @@ SAMPLED_LAYER_EDGES = [
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.builds(lambda sd, n: random_algebra(Pcg32(sd), n), seeds, st.integers(1, 5)),
-                 nilpotent_algebras(), triangular_algebras()))
+                 nilpotent_algebras(), triangular_algebras(), big_basis_algebras()))
 def test_envelope_layer_matches_n2_reference(a):
     assert _envelope_nilpotent(a) == ref_envelope_nilpotent(a)
     assert loop_gate(a) == ref_loop_gate(a)

@@ -33,7 +33,7 @@ from leibniz_forge import (
     torsion_field,
 )
 from leibniz_forge.linalg import basis_vec, vscale
-from leibniz_forge.loops import LoopContext
+from leibniz_forge.loops import LoopContext, _envelope_nilpotent
 
 from conftest import make_aff1_hemi, make_n2_hemi, make_nl3, make_so3
 
@@ -54,6 +54,18 @@ class TestGate:
 
     def test_aff1_hemi_fails(self):
         assert not loop_gate(make_aff1_hemi()).exact_ok
+
+    def test_envelope_chain_builds_no_fraction(self, corpus, monkeypatch):
+        """The chain multiplies canonical integer rows by the integer cells: with every
+        Fraction construction refused, each nilpotent algebra of the corpus still passes."""
+        nilpotent = [a for a in corpus.values() if loop_gate(a).envelope_nilpotent]
+        assert [a.sparse.scaled for a in nilpotent]  # the integer cells, built before the refusal
+
+        def refused(cls, *args, **kwargs):
+            raise AssertionError("Fraction built")
+
+        monkeypatch.setattr(Q, "__new__", staticmethod(refused))
+        assert all(_envelope_nilpotent(a) for a in nilpotent)
 
     def test_nl3_passes_despite_non_leibniz(self, nl3):
         # nilpotency of multiplications is independent of the Leibniz identity
